@@ -1161,7 +1161,7 @@ Engine::readAndDescend(int input, int level, const ft::FiberView& view,
     }
     const ft::Payload& payload = view.payloadAt(pos);
     bus_.tensorAccess(input, name, static_cast<std::size_t>(level),
-                      reported_c, &payload, &payload, pe);
+                      reported_c, &payload, pe);
     descend(input, level, payload);
 }
 
@@ -1242,7 +1242,7 @@ Engine::materializeOutputPath(std::uint64_t pe)
         ft::Payload& p = fiber->payloadAt(pos);
         if (inserted &&
             (insertFilter_ == nullptr ||
-             insertFilter_->insert(hash).second)) {
+             insertFilter_->insert(hash))) {
             bus_.outputWrite(plan_.output.name, level, c, hash, true,
                              false, pe);
         }

@@ -19,7 +19,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/coiter_strategy.hpp"
@@ -28,6 +27,7 @@
 #include "trace/batch.hpp"
 #include "trace/observer.hpp"
 #include "util/cancel.hpp"
+#include "util/flat_hash.hpp"
 
 namespace teaal::util
 {
@@ -397,7 +397,7 @@ class Engine
      * stream order).
      */
     void
-    setInsertFilter(std::unordered_set<std::uint64_t>* filter)
+    setInsertFilter(util::FlatSet64* filter)
     {
         insertFilter_ = filter;
     }
@@ -688,7 +688,7 @@ class Engine
     std::vector<std::uint64_t> outHashAt_;
     bool outPathValid_ = false;
     /// Parallel-path insert dedup (null for serial runs).
-    std::unordered_set<std::uint64_t>* insertFilter_ = nullptr;
+    util::FlatSet64* insertFilter_ = nullptr;
 
     ft::Fiber* leafFiber_ = nullptr;
     std::size_t leafPos_ = 0;

@@ -5,16 +5,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "trace/spill.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/flat_hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace teaal::exec
@@ -87,9 +88,9 @@ struct FixupState
 {
     /// Interior output nodes already announced (shared with the live
     /// engine's insert filter).
-    std::unordered_set<std::uint64_t> insertedKeys;
+    util::FlatSet64 insertedKeys;
     /// Reduce mode: leaf path keys some earlier slice already wrote.
-    std::unordered_set<std::uint64_t> reducedLeaves;
+    util::FlatSet64 reducedLeaves;
 };
 
 /**
@@ -121,6 +122,13 @@ struct FixupState
  * accounting (logicalWalkEnds/logicalEvents) absorbs the inserted
  * events so replayed flush points stay serial-identical.
  *
+ * Chunks are rewritten in place: a write cursor trails the read
+ * cursor, so drops cost nothing and the common no-op record costs no
+ * copy. An inserted compute record needs a slot a drop freed earlier
+ * in the chunk; without one, it and every record after it wait in a
+ * small carry queue that refills the freed read slots, and whatever
+ * is left at the chunk's end is appended to it.
+ *
  * Walk boundaries are re-indexed onto the surviving events (drops
  * shift them down, inserts up). No boundary can fall between a leaf's
  * compute and its output write — both are emitted inside one
@@ -139,102 +147,122 @@ std::size_t
 fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
                trace::Observer* datapath_sink)
 {
+    using trace::Event;
     std::ptrdiff_t dlog = 0;     // logged-index shift (drops/inserts)
     std::ptrdiff_t dlogical = 0; // logical-index shift (filtered)
     std::size_t fixups = 0;
     std::size_t we = 0;
     std::size_t base = 0; // global *input* index of the chunk start
-    std::vector<trace::Event>* prev_chunk = nullptr;
+    std::vector<Event>* prev_chunk = nullptr;
     trace::EventBatch synthetic;
+    std::deque<Event> carry;
 
-    for (std::vector<trace::Event>& chunk : log.chunks) {
+    const auto shift = [](std::size_t& idx, std::ptrdiff_t d) {
+        idx = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(idx) +
+                                       d);
+    };
+    const auto shift_walk_end = [&](std::size_t i) {
+        shift(log.walkEnds[i], dlog);
+        if (log.filtered)
+            shift(log.logicalWalkEnds[i], dlogical);
+    };
+
+    for (std::vector<Event>& chunk : log.chunks) {
         const std::size_t in_size = chunk.size();
-        std::vector<trace::Event> out;
-        out.reserve(in_size + 4);
+        std::size_t w = 0; // write cursor; slots [w, i] are free
         for (std::size_t i = 0; i < in_size; ++i) {
             while (we < log.walkEnds.size() &&
                    log.walkEnds[we] == base + i) {
-                log.walkEnds[we] = static_cast<std::size_t>(
-                    static_cast<std::ptrdiff_t>(log.walkEnds[we]) +
-                    dlog);
-                if (log.filtered) {
-                    log.logicalWalkEnds[we] = static_cast<std::size_t>(
-                        static_cast<std::ptrdiff_t>(
-                            log.logicalWalkEnds[we]) +
-                        dlogical);
-                }
+                shift_walk_end(we);
                 ++we;
             }
-            trace::Event e = chunk[i];
-            if (e.kind == trace::Event::Kind::OutputWrite && e.flagA &&
-                !e.flagB && !fs.insertedKeys.insert(e.key).second) {
-                --dlog;
-                if (log.filtered)
-                    --dlogical;
+            const bool keep_as_is =
+                chunk[i].kind != Event::Kind::OutputWrite ||
+                !chunk[i].flagA;
+            if (keep_as_is && carry.empty()) {
+                if (w != i)
+                    chunk[w] = chunk[i];
+                ++w;
                 continue;
             }
-            if (reduce && e.kind == trace::Event::Kind::OutputWrite &&
-                e.flagB && e.flagA) {
-                if (!fs.reducedLeaves.insert(e.key).second) {
+            Event e = chunk[i];
+            while (!carry.empty() && w <= i) {
+                chunk[w++] = carry.front();
+                carry.pop_front();
+            }
+            const auto emit = [&](const Event& ev) {
+                if (carry.empty() && w <= i)
+                    chunk[w++] = ev;
+                else
+                    carry.push_back(ev);
+            };
+            if (keep_as_is) {
+                emit(e);
+                continue;
+            }
+            if (!e.flagB) {
+                if (fs.insertedKeys.insert(e.key)) {
+                    emit(e);
+                } else {
+                    --dlog;
+                    if (log.filtered)
+                        --dlogical;
+                }
+                continue;
+            }
+            if (reduce) {
+                if (!fs.reducedLeaves.insert(e.key)) {
                     // An earlier slice wrote this leaf: the serial
                     // engine reduced — restore the missing add.
                     ++fixups;
                     if (log.filtered) {
                         synthetic.events.emplace_back();
-                        trace::Event& c = synthetic.events.back();
-                        c.kind = trace::Event::Kind::Compute;
+                        Event& c = synthetic.events.back();
+                        c.kind = Event::Kind::Compute;
                         c.op = 'a';
                         c.pe = e.pe;
                         c.a = 1;
                         if (e.a == 0)
                             ++dlogical; // serial had one more event
                     } else if (e.a > 0) {
-                        trace::Event* prev =
-                            !out.empty() ? &out.back()
-                            : prev_chunk != nullptr
-                                ? &prev_chunk->back()
-                                : nullptr;
+                        Event* prev = !carry.empty() ? &carry.back()
+                                      : w > 0        ? &chunk[w - 1]
+                                      : prev_chunk != nullptr
+                                          ? &prev_chunk->back()
+                                          : nullptr;
                         TEAAL_ASSERT(
                             prev != nullptr &&
-                                prev->kind ==
-                                    trace::Event::Kind::Compute &&
+                                prev->kind == Event::Kind::Compute &&
                                 prev->op == 'a' && prev->pe == e.pe,
                             "reduce fixup: leaf write not preceded by "
                             "its compute record");
                         ++prev->a;
                     } else {
-                        trace::Event c{};
-                        c.kind = trace::Event::Kind::Compute;
+                        Event c{};
+                        c.kind = Event::Kind::Compute;
                         c.op = 'a';
                         c.pe = e.pe;
                         c.a = 1;
-                        out.push_back(c);
+                        emit(c);
                         ++dlog;
                     }
                 }
                 e.flagA = false;
                 e.a = 0;
             }
-            out.push_back(e);
+            emit(e);
         }
-        chunk = std::move(out);
+        chunk.resize(w);
+        chunk.insert(chunk.end(), carry.begin(), carry.end());
+        carry.clear();
         if (!chunk.empty())
             prev_chunk = &chunk;
         base += in_size;
     }
-    while (we < log.walkEnds.size()) {
-        log.walkEnds[we] = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(log.walkEnds[we]) + dlog);
-        if (log.filtered) {
-            log.logicalWalkEnds[we] = static_cast<std::size_t>(
-                static_cast<std::ptrdiff_t>(log.logicalWalkEnds[we]) +
-                dlogical);
-        }
-        ++we;
-    }
+    for (; we < log.walkEnds.size(); ++we)
+        shift_walk_end(we);
     if (log.filtered) {
-        log.logicalEvents = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(log.logicalEvents) + dlogical);
+        shift(log.logicalEvents, dlogical);
         if (!synthetic.events.empty() && datapath_sink != nullptr)
             datapath_sink->onEventBatch(synthetic);
     }
@@ -593,7 +621,6 @@ Executor::runSharded(unsigned threads)
                             frame, fixup_state, reduce_mode,
                             fixup_sink);
                         engine_.replayTrace(frame);
-                        frame.clear();
                     }
                     s->spillw->discard();
                 }

@@ -1,6 +1,7 @@
 #include "fibertree/transform.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -10,31 +11,96 @@ namespace teaal::ft
 namespace
 {
 
-/** Gather all leaves as (point, value) pairs. */
-std::vector<std::pair<std::vector<Coord>, Value>>
-gatherLeaves(const Tensor& t)
+/**
+ * A tensor's leaves as one flat row-major coordinate array (`depth`
+ * coordinates per leaf, already in the target rank order) beside a
+ * value array: two allocations in total, however many leaves.
+ */
+struct FlatLeaves
 {
-    std::vector<std::pair<std::vector<Coord>, Value>> leaves;
-    leaves.reserve(t.nnz());
-    t.forEachLeaf([&](std::span<const Coord> p, Value v) {
-        leaves.emplace_back(std::vector<Coord>(p.begin(), p.end()), v);
-    });
-    return leaves;
+    std::size_t depth = 0;
+    std::vector<Coord> coords;
+    std::vector<Value> values;
+
+    const Coord* row(std::size_t i) const { return &coords[i * depth]; }
+};
+
+/** Append every leaf under @p fiber (at @p level) to @p out, writing
+ *  coordinate point[perm[j]] as the leaf's j-th target coordinate. */
+void
+gatherFlat(const Fiber& fiber, std::size_t level, std::vector<Coord>& point,
+           const std::vector<std::size_t>& perm, FlatLeaves& out)
+{
+    TEAAL_ASSERT(level < out.depth, "leaf arity mismatch");
+    for (std::size_t pos = 0; pos < fiber.size(); ++pos) {
+        point[level] = fiber.coordAt(pos);
+        const Payload& p = fiber.payloadAt(pos);
+        if (p.isValue()) {
+            TEAAL_ASSERT(level + 1 == out.depth, "leaf arity mismatch");
+            for (const std::size_t src : perm)
+                out.coords.push_back(point[src]);
+            out.values.push_back(p.value());
+        } else if (p.fiber() != nullptr) {
+            gatherFlat(*p.fiber(), level + 1, point, perm, out);
+        }
+    }
 }
 
-/** Build a tensor from sorted leaves using append-only construction. */
+/**
+ * Stable sort of the leaf indices in @p order by target coordinate
+ * column @p col: one counting-sort pass when the column's coordinate
+ * span is within a small multiple of the leaf count, else a stable
+ * comparison sort (a flattened rank can span far more coordinates
+ * than it holds).
+ */
 void
-buildFromSortedLeaves(
-    Tensor& t,
-    const std::vector<std::pair<std::vector<Coord>, Value>>& leaves)
+stableSortByColumn(std::vector<std::size_t>& order,
+                   std::vector<std::size_t>& scratch,
+                   const FlatLeaves& leaves, std::size_t col)
+{
+    const std::size_t n = order.size();
+    const auto key = [&leaves, col](std::size_t leaf) {
+        return leaves.row(leaf)[col];
+    };
+    Coord lo = key(order[0]);
+    Coord hi = lo;
+    for (const std::size_t leaf : order) {
+        lo = std::min(lo, key(leaf));
+        hi = std::max(hi, key(leaf));
+    }
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) -
+                               static_cast<std::uint64_t>(lo) + 1;
+    if (span > 4 * static_cast<std::uint64_t>(n) + 1024) {
+        std::stable_sort(order.begin(), order.end(),
+                         [&key](std::size_t a, std::size_t b) {
+                             return key(a) < key(b);
+                         });
+        return;
+    }
+    std::vector<std::size_t> start(static_cast<std::size_t>(span) + 1, 0);
+    for (const std::size_t leaf : order)
+        ++start[static_cast<std::size_t>(key(leaf) - lo) + 1];
+    for (std::size_t k = 1; k < start.size(); ++k)
+        start[k] += start[k - 1];
+    scratch.resize(n);
+    for (const std::size_t leaf : order)
+        scratch[start[static_cast<std::size_t>(key(leaf) - lo)]++] = leaf;
+    order.swap(scratch);
+}
+
+/** Build @p t from @p leaves visited in @p order (ascending rows)
+ *  using append-only construction. */
+void
+buildFromSortedRows(Tensor& t, const FlatLeaves& leaves,
+                    const std::vector<std::size_t>& order)
 {
     // Maintain a stack of open fibers, one per level.
     const std::size_t depth = t.numRanks();
     std::vector<Fiber*> stack(depth, nullptr);
     stack[0] = t.root().get();
     std::vector<Coord> open(depth, -1);
-    for (const auto& [point, value] : leaves) {
-        TEAAL_ASSERT(point.size() == depth, "leaf arity mismatch");
+    for (const std::size_t leaf : order) {
+        const Coord* point = leaves.row(leaf);
         // Find the first level whose open coordinate differs.
         std::size_t level = 0;
         while (level + 1 < depth && open[level] == point[level] &&
@@ -48,7 +114,8 @@ buildFromSortedLeaves(
             open[level] = point[level];
             stack[level + 1] = child_raw;
         }
-        stack[depth - 1]->append(point[depth - 1], Payload(value));
+        stack[depth - 1]->append(point[depth - 1],
+                                 Payload(leaves.values[leaf]));
         open[depth - 1] = point[depth - 1];
     }
 }
@@ -103,19 +170,35 @@ swizzle(const Tensor& t, const std::vector<std::string>& new_order)
         seen[p] = true;
     }
 
-    auto leaves = gatherLeaves(t);
-    for (auto& [point, value] : leaves) {
-        (void)value;
-        std::vector<Coord> permuted(point.size());
-        for (std::size_t i = 0; i < perm.size(); ++i)
-            permuted[i] = point[perm[i]];
-        point = std::move(permuted);
+    FlatLeaves leaves;
+    leaves.depth = perm.size();
+    if (t.root() != nullptr) {
+        const std::size_t nnz = t.nnz();
+        leaves.coords.reserve(nnz * leaves.depth);
+        leaves.values.reserve(nnz);
+        std::vector<Coord> point(leaves.depth, 0);
+        gatherFlat(*t.root(), 0, point, perm, leaves);
     }
-    std::sort(leaves.begin(), leaves.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Sort the leaves by their target rows, least significant column
+    // first (LSD radix). Gathering visited them in source order, which
+    // already breaks ties correctly on the longest target suffix whose
+    // ranks keep their source relative order, so only the columns
+    // before that suffix need a pass — one for a plain transpose, none
+    // for the identity.
+    std::vector<std::size_t> order(leaves.values.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::size_t suffix = perm.empty() ? 0 : perm.size() - 1;
+    while (suffix > 0 && perm[suffix - 1] < perm[suffix])
+        --suffix;
+    if (order.size() > 1) {
+        std::vector<std::size_t> scratch;
+        for (std::size_t col = suffix; col-- > 0;)
+            stableSortByColumn(order, scratch, leaves, col);
+    }
 
     Tensor out(t.name(), new_ranks);
-    buildFromSortedLeaves(out, leaves);
+    buildFromSortedRows(out, leaves, order);
     return out;
 }
 

@@ -17,7 +17,7 @@
 #include <list>
 #include <unordered_map>
 
-#include "model/flat_hash.hpp"
+#include "util/flat_hash.hpp"
 
 namespace teaal::model
 {
@@ -128,8 +128,8 @@ class Buffet
     /// bump), and evictAll's insertion-order iteration is
     /// deterministic — all byte quantities are multiples of 1/8, so
     /// accumulation order cannot perturb the sums either.
-    FlatMap64<Entry> resident_;
-    FlatSet64 everDrained_;
+    util::FlatMap64<Entry> resident_;
+    util::FlatSet64 everDrained_;
     double resident_bytes_ = 0;
     BufferCounters counters_;
 };

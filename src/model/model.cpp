@@ -41,7 +41,7 @@ ModelObserver::onEventBatch(const trace::EventBatch& batch)
           case Event::Kind::TensorAccess:
             if (cls.accessStateful(e.input, e.level))
                 replay_.tensorAccess(e.input, e.level, e.ptr,
-                                     e.payload, e.packed, e.a);
+                                     e.payload(), e.packed, e.a);
             else
                 accum_.tensorAccess(e.input, e.level);
             break;

@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "model/buffer_sim.hpp"
-#include "model/flat_hash.hpp"
 #include "model/tables.hpp"
 #include "trace/batch.hpp"
+#include "util/flat_hash.hpp"
 
 namespace teaal::storage
 {
@@ -50,7 +50,7 @@ class StorageReplay
             loopEnter(e.loop);
             break;
           case Event::Kind::TensorAccess:
-            tensorAccess(e.input, e.level, e.ptr, e.payload, e.packed,
+            tensorAccess(e.input, e.level, e.ptr, e.payload(), e.packed,
                          e.a);
             break;
           case Event::Kind::OutputWrite:
@@ -136,7 +136,7 @@ class StorageReplay
     Slot seqSwizzleElems_;
 
     // Streaming-output partial accounting.
-    FlatMap64<int> outWritten_;
+    util::FlatMap64<int> outWritten_;
 
     // Subtree footprint memoization (bytes incl. any transaction
     // granularity penalty for interleaved layouts).

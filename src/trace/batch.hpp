@@ -27,9 +27,17 @@
 namespace teaal::trace
 {
 
-/** One recorded event. POD; strings are borrowed (the plan outlives
- *  the run, so tensor-name pointers stay valid until the flush). */
-struct Event
+/**
+ * One recorded event: a 64-byte POD, one cache line. Strings are
+ * borrowed (the plan outlives the run, so tensor-name pointers stay
+ * valid until the flush).
+ *
+ * The last two words are shared between kinds: each kind writes and
+ * reads only the member named for it. Sharded runs move every stateful
+ * record through capture, fixup, replay, and (out of core) spill, so
+ * the record size is what those serial passes copy.
+ */
+struct alignas(64) Event
 {
     enum class Kind : std::uint8_t
     {
@@ -44,27 +52,43 @@ struct Event
     };
 
     Kind kind = Kind::LoopEnter;
-    char op = 0;          // Compute: 'm' or 'a'
-    bool flagA = false;   // OutputWrite: inserted; Swizzle: online
-    bool flagB = false;   // OutputWrite: at_leaf
-    int input = -1;       // CoordScan/TensorAccess input slot
-    std::size_t loop = 0; // LoopEnter/CoIterate loop index
-    std::size_t level = 0;
-    std::size_t a = 0; // steps / count / elements
-    std::size_t b = 0; // matches / ways
-    std::size_t c = 0; // drivers
+    char op = 0;             // Compute: 'm' or 'a'
+    bool flagA = false;      // OutputWrite: inserted; Swizzle: online
+    bool flagB = false;      // OutputWrite: at_leaf
+    std::int32_t input = -1; // CoordScan/TensorAccess input slot
+    std::uint32_t loop = 0;  // LoopEnter/CoIterate loop index
+    std::uint32_t level = 0;
     ft::Coord coord = 0;
+    std::size_t a = 0; // steps / count / elements / packed position
     std::uint64_t pe = 0;
-    std::uint64_t key = 0;              // OutputWrite path key
-    const void* ptr = nullptr;          // TensorAccess identity key
-    const ft::Payload* payload = nullptr;
-    /// TensorAccess on a packed input: the source storage::PackedTensor
-    /// (opaque here — trace stays below the storage layer) with the
-    /// element position in `a`; `payload` is null for these.
-    const void* packed = nullptr;
-    const std::string* name = nullptr;  // tensor name
-    const std::string* name2 = nullptr; // TensorCopy destination
+    const std::string* name = nullptr; // tensor name
+    union
+    {
+        std::size_t b = 0; // CoIterate: matches; Swizzle: ways
+        std::uint64_t key; // OutputWrite: path key
+        const void* ptr;   // TensorAccess: identity key
+    };
+    union
+    {
+        std::size_t c = 0; // CoIterate: drivers
+        /// TensorAccess: the source storage::PackedTensor of a packed
+        /// input (opaque here — trace stays below the storage layer),
+        /// with the element position in `a`; null for pointer inputs.
+        const void* packed;
+        const std::string* name2; // TensorCopy destination
+    };
+
+    /** TensorAccess on a pointer input: the payload read, which is
+     *  also its identity key; null for packed inputs. */
+    const ft::Payload*
+    payload() const
+    {
+        return packed == nullptr ? static_cast<const ft::Payload*>(ptr)
+                                 : nullptr;
+    }
 };
+
+static_assert(sizeof(Event) == 64, "a trace record is one cache line");
 
 /** An ordered run of events, delivered through one virtual call. */
 struct EventBatch
@@ -220,7 +244,7 @@ class SpillSink
 
 struct TraceLog
 {
-    /// Events per chunk, sized to ~105 KB — under the common malloc
+    /// Events per chunk, sized to 64 KB — under the common malloc
     /// mmap threshold (128 KB), so freed chunks are recycled from the
     /// allocator arena instead of being returned to the OS and
     /// page-faulted back in on the next shard's capture.
@@ -353,7 +377,7 @@ class BatchBus
     {
         Event& e = push(Event::Kind::LoopEnter,
                         cls_ != nullptr && !cls_->loopStateful(loop));
-        e.loop = loop;
+        e.loop = static_cast<std::uint32_t>(loop);
         e.coord = c;
     }
 
@@ -362,7 +386,7 @@ class BatchBus
               std::size_t drivers, std::uint64_t pe)
     {
         Event& e = push(Event::Kind::CoIterate, cls_ != nullptr);
-        e.loop = loop;
+        e.loop = static_cast<std::uint32_t>(loop);
         e.a = steps;
         e.b = matches;
         e.c = drivers;
@@ -375,25 +399,26 @@ class BatchBus
     {
         Event& e = push(Event::Kind::CoordScan, cls_ != nullptr);
         e.input = input;
-        e.level = level;
+        e.level = static_cast<std::uint32_t>(level);
         e.a = count;
         e.pe = pe;
     }
 
+    /** TensorAccess on a pointer input: the payload's address is the
+     *  access's identity key. */
     void
     tensorAccess(int input, const std::string& tensor, std::size_t level,
-                 ft::Coord c, const void* key, const ft::Payload* payload,
-                 std::uint64_t pe)
+                 ft::Coord c, const ft::Payload* payload, std::uint64_t pe)
     {
         Event& e =
             push(Event::Kind::TensorAccess,
                  cls_ != nullptr && !cls_->accessStateful(input, level));
         e.input = input;
         e.name = &tensor;
-        e.level = level;
+        e.level = static_cast<std::uint32_t>(level);
         e.coord = c;
-        e.ptr = key;
-        e.payload = payload;
+        e.ptr = payload;
+        e.packed = nullptr;
         e.pe = pe;
     }
 
@@ -410,7 +435,7 @@ class BatchBus
                  cls_ != nullptr && !cls_->accessStateful(input, level));
         e.input = input;
         e.name = &tensor;
-        e.level = level;
+        e.level = static_cast<std::uint32_t>(level);
         e.coord = c;
         e.ptr = key;
         e.packed = packed;
@@ -428,7 +453,7 @@ class BatchBus
     {
         Event& e = push(Event::Kind::OutputWrite, false);
         e.name = &tensor;
-        e.level = level;
+        e.level = static_cast<std::uint32_t>(level);
         e.coord = c;
         e.key = path_key;
         e.flagA = inserted;

@@ -13,8 +13,9 @@ namespace teaal::trace
 namespace
 {
 
-/// First 8 bytes of every frame, a cheap torn-file detector.
-constexpr std::uint64_t kFrameMagic = 0x314C4C4950535424ULL; // "$TSPILL1"
+/// First 8 bytes of every frame, a cheap torn-file detector. The digit
+/// names the Event record layout the frame's raw records use.
+constexpr std::uint64_t kFrameMagic = 0x324C4C4950535424ULL; // "$TSPILL2"
 
 struct FrameHeader
 {
@@ -199,10 +200,11 @@ SpillReader::next(TraceLog& frame)
 
     // One chunk per frame: replay and fixup only care about event
     // order and the (frame-relative) walkEnds indices, not the
-    // capture-time chunk partitioning.
-    frame.chunks.clear();
-    frame.chunks.emplace_back(static_cast<std::size_t>(h.events));
-    get(frame.chunks.back().data(), h.events * sizeof(Event));
+    // capture-time chunk partitioning. The previous frame's chunk is
+    // reused, so a segment streams back through one buffer.
+    frame.chunks.resize(1);
+    frame.chunks[0].resize(static_cast<std::size_t>(h.events));
+    get(frame.chunks[0].data(), h.events * sizeof(Event));
 
     frame.filtered = h.filtered != 0;
     frame.logicalEvents = static_cast<std::size_t>(h.logicalEvents);

@@ -159,8 +159,9 @@ class SpillWriter final : public SpillSink
 /**
  * Streams the frames of one segment file back, oldest first. Each
  * frame arrives as a self-contained TraceLog (single chunk,
- * frame-relative walkEnds) ready for the coordinator's fixup+replay;
- * clear() it between frames.
+ * frame-relative walkEnds) ready for the coordinator's fixup+replay.
+ * next() overwrites every field of the frame it fills, reusing its
+ * buffers, so one TraceLog serves a whole segment.
  */
 class SpillReader
 {

@@ -1,9 +1,10 @@
 /**
  * @file
- * Minimal open-addressing hash containers for the performance model's
- * hot path (buffer simulators touch one per trace event; the node
- * allocations and pointer chasing of std::unordered_map dominated
- * profiles).
+ * Minimal open-addressing hash containers for per-trace-event lookups
+ * (the performance model's buffer simulators, and the sharded
+ * executor's replay fixup and output-insert dedup, touch one per
+ * record; the node allocations and pointer chasing of
+ * std::unordered_map dominated profiles).
  *
  * Design: power-of-two slot array of (generation, index) tags over a
  * dense entry vector. Linear probing, no per-entry deletion — the
@@ -19,10 +20,7 @@
 #include <utility>
 #include <vector>
 
-namespace teaal::model
-{
-
-namespace detail
+namespace teaal::util
 {
 
 /** splitMix64 finalizer: cheap, well-distributed 64-bit mixing. */
@@ -34,8 +32,6 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
 }
-
-} // namespace detail
 
 /** Open-addressing map from 64-bit keys to V, with O(1) clear(). */
 template <typename V>
@@ -54,7 +50,7 @@ class FlatMap64
     {
         if (entries_.empty())
             return nullptr;
-        for (std::size_t s = detail::mix64(key) & mask_;;
+        for (std::size_t s = mix64(key) & mask_;;
              s = (s + 1) & mask_) {
             const std::uint64_t tag = slots_[s];
             if ((tag >> 32) != gen_)
@@ -72,7 +68,7 @@ class FlatMap64
     {
         if (entries_.size() + 1 > (slots_.size() * 3) / 4)
             grow();
-        for (std::size_t s = detail::mix64(key) & mask_;;
+        for (std::size_t s = mix64(key) & mask_;;
              s = (s + 1) & mask_) {
             const std::uint64_t tag = slots_[s];
             if ((tag >> 32) != gen_) {
@@ -111,7 +107,7 @@ class FlatMap64
         mask_ = cap - 1;
         gen_ = 1;
         for (std::size_t i = 0; i < entries_.size(); ++i) {
-            for (std::size_t s = detail::mix64(entries_[i].key) & mask_;;
+            for (std::size_t s = mix64(entries_[i].key) & mask_;;
                  s = (s + 1) & mask_) {
                 if ((slots_[s] >> 32) != gen_) {
                     slots_[s] =
@@ -152,4 +148,4 @@ class FlatSet64
     FlatMap64<Unit> map_;
 };
 
-} // namespace teaal::model
+} // namespace teaal::util

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "fibertree/coiter.hpp"
@@ -417,6 +418,58 @@ TEST_P(TransformProperty, SwizzlePreservesContents)
         const std::vector<Coord> q{p[1], p[0]};
         EXPECT_DOUBLE_EQ(s.at(q), v);
     });
+}
+
+/// Every rank order of a 3-rank tensor against a tensor built point by
+/// point: same leaves in the same order, zero-valued leaves included.
+/// Odd seeds spread rank J's few distinct coordinates far beyond the
+/// leaf count, which the swizzle sorts by a (stable) comparison sort
+/// instead of by counting.
+TEST_P(TransformProperty, SwizzleEveryOrderMatchesPointwiseBuild)
+{
+    Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
+    const bool wide = GetParam() % 2 != 0;
+    const std::vector<std::string> ids{"I", "J", "K"};
+    const std::vector<Coord> shape{7, wide ? Coord{1} << 40 : Coord{9}, 5};
+    std::map<std::vector<Coord>, Value> elems;
+    const std::size_t nnz = 40 + rng.below(60);
+    while (elems.size() < nnz) {
+        std::vector<Coord> p{static_cast<Coord>(rng.below(7)),
+                             static_cast<Coord>(rng.below(wide ? 6 : 9)),
+                             static_cast<Coord>(rng.below(5))};
+        if (wide)
+            p[1] <<= 37;
+        // Every seventh leaf stores an explicit zero.
+        elems[p] = elems.size() % 7 == 0 ? 0.0 : 1.0 + rng.uniform();
+    }
+    std::vector<std::pair<std::vector<Coord>, Value>> coo(elems.begin(),
+                                                           elems.end());
+    const Tensor t = Tensor::fromCoo("T", ids, shape, coo);
+
+    const auto leaves = [](const Tensor& x) {
+        std::vector<std::pair<std::vector<Coord>, Value>> out;
+        x.forEachLeaf([&](std::span<const Coord> p, Value v) {
+            out.emplace_back(std::vector<Coord>(p.begin(), p.end()), v);
+        });
+        return out;
+    };
+    std::vector<std::size_t> perm{0, 1, 2};
+    do {
+        std::vector<std::string> order;
+        std::vector<Coord> pshape;
+        for (const std::size_t i : perm) {
+            order.push_back(ids[i]);
+            pshape.push_back(shape[i]);
+        }
+        std::vector<std::pair<std::vector<Coord>, Value>> pcoo;
+        for (const auto& [p, v] : coo)
+            pcoo.push_back({{p[perm[0]], p[perm[1]], p[perm[2]]}, v});
+        const Tensor ref = Tensor::fromCoo("T", order, pshape, pcoo);
+        const Tensor s = swizzle(t, order);
+        EXPECT_EQ(s.rankIds(), order);
+        EXPECT_EQ(leaves(s), leaves(ref))
+            << order[0] << order[1] << order[2];
+    } while (std::next_permutation(perm.begin(), perm.end()));
 }
 
 TEST_P(TransformProperty, FlattenPreservesContents)

@@ -36,6 +36,18 @@ namespace
 using serve::Json;
 using serve::parseJson;
 
+/** A scratch directory owned by the running test alone: ctest runs
+ *  tests of one fixture concurrently, so a shared name would let one
+ *  test's TearDown delete another's inputs. */
+std::filesystem::path
+testScratchDir(const std::string& prefix)
+{
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::filesystem::temp_directory_path() /
+           (prefix + info->test_suite_name() + "_" + info->name());
+}
+
 // ------------------------------------------------------------- JSON
 
 TEST(ServeJson, RoundTripsScalarsAndContainers)
@@ -317,8 +329,7 @@ class ServeProtocolStore : public ServeProtocol
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_serve_store";
+        dir_ = testScratchDir("teaal_serve_store_");
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
         aPath_ = (dir_ / "a.teaal").string();
@@ -541,8 +552,7 @@ class ServeEndToEnd : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_serve_test";
+        dir_ = testScratchDir("teaal_serve_test_");
         std::filesystem::create_directories(dir_);
         aPath_ = (dir_ / "a.mtx").string();
         bPath_ = (dir_ / "b.mtx").string();
