@@ -4,18 +4,23 @@
  * occupancy-hint helper, the symbolic statistics algebra, and the
  * headline accuracy contract — the analytic estimate tracks the trace
  * simulator within a bounded relative factor on all four Table 1
- * accelerators, for pointer and packed workloads alike.
+ * accelerators, for pointer and packed workloads alike — and the
+ * skeleton plan the analytic tier instantiates equals the trace
+ * tier's plan field by field.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <iostream>
+#include <map>
+#include <set>
 
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
 #include "fibertree/occupancy.hpp"
 #include "model/analytic/estimator.hpp"
 #include "storage/packed.hpp"
+#include "tuner/search_space.hpp"
 #include "util/logging.hpp"
 #include "workloads/datasets.hpp"
 
@@ -305,6 +310,184 @@ TEST(AnalyticAccuracy, PackedWorkloads)
 {
     for (const AccuracyCase& c : kCases)
         checkAccuracy(c, /*packed=*/true);
+}
+
+// ------------------------------------------------ plan skeletons
+
+/**
+ * The skeleton plan of every Einsum of @p cm on @p w, with the
+ * symbolic statistics built exactly as CompiledModel::estimate builds
+ * them: input hints with the mapping rank-order applied symbolically,
+ * then each Einsum's produced statistics feeding the next, estimated
+ * against the tables compile() resolves (binding, topology, on-chip
+ * set).
+ */
+std::vector<model::analytic::SymbolicPlan>
+skeletonPlans(const compiler::CompiledModel& cm, const Workload& w)
+{
+    namespace an = model::analytic;
+    const compiler::Specification& s = cm.spec();
+    const einsum::EinsumSpec& es = s.einsums;
+
+    std::map<std::string, an::SymbolicTensor> stats;
+    for (const std::string& name : es.inputTensors()) {
+        an::SymbolicTensor st;
+        if (const auto pk = w.packed(name)) {
+            st = an::SymbolicTensor::fromHints(
+                name, pk->ranks(), pk->occupancyHints(), /*packed=*/true);
+        } else {
+            const ft::Tensor& t = w.tensor(name);
+            st = an::SymbolicTensor::fromHints(name, t.ranks(),
+                                               t.occupancyHints());
+        }
+        const auto& order = s.mapping.rankOrder(name);
+        if (!order.empty() && st.rankIds() != order) {
+            st = an::swizzle(st, order);
+            st.packed = false;
+        }
+        stats.emplace(name, std::move(st));
+    }
+
+    // On-chip sets: fused intermediates, plus operands an earlier
+    // Einsum of the same fused block already streamed.
+    std::map<std::size_t, std::size_t> block_of;
+    for (std::size_t b = 0; b < cm.blocks().size(); ++b) {
+        for (std::size_t idx : cm.blocks()[b])
+            block_of[idx] = b;
+    }
+    std::set<std::string> fused;
+    for (std::size_t i = 0; i < es.expressions.size(); ++i) {
+        const std::string& produced = es.expressions[i].output.name;
+        for (int consumer : es.consumersOf(produced)) {
+            if (block_of[i] == block_of[static_cast<std::size_t>(consumer)])
+                fused.insert(produced);
+        }
+    }
+
+    std::vector<an::SymbolicPlan> out;
+    for (std::size_t i = 0; i < es.expressions.size(); ++i) {
+        std::set<std::string> on_chip = fused;
+        for (std::size_t j : cm.blocks()[block_of[i]]) {
+            if (j >= i)
+                break;
+            for (const einsum::TensorRef& in : es.expressions[j].inputs)
+                on_chip.insert(in.name);
+        }
+        out.push_back(an::symbolicInstantiate(cm.recipes()[i], es, stats));
+        const std::string& oname = es.expressions[i].output.name;
+        const binding::EinsumBinding& eb = s.bindings.einsum(oname);
+        const model::ModelTables tables = model::ModelTables::build(
+            out.back().plan, s.architecture.topology(eb.topology), eb,
+            s.formats, on_chip);
+        stats.insert_or_assign(
+            oname, an::estimateEinsum(out.back(), tables).produced);
+    }
+    return out;
+}
+
+/** Every structural field the two tiers must derive identically. */
+void
+expectSameSkeleton(const ir::EinsumPlan& sym, const ir::EinsumPlan& real)
+{
+    SCOPED_TRACE("einsum " + real.output.name);
+    ASSERT_EQ(sym.loops.size(), real.loops.size());
+    for (std::size_t i = 0; i < real.loops.size(); ++i) {
+        const ir::LoopRank& a = sym.loops[i];
+        const ir::LoopRank& b = real.loops[i];
+        SCOPED_TRACE("loop " + b.name);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.bindsVars, b.bindsVars);
+        EXPECT_EQ(a.unpackStrides, b.unpackStrides);
+        EXPECT_EQ(a.unpackShapes, b.unpackShapes);
+        EXPECT_EQ(a.isUpperPartition, b.isUpperPartition);
+        EXPECT_EQ(a.rangeTile, b.rangeTile);
+        EXPECT_EQ(a.isSpace, b.isSpace);
+        EXPECT_EQ(a.coordSpace, b.coordSpace);
+        EXPECT_EQ(a.spaceExtent, b.spaceExtent);
+        EXPECT_EQ(a.denseExtent, b.denseExtent);
+        EXPECT_EQ(a.probeOnly, b.probeOnly);
+        EXPECT_STREQ(ir::coiterStrategyName(a.coiter),
+                     ir::coiterStrategyName(b.coiter));
+    }
+    EXPECT_EQ(sym.varBoundAt, real.varBoundAt);
+
+    ASSERT_EQ(sym.inputs.size(), real.inputs.size());
+    for (std::size_t t = 0; t < real.inputs.size(); ++t) {
+        const ir::TensorPlan& a = sym.inputs[t];
+        const ir::TensorPlan& b = real.inputs[t];
+        SCOPED_TRACE("input " + b.name);
+        EXPECT_EQ(a.prepared.rankIds(), b.prepared.rankIds());
+        EXPECT_EQ(a.swizzled, b.swizzled);
+        ASSERT_EQ(a.actions.size(), b.actions.size());
+        for (std::size_t k = 0; k < b.actions.size(); ++k) {
+            EXPECT_EQ(static_cast<int>(a.actions[k].mode),
+                      static_cast<int>(b.actions[k].mode))
+                << "action " << k;
+            EXPECT_EQ(a.actions[k].loopIndex, b.actions[k].loopIndex)
+                << "action " << k;
+            EXPECT_EQ(a.actions[k].level, b.actions[k].level)
+                << "action " << k;
+        }
+    }
+
+    EXPECT_EQ(sym.output.productionOrder, real.output.productionOrder);
+    EXPECT_EQ(sym.output.vars, real.output.vars);
+    EXPECT_EQ(sym.output.boundAtLoop, real.output.boundAtLoop);
+    EXPECT_EQ(sym.output.shapes, real.output.shapes);
+    EXPECT_EQ(sym.output.needsReorder, real.output.needsReorder);
+}
+
+void
+expectSameSkeletons(compiler::CompiledModel& cm, const Workload& w)
+{
+    const auto skeletons = skeletonPlans(cm, w);
+    const std::vector<ir::EinsumPlan>& plans = cm.plans(w);
+    ASSERT_EQ(skeletons.size(), plans.size());
+    for (std::size_t i = 0; i < plans.size(); ++i)
+        expectSameSkeleton(skeletons[i].plan, plans[i]);
+}
+
+// Guards the analytic tier against drifting from the trace tier's plan
+// instantiation: every loop, action placement, and output plan must
+// agree on the Table 1 accelerators (pointer and packed) and on the
+// autotuner's whole design space over skewed operands.
+TEST(AnalyticPlan, SkeletonMatchesInstantiatedPlan)
+{
+    const ft::Tensor a =
+        workloads::uniformMatrix("A", 600, 500, 4000, 21, {"K", "M"});
+    const ft::Tensor b =
+        workloads::uniformMatrix("B", 600, 550, 4000, 22, {"K", "N"});
+    for (const AccuracyCase& c : kCases) {
+        for (const bool packed : {false, true}) {
+            SCOPED_TRACE(std::string(c.name) +
+                         (packed ? " packed" : " pointer"));
+            auto cm = compiler::compile(c.make());
+            Workload w;
+            if (packed) {
+                w.add("A", storage::PackedTensor::fromTensor(
+                               a, cm.spec().formats.getLenient("A")));
+                w.add("B", storage::PackedTensor::fromTensor(
+                               b, cm.spec().formats.getLenient("B")));
+            } else {
+                w.add("A", a).add("B", b);
+            }
+            expectSameSkeletons(cm, w);
+        }
+    }
+
+    const ft::Tensor pa =
+        workloads::powerLawMatrix("A", 300, 280, 3000, 41, {"K", "M"});
+    const ft::Tensor pb =
+        workloads::powerLawMatrix("B", 300, 320, 3200, 42, {"K", "N"});
+    Workload pw;
+    pw.add("A", pa).add("B", pb);
+    const auto candidates = tuner::spmspmSearchSpace();
+    ASSERT_EQ(candidates.size(), 36u);
+    for (const tuner::Candidate& cand : candidates) {
+        SCOPED_TRACE(cand.label);
+        auto cm = compiler::compile(cand.spec);
+        expectSameSkeletons(cm, pw);
+    }
 }
 
 TEST(AnalyticEstimate, CachesByFingerprint)
