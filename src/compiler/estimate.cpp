@@ -67,16 +67,10 @@ CompiledModel::estimate(const Workload& workload) const
     }
 
     analytic::AnalyticEstimate out;
-    std::set<std::string> produced;
+    std::vector<std::string> produced;
     for (std::size_t i = 0; i < es.expressions.size(); ++i) {
-        analytic::SymbolicPlan sp =
-            analytic::symbolicInstantiate(recipes_[i], es, stats);
-
-        // Swizzles of intermediates happen online (the engine merges
-        // them mid-cascade); workload inputs reorder offline, free.
-        for (ir::TensorPlan& tp : sp.plan.inputs)
-            tp.swizzleOnline = produced.count(tp.name) != 0;
-
+        analytic::SymbolicPlan sp = analytic::symbolicInstantiate(
+            recipes_[i], es, stats, produced);
         const model::ModelTables tables = model::ModelTables::build(
             sp.plan, *topologies_[i], *bindings_[i], spec_.formats,
             onChip_[i]);
@@ -100,7 +94,7 @@ CompiledModel::estimate(const Workload& workload) const
         out.records.push_back(std::move(ee.record));
 
         const std::string& oname = es.expressions[i].output.name;
-        produced.insert(oname);
+        produced.push_back(oname);
         stats.insert_or_assign(oname, std::move(ee.produced));
     }
 

@@ -402,9 +402,10 @@ class CompiledModel
      * Analytic fast path: predict what run() would measure — compute
      * ops, intersection work, per-level traffic, buffer occupancy —
      * from metadata alone (rank shapes, occupancy hints, format
-     * footprints). No fibertree walk and no plan instantiation
-     * happen; the same cached EinsumRecipes are bound symbolically
-     * (model/analytic/). Orders of magnitude faster than run(), at
+     * footprints). No fibertree walk happens and no tensor data is
+     * read; the same cached EinsumRecipes are bound to statistics by
+     * the plan traversal run() uses (model/analytic/,
+     * ir/instantiate.hpp). Orders of magnitude faster than run(), at
      * bounded relative error: the mapping autotuner ranks every
      * candidate with this and trace-simulates only the survivors.
      *

@@ -4,14 +4,13 @@ namespace teaal::exec
 {
 
 int
-gallopLeader(const std::vector<ft::FiberView>& views, bool unite,
-             std::size_t ratio)
+gallopLeader(const std::vector<ft::FiberView>& views, bool unite)
 {
     if (unite || views.size() != 2)
         return -1;
-    if (views[0].size() > ratio * views[1].size())
+    if (views[0].size() > kRuntimeGallopRatio * views[1].size())
         return 1;
-    if (views[1].size() > ratio * views[0].size())
+    if (views[1].size() > kRuntimeGallopRatio * views[0].size())
         return 0;
     return -1;
 }

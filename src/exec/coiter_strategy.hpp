@@ -235,14 +235,20 @@ denseProbe(const std::vector<ft::FiberView>& views, ft::Coord extent,
 }
 
 /**
- * Runtime escape check for TwoFinger 2-way intersections: when one
- * fiber is more than @p ratio times the other's size, the sparse side
- * leads a gallop instead (the historical behavior, preserved so
- * modeled counts are unchanged for plans that predate plan-time
- * strategy selection). Returns the leader index, or -1 to stay on the
- * two-finger merge.
+ * Size ratio at which a TwoFinger 2-way intersection escapes to
+ * galloping at run time (gallopLeader); the analytic estimator
+ * predicts the escape with the same constant.
  */
-int gallopLeader(const std::vector<ft::FiberView>& views, bool unite,
-                 std::size_t ratio = 8);
+constexpr std::size_t kRuntimeGallopRatio = 8;
+
+/**
+ * Runtime escape check for TwoFinger 2-way intersections: when one
+ * fiber is more than kRuntimeGallopRatio times the other's size, the
+ * sparse side leads a gallop instead (the historical behavior,
+ * preserved so modeled counts are unchanged for plans that predate
+ * plan-time strategy selection). Returns the leader index, or -1 to
+ * stay on the two-finger merge.
+ */
+int gallopLeader(const std::vector<ft::FiberView>& views, bool unite);
 
 } // namespace teaal::exec

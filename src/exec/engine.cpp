@@ -1,10 +1,10 @@
 #include "exec/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <limits>
 
 #include "fibertree/transform.hpp"
+#include "mapping/mapping.hpp"
 #include "storage/packed.hpp"
 #include "util/diagnostic.hpp"
 #include "util/error.hpp"
@@ -173,12 +173,8 @@ Engine::buildIndexes(const ExecOptions& opts)
         return static_cast<int>(varNames_.size() - 1);
     };
     auto base_var_of = [](const std::string& var) {
-        std::string rank = einsum::rankOfVar(var);
-        while (!rank.empty() &&
-               std::isdigit(static_cast<unsigned char>(rank.back()))) {
-            rank.pop_back();
-        }
-        return einsum::varOfRank(rank);
+        return einsum::varOfRank(
+            mapping::baseOfDerived(einsum::rankOfVar(var)));
     };
     for (std::size_t l = 0; l < nloops; ++l) {
         for (const std::string& v : plan_.loops[l].bindsVars) {

@@ -1,7 +1,6 @@
 #include "format/format.hpp"
 
-#include <cctype>
-
+#include "mapping/mapping.hpp"
 #include "util/error.hpp"
 #include "util/string_utils.hpp"
 
@@ -45,12 +44,7 @@ TensorFormat::rankFormat(const std::string& rank_id) const
     if (it != ranks.end())
         return it->second;
     // Partitioned ranks (K1, KM0, ...) inherit the base rank format.
-    std::string base = rank_id;
-    while (!base.empty() &&
-           std::isdigit(static_cast<unsigned char>(base.back()))) {
-        base.pop_back();
-    }
-    it = ranks.find(base);
+    it = ranks.find(mapping::baseOfDerived(rank_id));
     if (it != ranks.end())
         return it->second;
     static const RankFormat default_fmt{};

@@ -12,9 +12,12 @@
  *                    rank shapes and dense extents, and select
  *                    co-iteration strategies from occupancy hints.
  *
- * buildPlan composes the two for white-box tests and tools; the
- * pipeline (compiler::CompiledModel) caches recipes at compile time
- * and instantiated plans per workload.
+ * instantiatePlan runs the recipe traversal (instantiateWith) on the
+ * trace tier's tensors; the analytic tier runs the same traversal on
+ * tensor statistics (ir/instantiate.hpp). buildPlan composes the two
+ * stages for white-box tests and tools; the pipeline
+ * (compiler::CompiledModel) caches recipes at compile time and
+ * instantiated plans per workload.
  */
 #include <algorithm>
 #include <cctype>
@@ -23,6 +26,7 @@
 #include <set>
 #include <sstream>
 
+#include "ir/instantiate.hpp"
 #include "ir/plan.hpp"
 
 #include "fibertree/transform.hpp"
@@ -39,20 +43,9 @@ namespace
 
 using einsum::IndexExpr;
 using einsum::TensorRef;
+using mapping::baseOfDerived;
 using mapping::PartitionDirective;
 using mapping::RankPartitioning;
-
-/** Strip trailing digits: K0 -> K, KM2 -> KM, MK01 -> MK0. */
-std::string
-baseOfDerived(const std::string& rank)
-{
-    std::string base = rank;
-    while (!base.empty() &&
-           std::isdigit(static_cast<unsigned char>(base.back()))) {
-        base.pop_back();
-    }
-    return base;
-}
 
 std::vector<RecipeGroup>
 analyzeGroups(const mapping::EinsumMapping& em, const std::string& text)
@@ -146,50 +139,22 @@ adjacentOrder(const std::vector<std::string>& ids,
     return target;
 }
 
-/**
- * One input tensor being prepared: starts as a borrowed source and
- * becomes owned at the first transform, so inputs that need no
- * preparation are never deep-copied.
- */
-class Preparing
+std::vector<std::string>
+rankIdsOf(const std::vector<ft::RankInfo>& ranks)
 {
-  public:
-    explicit Preparing(const ft::Tensor* src) : src_(src) {}
-
-    const ft::Tensor& get() const { return owned_ ? work_ : *src_; }
-
-    void
-    replace(ft::Tensor t)
-    {
-        work_ = std::move(t);
-        owned_ = true;
-    }
-
-    bool owned() const { return owned_; }
-
-    /** Surrender ownership; deep-clones or fiber-shares if borrowed. */
-    ft::Tensor
-    take(bool share_unprepared)
-    {
-        if (owned_)
-            return std::move(work_);
-        // A plain Tensor copy shares the fiber tree (fibers are
-        // shared_ptrs); execution never mutates input trees.
-        return share_unprepared ? *src_ : src_->clone();
-    }
-
-  private:
-    const ft::Tensor* src_;
-    ft::Tensor work_;
-    bool owned_ = false;
-};
+    std::vector<std::string> ids;
+    ids.reserve(ranks.size());
+    for (const ft::RankInfo& ri : ranks)
+        ids.push_back(ri.id);
+    return ids;
+}
 
 /**
- * What a partitioning group does to one tensor: transforms it
- * (flatten/split applied in place), dynamically follows it (occupancy
- * non-leader: Slice actions, no transform), or leaves it alone. The
- * single source of truth for group applicability — the packed
- * fast-path eligibility scan and the legacy preparation loop both
+ * What a partitioning group does to a tensor with ranks @p ranks:
+ * transforms it (flatten/split applied in place), dynamically follows
+ * it (occupancy non-leader: Slice actions, no transform), or leaves it
+ * alone. The single source of truth for group applicability — the
+ * packed fast-path eligibility scan and the preparation loop both
  * dispatch on it, so they cannot diverge.
  */
 enum class GroupEffect
@@ -199,11 +164,16 @@ enum class GroupEffect
     Follow,
 };
 
-template <typename HasRank>
 GroupEffect
-groupEffect(const RecipeGroup& g, HasRank&& has_rank,
+groupEffect(const RecipeGroup& g, const std::vector<ft::RankInfo>& ranks,
             const std::string& tensor_name)
 {
+    const auto has_rank = [&ranks](const std::string& r) {
+        return std::any_of(ranks.begin(), ranks.end(),
+                           [&r](const ft::RankInfo& ri) {
+                               return ri.id == r;
+                           });
+    };
     if (g.hasFlatten) {
         // All constituents present: the tensor is swizzled-adjacent,
         // flattened, and split. Partial constituents use lookups at
@@ -225,7 +195,7 @@ groupEffect(const RecipeGroup& g, HasRank&& has_rank,
  * producing ranks named info.results top-down.
  */
 void
-applySplits(Preparing& t, const RecipeGroup& info)
+applySplits(PlanInput& t, const RecipeGroup& info)
 {
     const std::size_t k = info.splits.size();
     for (std::size_t i = 0; i < k; ++i) {
@@ -233,13 +203,10 @@ applySplits(Preparing& t, const RecipeGroup& info)
         const std::string lower =
             i + 1 == k ? info.results[k] : info.base;
         const PartitionDirective& d = info.splits[i];
-        if (d.kind == PartitionDirective::Kind::UniformShape) {
-            t.replace(ft::splitRankByShape(t.get(), info.base, d.tile,
-                                           upper, lower));
-        } else {
-            t.replace(ft::splitRankByOccupancy(t.get(), info.base,
-                                               d.chunk, upper, lower));
-        }
+        if (d.kind == PartitionDirective::Kind::UniformShape)
+            t.splitByShape(info.base, d.tile, upper, lower);
+        else
+            t.splitByOccupancy(info.base, d.chunk, upper, lower);
     }
 }
 
@@ -404,27 +371,10 @@ analyzeEinsum(const einsum::Expression& expr,
 }
 
 EinsumPlan
-instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
-                const TensorRefMap& tensors,
+instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 const std::vector<std::string>& intermediates,
-                bool share_unprepared, const PackedRefMap& packed,
-                std::map<std::string, ft::Tensor>* unpack_cache)
+                PlanTensors& tensors)
 {
-    // Materialize a packed input for the legacy path — through the
-    // caller's memo when one is provided, so a tensor is unpacked at
-    // most once per workload, not once per slot and Einsum.
-    auto unpack = [&](const std::string& name,
-                      const storage::PackedTensor& pk,
-                      ft::Tensor& local) -> const ft::Tensor* {
-        if (unpack_cache == nullptr) {
-            local = pk.toTensor();
-            return &local;
-        }
-        auto it = unpack_cache->find(name);
-        if (it == unpack_cache->end())
-            it = unpack_cache->emplace(name, pk.toTensor()).first;
-        return &it->second;
-    };
     const einsum::Expression& expr = recipe.expr;
 
     EinsumPlan plan;
@@ -436,23 +386,9 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         TensorPlan tp;
         tp.name = expr.inputs[0].name;
         tp.exprInput = 0;
-        const auto it = tensors.find(tp.name);
-        const auto pit = packed.find(tp.name);
-        if (it == tensors.end() && pit == packed.end())
-            specError("einsum '", expr.text, "': tensor '", tp.name,
-                      "' has no data");
-        if (it != tensors.end()) {
-            Preparing prep(it->second);
-            tp.prepared = prep.take(share_unprepared);
-        } else {
-            // Whole-tensor copies clone the source; unpack it.
-            ft::Tensor local;
-            Preparing prep(unpack(tp.name, *pit->second, local));
-            tp.prepared = prep.take(share_unprepared);
-        }
+        tensors.open(tp.name, expr)->finish(tp);
         plan.inputs.push_back(std::move(tp));
         plan.output.name = expr.output.name;
-        plan.shard = analyzeSharding(plan);
         return plan;
     }
 
@@ -464,22 +400,16 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
     // (a rank's shape may only be discoverable from a tensor used by
     // a *different* Einsum of the cascade, e.g. Toeplitz S from F).
     std::map<std::string, ft::Coord> rank_shape;
-    auto note_shapes = [&](const std::string& name,
-                           const std::vector<ft::RankInfo>& ranks) {
-        const auto decl_it = spec.declaration.find(name);
-        if (decl_it == spec.declaration.end())
-            return;
-        const auto& decl = decl_it->second;
-        for (const ft::RankInfo& ri : ranks) {
+    for (const auto& [name, decl] : spec.declaration) {
+        const std::vector<ft::RankInfo>* ranks = tensors.ranksOf(name);
+        if (ranks == nullptr)
+            continue;
+        for (const ft::RankInfo& ri : *ranks) {
             if (std::find(decl.begin(), decl.end(), ri.id) != decl.end())
                 rank_shape[ri.id] =
                     std::max(rank_shape[ri.id], ri.shape);
         }
-    };
-    for (const auto& [name, tensor] : tensors)
-        note_shapes(name, tensor->ranks());
-    for (const auto& [name, pk] : packed)
-        note_shapes(name, pk->ranks());
+    }
 
     // Shape of each iteration variable's rank. The visiting set guards
     // against mutually-underconstrained affine shapes (T[q,s]=I[q+s]
@@ -500,7 +430,9 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         auto it = rank_shape.find(rank);
         if (it != rank_shape.end())
             return it->second;
-        // Derived ranks (K0) inherit the base rank's shape.
+        // Derived ranks (K0) inherit the nearest declared ancestor's
+        // shape: digits come off one at a time, since a declared rank
+        // may itself end in one (the FFT's N1).
         while (!rank.empty() &&
                std::isdigit(static_cast<unsigned char>(rank.back()))) {
             rank.pop_back();
@@ -691,14 +623,14 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         IndexExpr expr;
     };
 
+    // Occupancy hints of each prepared input, gathered once (one
+    // O(nnz) traversal each); strategy selection indexes them.
+    std::vector<std::vector<double>> input_hints;
+    input_hints.reserve(expr.inputs.size());
+
     for (std::size_t slot = 0; slot < expr.inputs.size(); ++slot) {
         const TensorRef& ref = expr.inputs[slot];
-        const auto tit = tensors.find(ref.name);
-        const auto pit = packed.find(ref.name);
-        const bool have_packed = pit != packed.end();
-        if (tit == tensors.end() && !have_packed)
-            specError("einsum '", expr.text, "': tensor '", ref.name,
-                      "' has no data");
+        const std::unique_ptr<PlanInput> in = tensors.open(ref.name, expr);
         const auto decl_it = spec.declaration.find(ref.name);
         if (decl_it == spec.declaration.end())
             specError("einsum '", expr.text, "': undeclared tensor '",
@@ -712,7 +644,7 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         // Assign an action to every level of @p ranks_in, given the
         // dynamic-follower groups of this tensor. Shared between the
         // packed fast path (original rank order, no transforms) and
-        // the prepared pointer path (post-transform rank order).
+        // the preparation path (post-transform rank order).
         auto compute_pending =
             [&](const std::vector<ft::RankInfo>& ranks_in,
                 const std::vector<const RecipeGroup*>& follower_of)
@@ -821,23 +753,17 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
             };
 
         std::vector<PendingAction> pending;
+        bool bound = false;
 
         // ---- packed fast path: bind the packed rank store directly
         // when no partitioning transform touches this tensor and its
         // rank order is already concordant — zero fibertree
         // construction, the engine walks the packed buffers.
-        if (have_packed && tp.packed == nullptr) {
-            const std::shared_ptr<const storage::PackedTensor>& pk =
-                pit->second;
-            const auto pk_ids = pk->rankIds();
-            const auto pk_has = [&](const std::string& r) {
-                return std::find(pk_ids.begin(), pk_ids.end(), r) !=
-                       pk_ids.end();
-            };
+        if (const std::vector<ft::RankInfo>* pk = in->packedRanks()) {
             bool transforms = false;
             std::vector<const RecipeGroup*> pk_followers;
             for (const RecipeGroup& g : groups) {
-                switch (groupEffect(g, pk_has, ref.name)) {
+                switch (groupEffect(g, *pk, ref.name)) {
                   case GroupEffect::Transform:
                     transforms = true;
                     break;
@@ -849,58 +775,42 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 }
             }
             if (!transforms) {
-                pending = compute_pending(pk->ranks(), pk_followers);
-                if (required_of(pending) == pk_ids) {
-                    tp.packed = pk;
-                    // Rank-skeleton placeholder: the model reads rank
-                    // metadata off `prepared`; no fiber data exists.
-                    tp.prepared = ft::Tensor(ref.name, pk->ranks());
-                } else {
+                pending = compute_pending(*pk, pk_followers);
+                bound = required_of(pending) == rankIdsOf(*pk);
+                if (bound)
+                    in->bindPacked();
+                else
                     pending.clear();
-                }
             }
         }
 
-        // ---- legacy pointer path (packed inputs that need
-        // preparation are unpacked here, memoized per workload).
-        ft::Tensor unpacked;
-        if (tp.packed == nullptr) {
-            const ft::Tensor* src;
-            if (tit != tensors.end()) {
-                src = tit->second;
-            } else {
-                src = unpack(ref.name, *pit->second, unpacked);
-            }
-            Preparing prep(src);
-
+        // ---- preparation (packed inputs that need it are unpacked
+        // by the trace tier, memoized per workload).
+        if (!bound) {
             // Dynamic-follower groups for this tensor.
             std::vector<const RecipeGroup*> follower_of;
 
             // Apply partitioning groups in order (same applicability
             // predicate the packed eligibility scan used).
             for (const RecipeGroup& g : groups) {
-                const auto has_rank = [&](const std::string& r) {
-                    return prep.get().rankLevel(r) >= 0;
-                };
-                switch (groupEffect(g, has_rank, ref.name)) {
+                switch (groupEffect(g, in->ranks(), ref.name)) {
                   case GroupEffect::Transform:
                     if (g.hasFlatten) {
                         const auto& src_ranks = g.sourceRanks;
-                        const auto target = adjacentOrder(
-                            prep.get().rankIds(), src_ranks);
-                        if (target != prep.get().rankIds())
-                            prep.replace(ft::swizzle(prep.get(), target));
+                        const auto ids = rankIdsOf(in->ranks());
+                        const auto target = adjacentOrder(ids, src_ranks);
+                        if (target != ids)
+                            in->swizzle(target);
                         // Flatten pairwise left-to-right.
                         std::string upper = src_ranks[0];
                         for (std::size_t i = 1; i < src_ranks.size();
                              ++i) {
-                            prep.replace(ft::flattenRanks(
-                                prep.get(), upper, src_ranks[i]));
+                            in->flatten(upper, src_ranks[i]);
                             upper += src_ranks[i];
                         }
                         TEAAL_ASSERT(upper == g.base, "flatten naming");
                     }
-                    applySplits(prep, g);
+                    applySplits(*in, g);
                     break;
                   case GroupEffect::Follow:
                     follower_of.push_back(&g);
@@ -912,28 +822,24 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 }
             }
 
-            pending = compute_pending(prep.get().ranks(), follower_of);
+            pending = compute_pending(in->ranks(), follower_of);
             const std::vector<std::string> required =
                 required_of(pending);
-            if (required != prep.get().rankIds()) {
+            const std::vector<std::string> old_ids = rankIdsOf(in->ranks());
+            if (required != old_ids) {
                 // Estimate merger "ways" before destroying the old
                 // order: occupancy of the shallowest rank moving deeper.
                 std::size_t ways = 2;
-                const auto old_ids = prep.get().rankIds();
+                const std::vector<double> occupancy = in->hints();
                 for (std::size_t lvl = 0; lvl < old_ids.size(); ++lvl) {
                     const auto npos =
                         std::find(required.begin(), required.end(),
                                   old_ids[lvl]);
-                    const std::size_t new_lvl = static_cast<std::size_t>(
-                        npos - required.begin());
-                    if (new_lvl > lvl) {
-                        std::vector<std::size_t> counts;
-                        prep.get().root()->elementCountsByDepth(counts);
-                        std::size_t fibers_above =
-                            lvl == 0 ? 1 : counts[lvl - 1];
-                        if (fibers_above > 0 && counts.size() > lvl)
-                            ways = std::max<std::size_t>(
-                                2, counts[lvl] / fibers_above + 1);
+                    if (static_cast<std::size_t>(npos - required.begin()) >
+                        lvl) {
+                        ways = std::max<std::size_t>(
+                            2, static_cast<std::size_t>(occupancy[lvl]) +
+                                   1);
                         break;
                     }
                 }
@@ -941,13 +847,14 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 tp.swizzleOnline =
                     std::find(intermediates.begin(), intermediates.end(),
                               ref.name) != intermediates.end();
-                tp.swizzleElements = prep.get().nnz();
+                tp.swizzleElements = in->elements();
                 tp.swizzleWays = ways;
-                prep.replace(ft::swizzle(prep.get(), required));
+                in->swizzle(required);
             }
-
-            tp.prepared = prep.take(share_unprepared);
         }
+
+        input_hints.push_back(in->hints());
+        in->finish(tp);
 
         // Materialize final actions with post-swizzle levels.
         for (const PendingAction& pa : pending) {
@@ -979,18 +886,6 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
     // variables with no co-iterating driver iterate the variable's
     // shape range (DenseDrive); intersections of two drivers with
     // strongly skewed occupancy hints plan the galloping walk.
-    // Occupancy hints are gathered once per input (one O(nnz)
-    // traversal each); every per-level occupancy below indexes them.
-    std::vector<std::vector<double>> input_hints;
-    input_hints.reserve(plan.inputs.size());
-    for (const TensorPlan& tp : plan.inputs) {
-        // Packed inputs report hints off their buffer lengths —
-        // bit-identical to the unpacked tree's, so strategy selection
-        // (and therefore every modeled count) is backend-independent.
-        input_hints.push_back(tp.packed != nullptr
-                                  ? tp.packed->occupancyHints()
-                                  : tp.prepared.occupancyHints());
-    }
     for (std::size_t i = 0; i < plan.loops.size(); ++i) {
         LoopRank& lr = plan.loops[i];
         std::vector<double> occupancies;
@@ -1117,7 +1012,190 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
     }
     out.declaredOrder = recipe.outputDeclaredOrder;
     out.needsReorder = out.productionOrder != out.declaredOrder;
+    return plan;
+}
 
+namespace
+{
+
+/**
+ * One trace-tier input being prepared: starts as a borrowed fibertree
+ * or packed store and becomes owned at its first transform, so inputs
+ * that need no preparation are never deep-copied. A packed store is
+ * unpacked (once per memo) only when it must be prepared.
+ */
+class TraceInput : public PlanInput
+{
+  public:
+    TraceInput(std::string name, const ft::Tensor* tensor,
+               const std::shared_ptr<const storage::PackedTensor>* packed,
+               std::map<std::string, ft::Tensor>* unpacked, bool share)
+        : name_(std::move(name)), src_(tensor), packed_(packed),
+          unpacked_(unpacked), share_(share)
+    {
+    }
+
+    const std::vector<ft::RankInfo>*
+    packedRanks() const override
+    {
+        return packed_ != nullptr ? &(*packed_)->ranks() : nullptr;
+    }
+
+    void bindPacked() override { bindPacked_ = true; }
+
+    const std::vector<ft::RankInfo>&
+    ranks() override
+    {
+        return get().ranks();
+    }
+
+    void
+    swizzle(const std::vector<std::string>& order) override
+    {
+        replace(ft::swizzle(get(), order));
+    }
+
+    void
+    flatten(const std::string& upper, const std::string& lower) override
+    {
+        replace(ft::flattenRanks(get(), upper, lower));
+    }
+
+    void
+    splitByShape(const std::string& rank, ft::Coord tile,
+                 const std::string& upper,
+                 const std::string& lower) override
+    {
+        replace(ft::splitRankByShape(get(), rank, tile, upper, lower));
+    }
+
+    void
+    splitByOccupancy(const std::string& rank, std::size_t chunk,
+                     const std::string& upper,
+                     const std::string& lower) override
+    {
+        replace(ft::splitRankByOccupancy(get(), rank, chunk, upper, lower));
+    }
+
+    std::size_t elements() override { return get().nnz(); }
+
+    /** A bound packed store reports hints off its buffer lengths —
+     *  bit-identical to the unpacked tree's, so strategy selection
+     *  (and therefore every modeled count) is backend-independent. */
+    std::vector<double>
+    hints() override
+    {
+        return bindPacked_ ? (*packed_)->occupancyHints()
+                           : get().occupancyHints();
+    }
+
+    void
+    finish(TensorPlan& tp) override
+    {
+        if (bindPacked_) {
+            tp.packed = *packed_;
+            // Rank-skeleton placeholder: the model reads rank metadata
+            // off `prepared`; no fiber data exists.
+            tp.prepared = ft::Tensor(tp.name, (*packed_)->ranks());
+        } else if (owned_) {
+            tp.prepared = std::move(work_);
+        } else if (share_) {
+            // A plain Tensor copy shares the fiber tree (fibers are
+            // shared_ptrs); execution never mutates input trees.
+            tp.prepared = get();
+        } else {
+            tp.prepared = get().clone();
+        }
+    }
+
+  private:
+    const ft::Tensor&
+    get()
+    {
+        if (owned_)
+            return work_;
+        if (src_ == nullptr) {
+            auto it = unpacked_->find(name_);
+            if (it == unpacked_->end())
+                it = unpacked_->emplace(name_, (*packed_)->toTensor()).first;
+            src_ = &it->second;
+        }
+        return *src_;
+    }
+
+    void
+    replace(ft::Tensor t)
+    {
+        work_ = std::move(t);
+        owned_ = true;
+    }
+
+    std::string name_;
+    const ft::Tensor* src_;
+    const std::shared_ptr<const storage::PackedTensor>* packed_;
+    std::map<std::string, ft::Tensor>* unpacked_;
+    bool share_;
+    bool bindPacked_ = false;
+    ft::Tensor work_;
+    bool owned_ = false;
+};
+
+/** The trace tier's tensors: live fibertrees and packed stores. */
+class TraceTensors : public PlanTensors
+{
+  public:
+    TraceTensors(const TensorRefMap& tensors, const PackedRefMap& packed,
+                 bool share, std::map<std::string, ft::Tensor>* unpacked)
+        : tensors_(tensors), packed_(packed), share_(share),
+          unpacked_(unpacked != nullptr ? unpacked : &ownUnpacked_)
+    {
+    }
+
+    const std::vector<ft::RankInfo>*
+    ranksOf(const std::string& name) const override
+    {
+        if (const auto it = tensors_.find(name); it != tensors_.end())
+            return &it->second->ranks();
+        if (const auto it = packed_.find(name); it != packed_.end())
+            return &it->second->ranks();
+        return nullptr;
+    }
+
+    std::unique_ptr<PlanInput>
+    open(const std::string& name, const einsum::Expression& expr) override
+    {
+        const auto tit = tensors_.find(name);
+        const auto pit = packed_.find(name);
+        if (tit == tensors_.end() && pit == packed_.end())
+            specError("einsum '", expr.text, "': tensor '", name,
+                      "' has no data");
+        return std::make_unique<TraceInput>(
+            name, tit != tensors_.end() ? tit->second : nullptr,
+            pit != packed_.end() ? &pit->second : nullptr, unpacked_,
+            share_);
+    }
+
+  private:
+    const TensorRefMap& tensors_;
+    const PackedRefMap& packed_;
+    bool share_;
+    /// Unpacked packed stores: the caller's memo when it passes one
+    /// (one unpack per workload), else this call's own.
+    std::map<std::string, ft::Tensor> ownUnpacked_;
+    std::map<std::string, ft::Tensor>* unpacked_;
+};
+
+} // namespace
+
+EinsumPlan
+instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
+                const TensorRefMap& tensors,
+                const std::vector<std::string>& intermediates,
+                bool share_unprepared, const PackedRefMap& packed,
+                std::map<std::string, ft::Tensor>* unpack_cache)
+{
+    TraceTensors source(tensors, packed, share_unprepared, unpack_cache);
+    EinsumPlan plan = instantiateWith(recipe, spec, intermediates, source);
     plan.shard = analyzeSharding(plan);
     return plan;
 }

@@ -435,7 +435,8 @@ EinsumRecipe analyzeEinsum(const einsum::Expression& expr,
 /**
  * Stage 2 — instantiate: bind @p recipe to real tensors, producing the
  * executable plan (prepared fibertrees, dense extents, co-iteration
- * strategies from occupancy hints).
+ * strategies from occupancy hints). The traversal is the one the
+ * analytic tier runs on tensor statistics (ir/instantiate.hpp).
  *
  * @param tensors  Live tensors by name (workload inputs in their
  *                 mapping rank-order plus intermediates built by
@@ -457,7 +458,7 @@ EinsumRecipe analyzeEinsum(const einsum::Expression& expr,
  *                 legacy path is materialized once into the cache and
  *                 reused by later slots and Einsums (the pipeline
  *                 passes its per-workload state). Null falls back to
- *                 a per-slot unpack.
+ *                 a memo local to this call.
  */
 EinsumPlan instantiatePlan(const EinsumRecipe& recipe,
                            const einsum::EinsumSpec& spec,

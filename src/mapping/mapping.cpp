@@ -1,6 +1,7 @@
 #include "mapping/mapping.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -123,6 +124,17 @@ RankPartitioning::resultRanks() const
     for (std::size_t i = 0; i <= splits; ++i)
         out.push_back(base + std::to_string(splits - i));
     return out;
+}
+
+std::string
+baseOfDerived(const std::string& rank)
+{
+    std::string base = rank;
+    while (!base.empty() &&
+           std::isdigit(static_cast<unsigned char>(base.back()))) {
+        base.pop_back();
+    }
+    return base;
 }
 
 SpaceTimeEntry

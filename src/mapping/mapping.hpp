@@ -66,6 +66,13 @@ struct RankPartitioning
     std::vector<std::string> resultRanks() const;
 };
 
+/**
+ * The rank a partition-derived rank came from, inverting
+ * RankPartitioning::resultRanks: strips every trailing digit (K0 -> K,
+ * KM2 -> KM, MK01 -> MK, N1 -> N, K -> K).
+ */
+std::string baseOfDerived(const std::string& rank);
+
 /** One `spacetime` entry; ".coord" selects coordinate-space stamping. */
 struct SpaceTimeEntry
 {

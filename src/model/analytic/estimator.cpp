@@ -1,15 +1,13 @@
 #include "model/analytic/estimator.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <functional>
-#include <limits>
 #include <set>
 
+#include "exec/coiter_strategy.hpp"
 #include "format/format.hpp"
+#include "ir/instantiate.hpp"
 #include "util/diagnostic.hpp"
-#include "util/error.hpp"
 #include "util/logging.hpp"
 
 namespace teaal::model::analytic
@@ -18,106 +16,7 @@ namespace teaal::model::analytic
 namespace
 {
 
-using einsum::IndexExpr;
-using einsum::TensorRef;
-using mapping::PartitionDirective;
-
-/** Strip trailing digits: K0 -> K, KM2 -> KM (as ir/builder.cpp). */
-std::string
-baseOfDerived(const std::string& rank)
-{
-    std::string base = rank;
-    while (!base.empty() &&
-           std::isdigit(static_cast<unsigned char>(base.back()))) {
-        base.pop_back();
-    }
-    return base;
-}
-
-int
-loopIndexOf(const std::vector<std::string>& loop_order,
-            const std::string& rank)
-{
-    for (std::size_t i = 0; i < loop_order.size(); ++i) {
-        if (loop_order[i] == rank)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-constexpr double kGallopSkewThreshold = 32.0;
-/// Runtime size ratio at which the two-finger walk escapes to
-/// galloping for 2-way intersections (exec/coiter_strategy.hpp).
-constexpr double kRuntimeGallopRatio = 8.0;
-
-std::vector<std::string>
-adjacentOrder(const std::vector<std::string>& ids,
-              const std::vector<std::string>& components)
-{
-    std::size_t first = ids.size();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (std::find(components.begin(), components.end(), ids[i]) !=
-            components.end()) {
-            first = std::min(first, i);
-        }
-    }
-    std::vector<std::string> target;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (i == first) {
-            for (const std::string& c : components)
-                target.push_back(c);
-        }
-        if (std::find(components.begin(), components.end(), ids[i]) ==
-            components.end()) {
-            target.push_back(ids[i]);
-        }
-    }
-    return target;
-}
-
-enum class GroupEffect
-{
-    None,
-    Transform,
-    Follow,
-};
-
-template <typename HasRank>
-GroupEffect
-groupEffect(const ir::RecipeGroup& g, HasRank&& has_rank,
-            const std::string& tensor_name)
-{
-    if (g.hasFlatten) {
-        return std::all_of(g.sourceRanks.begin(), g.sourceRanks.end(),
-                           has_rank)
-                   ? GroupEffect::Transform
-                   : GroupEffect::None;
-    }
-    if (!has_rank(g.base))
-        return GroupEffect::None;
-    if (!g.occupancy || g.leader == tensor_name)
-        return GroupEffect::Transform;
-    return GroupEffect::Follow;
-}
-
-/** Symbolic counterpart of builder applySplits. */
-SymbolicTensor
-applySplitsSym(SymbolicTensor t, const ir::RecipeGroup& info)
-{
-    const std::size_t k = info.splits.size();
-    for (std::size_t i = 0; i < k; ++i) {
-        const std::string upper = info.results[i];
-        const std::string lower =
-            i + 1 == k ? info.results[k] : info.base;
-        const PartitionDirective& d = info.splits[i];
-        if (d.kind == PartitionDirective::Kind::UniformShape) {
-            t = splitRankByShape(t, info.base, d.tile, upper, lower);
-        } else {
-            t = splitRankByOccupancy(t, info.base, d.chunk, upper, lower);
-        }
-    }
-    return t;
-}
+using mapping::baseOfDerived;
 
 double
 clamp01(double x)
@@ -125,568 +24,124 @@ clamp01(double x)
     return std::min(1.0, std::max(0.0, x));
 }
 
+/** One input's statistics under preparation. */
+class SymbolicInput : public ir::PlanInput
+{
+  public:
+    SymbolicInput(SymbolicTensor t, std::vector<SymbolicTensor>& prepared)
+        : t_(std::move(t)), prepared_(prepared)
+    {
+    }
+
+    const std::vector<ft::RankInfo>*
+    packedRanks() const override
+    {
+        return t_.packed ? &t_.ranks : nullptr;
+    }
+
+    /// The skeleton binds no store: a packed input's statistics are
+    /// already its prepared statistics.
+    void bindPacked() override {}
+
+    const std::vector<ft::RankInfo>& ranks() override { return t_.ranks; }
+
+    void
+    swizzle(const std::vector<std::string>& order) override
+    {
+        t_ = analytic::swizzle(t_, order);
+    }
+
+    void
+    flatten(const std::string& upper, const std::string& lower) override
+    {
+        t_ = flattenRanks(t_, upper, lower);
+    }
+
+    void
+    splitByShape(const std::string& rank, ft::Coord tile,
+                 const std::string& upper,
+                 const std::string& lower) override
+    {
+        t_ = splitRankByShape(t_, rank, tile, upper, lower);
+    }
+
+    void
+    splitByOccupancy(const std::string& rank, std::size_t chunk,
+                     const std::string& upper,
+                     const std::string& lower) override
+    {
+        t_ = splitRankByOccupancy(t_, rank, chunk, upper, lower);
+    }
+
+    std::size_t
+    elements() override
+    {
+        return static_cast<std::size_t>(std::llround(t_.nnz()));
+    }
+
+    std::vector<double> hints() override { return t_.occupancyHints(); }
+
+    /** The plan gets a rank skeleton; the walk keeps the statistics. */
+    void
+    finish(ir::TensorPlan& tp) override
+    {
+        tp.prepared = ft::Tensor(tp.name, t_.ranks);
+        prepared_.push_back(std::move(t_));
+    }
+
+  private:
+    SymbolicTensor t_;
+    std::vector<SymbolicTensor>& prepared_;
+};
+
+/** The analytic tier's tensors: statistics by name. */
+class SymbolicTensors : public ir::PlanTensors
+{
+  public:
+    explicit SymbolicTensors(
+        const std::map<std::string, SymbolicTensor>& stats)
+        : stats_(stats)
+    {
+    }
+
+    const std::vector<ft::RankInfo>*
+    ranksOf(const std::string& name) const override
+    {
+        const auto it = stats_.find(name);
+        return it != stats_.end() ? &it->second.ranks : nullptr;
+    }
+
+    std::unique_ptr<ir::PlanInput>
+    open(const std::string& name, const einsum::Expression& expr) override
+    {
+        const auto it = stats_.find(name);
+        if (it == stats_.end())
+            diagError("analytic", name, "einsum '", expr.text,
+                      "': no statistics for tensor '", name, "'");
+        SymbolicTensor t = it->second;
+        t.name = name;
+        return std::make_unique<SymbolicInput>(std::move(t), prepared);
+    }
+
+    /// Post-transform statistics, in input order.
+    std::vector<SymbolicTensor> prepared;
+
+  private:
+    const std::map<std::string, SymbolicTensor>& stats_;
+};
+
 } // namespace
 
 SymbolicPlan
 symbolicInstantiate(const ir::EinsumRecipe& recipe,
                     const einsum::EinsumSpec& spec,
-                    const std::map<std::string, SymbolicTensor>& stats)
+                    const std::map<std::string, SymbolicTensor>& stats,
+                    const std::vector<std::string>& intermediates)
 {
-    const einsum::Expression& expr = recipe.expr;
-
-    auto stats_of = [&](const std::string& name) -> const SymbolicTensor& {
-        const auto it = stats.find(name);
-        if (it == stats.end())
-            diagError("analytic", name, "einsum '", expr.text,
-                      "': no statistics for tensor '", name, "'");
-        return it->second;
-    };
-
+    SymbolicTensors tensors(stats);
     SymbolicPlan sp;
-    ir::EinsumPlan& plan = sp.plan;
-    plan.expr = expr;
-    plan.unionCombine = recipe.unionCombine;
-
-    if (recipe.wholeTensorCopy) {
-        plan.wholeTensorCopy = true;
-        ir::TensorPlan tp;
-        tp.name = expr.inputs[0].name;
-        tp.exprInput = 0;
-        const SymbolicTensor& st = stats_of(tp.name);
-        tp.prepared = ft::Tensor(tp.name, st.ranks);
-        plan.inputs.push_back(std::move(tp));
-        sp.inputs.push_back(st);
-        plan.output.name = expr.output.name;
-        plan.shard = ir::analyzeSharding(recipe);
-        return sp;
-    }
-
-    const std::vector<ir::RecipeGroup>& groups = recipe.groups;
-    const std::vector<std::string>& loop_order = recipe.loopOrder;
-
-    // ---------------------------------------------------- rank shapes
-    // (Mirrors ir/builder.cpp: every tensor with statistics
-    // contributes its declared ranks' shapes.)
-    std::map<std::string, ft::Coord> rank_shape;
-    for (const auto& [name, st] : stats) {
-        const auto decl_it = spec.declaration.find(name);
-        if (decl_it == spec.declaration.end())
-            continue;
-        const auto& decl = decl_it->second;
-        for (const ft::RankInfo& ri : st.ranks) {
-            if (std::find(decl.begin(), decl.end(), ri.id) != decl.end())
-                rank_shape[ri.id] = std::max(rank_shape[ri.id], ri.shape);
-        }
-    }
-
-    std::set<std::string> shape_visiting;
-    std::function<ft::Coord(const std::string&)> var_shape =
-        [&](const std::string& var) -> ft::Coord {
-        if (!shape_visiting.insert(var).second)
-            specError("einsum '", expr.text, "': the shapes of '", var,
-                      "' and its affine partners are underconstrained");
-        struct Eraser
-        {
-            std::set<std::string>& set;
-            const std::string& var;
-            ~Eraser() { set.erase(var); }
-        } eraser{shape_visiting, var};
-        std::string rank = einsum::rankOfVar(var);
-        auto it = rank_shape.find(rank);
-        if (it != rank_shape.end())
-            return it->second;
-        while (!rank.empty() &&
-               std::isdigit(static_cast<unsigned char>(rank.back()))) {
-            rank.pop_back();
-            it = rank_shape.find(rank);
-            if (it != rank_shape.end())
-                return it->second;
-        }
-        for (const TensorRef& in : expr.inputs) {
-            const auto decl_it = spec.declaration.find(in.name);
-            if (decl_it == spec.declaration.end())
-                continue;
-            for (std::size_t slot = 0; slot < in.indices.size(); ++slot) {
-                const IndexExpr& ie = in.indices[slot];
-                const auto found =
-                    std::find(ie.vars.begin(), ie.vars.end(), var);
-                if (found == ie.vars.end() || ie.vars.size() < 2)
-                    continue;
-                const auto sit = rank_shape.find(decl_it->second[slot]);
-                if (sit == rank_shape.end())
-                    continue;
-                ft::Coord shape = sit->second;
-                for (const std::string& other : ie.vars) {
-                    if (other != var)
-                        shape -= var_shape(other) - 1;
-                }
-                return std::max<ft::Coord>(shape, 0);
-            }
-        }
-        specError("einsum '", expr.text,
-                  "': cannot derive the shape of '", var, "'");
-    };
-
-    // -------------------------------------------- loop rank metadata
-    for (const std::string& name : loop_order) {
-        ir::LoopRank lr;
-        lr.name = name;
-
-        const ir::RecipeGroup* owner = nullptr;
-        std::size_t pos_in_results = 0;
-        for (const ir::RecipeGroup& g : groups) {
-            const auto it =
-                std::find(g.results.begin(), g.results.end(), name);
-            if (it != g.results.end()) {
-                owner = &g;
-                pos_in_results =
-                    static_cast<std::size_t>(it - g.results.begin());
-                break;
-            }
-        }
-
-        auto bind_rank_vars = [&](const std::string& rank) {
-            const ir::RecipeGroup* g = nullptr;
-            for (const ir::RecipeGroup& cand : groups) {
-                if (cand.hasFlatten && cand.base == rank)
-                    g = &cand;
-            }
-            if (g != nullptr) {
-                ft::Coord stride = 1;
-                std::vector<ft::Coord> strides, shapes;
-                std::vector<std::string> vars;
-                const auto& src = g->sourceRanks;
-                for (auto it = src.rbegin(); it != src.rend(); ++it) {
-                    const std::string comp_base = baseOfDerived(*it);
-                    const ft::Coord shape =
-                        var_shape(einsum::varOfRank(comp_base));
-                    strides.push_back(stride);
-                    shapes.push_back(shape);
-                    vars.push_back(einsum::varOfRank(comp_base));
-                    stride *= shape;
-                }
-                std::reverse(strides.begin(), strides.end());
-                std::reverse(shapes.begin(), shapes.end());
-                std::reverse(vars.begin(), vars.end());
-                lr.bindsVars = vars;
-                lr.unpackStrides = strides;
-                lr.unpackShapes = shapes;
-            } else {
-                lr.bindsVars = {einsum::varOfRank(rank)};
-            }
-        };
-
-        if (owner == nullptr) {
-            bind_rank_vars(name);
-            lr.spaceExtent = static_cast<std::size_t>(
-                std::max<ft::Coord>(var_shape(lr.bindsVars[0]), 1));
-        } else if (pos_in_results + 1 == owner->results.size()) {
-            bind_rank_vars(owner->base);
-            if (!owner->splits.empty()) {
-                const PartitionDirective& last = owner->splits.back();
-                lr.spaceExtent =
-                    last.kind == PartitionDirective::Kind::UniformShape
-                        ? static_cast<std::size_t>(last.tile)
-                        : last.chunk;
-            } else {
-                lr.spaceExtent = 1u << 20;
-            }
-        } else {
-            lr.isUpperPartition = true;
-            const PartitionDirective& d = owner->splits[pos_in_results];
-            if (d.kind == PartitionDirective::Kind::UniformShape)
-                lr.rangeTile = d.tile;
-            auto size_of = [](const PartitionDirective& dd) {
-                return dd.kind == PartitionDirective::Kind::UniformShape
-                           ? static_cast<std::size_t>(dd.tile)
-                           : dd.chunk;
-            };
-            if (pos_in_results == 0) {
-                lr.spaceExtent = 1u << 20;
-            } else {
-                const std::size_t above =
-                    size_of(owner->splits[pos_in_results - 1]);
-                const std::size_t mine = size_of(d);
-                lr.spaceExtent =
-                    mine > 0 ? std::max<std::size_t>(above / mine, 1) : 1;
-            }
-        }
-
-        for (const std::string& v : lr.bindsVars) {
-            if (std::find(recipe.probeVars.begin(), recipe.probeVars.end(),
-                          v) != recipe.probeVars.end())
-                lr.probeOnly = true;
-        }
-
-        plan.loops.push_back(std::move(lr));
-    }
-
-    for (std::size_t i = 0; i < plan.loops.size(); ++i) {
-        for (const std::string& v : plan.loops[i].bindsVars) {
-            plan.varBoundAt[v] = static_cast<int>(i);
-            const std::string base_var =
-                einsum::varOfRank(baseOfDerived(einsum::rankOfVar(v)));
-            if (base_var != v && !plan.varBoundAt.count(base_var))
-                plan.varBoundAt[base_var] = static_cast<int>(i);
-        }
-    }
-    for (std::size_t i = 0; i < plan.loops.size(); ++i) {
-        const ir::LoopRank& lr = plan.loops[i];
-        if (lr.isUpperPartition)
-            continue;
-        for (const std::string& v : lr.bindsVars) {
-            const std::string base =
-                einsum::varOfRank(baseOfDerived(einsum::rankOfVar(v)));
-            if (!plan.varBoundAt.count(base))
-                plan.varBoundAt[base] = static_cast<int>(i);
-        }
-    }
-
-    for (const mapping::SpaceTimeEntry& e : recipe.space) {
-        const int idx = loopIndexOf(loop_order, e.rank);
-        TEAAL_ASSERT(idx >= 0, "space rank '", e.rank,
-                     "' vanished from the loop order");
-        plan.loops[static_cast<std::size_t>(idx)].isSpace = true;
-        plan.loops[static_cast<std::size_t>(idx)].coordSpace =
-            e.coordSpace;
-    }
-
-    // ------------------------------------------------ input tensors
-    struct PendingAction
-    {
-        std::string rankId;
-        ir::LevelAction::Mode mode;
-        int loopIndex;
-        IndexExpr expr;
-    };
-
-    for (std::size_t slot = 0; slot < expr.inputs.size(); ++slot) {
-        const TensorRef& ref = expr.inputs[slot];
-        const auto decl_it = spec.declaration.find(ref.name);
-        if (decl_it == spec.declaration.end())
-            specError("einsum '", expr.text, "': undeclared tensor '",
-                      ref.name, "'");
-        const std::vector<std::string>& decl = decl_it->second;
-
-        SymbolicTensor sym = stats_of(ref.name);
-        sym.name = ref.name;
-
-        ir::TensorPlan tp;
-        tp.name = ref.name;
-        tp.exprInput = static_cast<int>(slot);
-
-        auto compute_pending =
-            [&](const std::vector<ft::RankInfo>& ranks_in,
-                const std::vector<const ir::RecipeGroup*>& follower_of)
-            -> std::vector<PendingAction> {
-            std::vector<PendingAction> pending;
-            for (const ft::RankInfo& ri : ranks_in) {
-                const std::string& rid = ri.id;
-                const int direct = loopIndexOf(loop_order, rid);
-                if (direct >= 0) {
-                    pending.push_back(
-                        {rid, ir::LevelAction::Mode::CoIterate, direct,
-                         {}});
-                    continue;
-                }
-                const ir::RecipeGroup* follow = nullptr;
-                for (const ir::RecipeGroup* g : follower_of) {
-                    if (g->base == rid)
-                        follow = g;
-                }
-                if (follow != nullptr) {
-                    for (std::size_t i = 0;
-                         i + 1 < follow->results.size(); ++i) {
-                        const int idx =
-                            loopIndexOf(loop_order, follow->results[i]);
-                        if (idx < 0)
-                            specError("einsum '", expr.text, "': rank '",
-                                      follow->results[i],
-                                      "' missing from the loop order");
-                        pending.push_back(
-                            {rid, ir::LevelAction::Mode::Slice, idx, {}});
-                    }
-                    const int leaf =
-                        loopIndexOf(loop_order, follow->results.back());
-                    if (leaf < 0)
-                        specError("einsum '", expr.text, "': rank '",
-                                  follow->results.back(),
-                                  "' missing from the loop order");
-                    pending.push_back(
-                        {rid, ir::LevelAction::Mode::CoIterate, leaf, {}});
-                    continue;
-                }
-                std::size_t dpos = decl.size();
-                const std::string lookup_id =
-                    std::find(decl.begin(), decl.end(), rid) != decl.end()
-                        ? rid
-                        : baseOfDerived(rid);
-                for (std::size_t i = 0; i < decl.size(); ++i) {
-                    if (decl[i] == lookup_id) {
-                        dpos = i;
-                        break;
-                    }
-                }
-                if (dpos == decl.size())
-                    specError("tensor '", ref.name,
-                              "' has no declared rank '", lookup_id, "'");
-                IndexExpr ie = ref.indices.empty() ? IndexExpr{}
-                                                   : ref.indices[dpos];
-                int trigger = 0;
-                for (const std::string& v : ie.vars) {
-                    const auto bit = plan.varBoundAt.find(v);
-                    if (bit == plan.varBoundAt.end())
-                        specError("einsum '", expr.text, "': variable '",
-                                  v, "' used by ", ref.name,
-                                  " is never bound by the loop order");
-                    trigger = std::max(trigger, bit->second);
-                }
-                pending.push_back({rid, ir::LevelAction::Mode::Lookup,
-                                   trigger, std::move(ie)});
-            }
-            int running = -1;
-            for (PendingAction& pa : pending) {
-                if (pa.mode == ir::LevelAction::Mode::Slice)
-                    continue;
-                if (pa.mode == ir::LevelAction::Mode::Lookup)
-                    pa.loopIndex = std::max(pa.loopIndex, running);
-                running = std::max(running, pa.loopIndex);
-            }
-            return pending;
-        };
-
-        auto required_of = [](const std::vector<PendingAction>& pending) {
-            std::vector<const PendingAction*> nav;
-            for (const PendingAction& pa : pending) {
-                if (pa.mode != ir::LevelAction::Mode::Slice)
-                    nav.push_back(&pa);
-            }
-            std::stable_sort(nav.begin(), nav.end(),
-                             [](const PendingAction* a,
-                                const PendingAction* b) {
-                                 return a->loopIndex < b->loopIndex;
-                             });
-            std::vector<std::string> required;
-            for (const PendingAction* pa : nav)
-                required.push_back(pa->rankId);
-            return required;
-        };
-
-        std::vector<PendingAction> pending;
-        bool fast_path = false;
-
-        // Packed fast path (engine walks the packed buffers directly):
-        // no transforms touch the tensor and its order is concordant.
-        if (sym.packed) {
-            const auto ids = sym.rankIds();
-            const auto has = [&](const std::string& r) {
-                return std::find(ids.begin(), ids.end(), r) != ids.end();
-            };
-            bool transforms = false;
-            std::vector<const ir::RecipeGroup*> pk_followers;
-            for (const ir::RecipeGroup& g : groups) {
-                switch (groupEffect(g, has, ref.name)) {
-                  case GroupEffect::Transform:
-                    transforms = true;
-                    break;
-                  case GroupEffect::Follow:
-                    pk_followers.push_back(&g);
-                    break;
-                  case GroupEffect::None:
-                    break;
-                }
-            }
-            if (!transforms) {
-                pending = compute_pending(sym.ranks, pk_followers);
-                if (required_of(pending) == ids) {
-                    fast_path = true;
-                } else {
-                    pending.clear();
-                }
-            }
-        }
-
-        if (!fast_path) {
-            std::vector<const ir::RecipeGroup*> follower_of;
-            for (const ir::RecipeGroup& g : groups) {
-                const auto has_rank = [&](const std::string& r) {
-                    return sym.rankLevel(r) >= 0;
-                };
-                switch (groupEffect(g, has_rank, ref.name)) {
-                  case GroupEffect::Transform:
-                    if (g.hasFlatten) {
-                        const auto& src_ranks = g.sourceRanks;
-                        const auto target =
-                            adjacentOrder(sym.rankIds(), src_ranks);
-                        if (target != sym.rankIds())
-                            sym = swizzle(sym, target);
-                        std::string upper = src_ranks[0];
-                        for (std::size_t i = 1; i < src_ranks.size();
-                             ++i) {
-                            sym = flattenRanks(sym, upper, src_ranks[i]);
-                            upper += src_ranks[i];
-                        }
-                        TEAAL_ASSERT(upper == g.base, "flatten naming");
-                    }
-                    sym = applySplitsSym(std::move(sym), g);
-                    break;
-                  case GroupEffect::Follow:
-                    follower_of.push_back(&g);
-                    break;
-                  case GroupEffect::None:
-                    break;
-                }
-            }
-
-            pending = compute_pending(sym.ranks, follower_of);
-            const std::vector<std::string> required = required_of(pending);
-            if (required != sym.rankIds()) {
-                // Merger "ways": occupancy of the shallowest rank
-                // moving deeper (as the trace builder estimates it).
-                std::size_t ways = 2;
-                const auto old_ids = sym.rankIds();
-                for (std::size_t lvl = 0; lvl < old_ids.size(); ++lvl) {
-                    const auto npos = std::find(
-                        required.begin(), required.end(), old_ids[lvl]);
-                    const std::size_t new_lvl =
-                        static_cast<std::size_t>(npos - required.begin());
-                    if (new_lvl > lvl) {
-                        const double fibers_above =
-                            lvl == 0 ? 1.0 : sym.counts[lvl - 1];
-                        if (fibers_above > 0)
-                            ways = std::max<std::size_t>(
-                                2, static_cast<std::size_t>(
-                                       sym.counts[lvl] / fibers_above) +
-                                       1);
-                        break;
-                    }
-                }
-                tp.swizzled = true;
-                tp.swizzleOnline = false; // set from intermediates below
-                tp.swizzleElements =
-                    static_cast<std::size_t>(std::llround(sym.nnz()));
-                tp.swizzleWays = ways;
-                sym = swizzle(sym, required);
-            }
-        }
-
-        tp.prepared = ft::Tensor(ref.name, sym.ranks);
-
-        for (const PendingAction& pa : pending) {
-            ir::LevelAction a;
-            a.mode = pa.mode;
-            a.loopIndex = pa.loopIndex;
-            a.expr = pa.expr;
-            const int lvl = sym.rankLevel(pa.rankId);
-            TEAAL_ASSERT(lvl >= 0, "rank '", pa.rankId,
-                         "' lost during symbolic preparation of ",
-                         ref.name);
-            a.level = lvl;
-            tp.actions.push_back(std::move(a));
-        }
-        std::sort(tp.actions.begin(), tp.actions.end(),
-                  [](const ir::LevelAction& a, const ir::LevelAction& b) {
-                      if (a.loopIndex != b.loopIndex)
-                          return a.loopIndex < b.loopIndex;
-                      if (a.level != b.level)
-                          return a.level < b.level;
-                      return static_cast<int>(a.mode) >
-                             static_cast<int>(b.mode);
-                  });
-
-        plan.inputs.push_back(std::move(tp));
-        sp.inputs.push_back(std::move(sym));
-    }
-
-    // Dense extents and co-iteration strategies from symbolic hints.
-    for (std::size_t i = 0; i < plan.loops.size(); ++i) {
-        ir::LoopRank& lr = plan.loops[i];
-        std::vector<double> occupancies;
-        for (std::size_t t = 0; t < plan.inputs.size(); ++t) {
-            const auto hints = sp.inputs[t].occupancyHints();
-            for (const ir::LevelAction& a : plan.inputs[t].actions) {
-                if (a.loopIndex == static_cast<int>(i) &&
-                    a.mode == ir::LevelAction::Mode::CoIterate) {
-                    const auto lvl = static_cast<std::size_t>(a.level);
-                    occupancies.push_back(
-                        lvl < hints.size() ? hints[lvl] : 0.0);
-                }
-            }
-        }
-        if (occupancies.empty()) {
-            if (lr.isUpperPartition)
-                specError("einsum '", expr.text, "': partition rank '",
-                          lr.name, "' has no driving tensor");
-            TEAAL_ASSERT(!lr.bindsVars.empty(), "rank ", lr.name,
-                         " binds nothing and drives nothing");
-            lr.denseExtent = var_shape(lr.bindsVars[0]);
-            lr.coiter = ir::CoiterStrategy::DenseDrive;
-            continue;
-        }
-        const double densest =
-            *std::max_element(occupancies.begin(), occupancies.end());
-        const double sparsest =
-            *std::min_element(occupancies.begin(), occupancies.end());
-        lr.driverSkew = sparsest > 0 ? densest / sparsest
-                                     : (densest > 0 ? densest : 1.0);
-        if (!plan.unionCombine && occupancies.size() == 2 &&
-            !lr.isUpperPartition &&
-            lr.driverSkew >= kGallopSkewThreshold) {
-            lr.coiter = ir::CoiterStrategy::Gallop;
-        }
-    }
-
-    // ------------------------------------------------------- output
-    ir::OutputPlan& out = plan.output;
-    out.name = expr.output.name;
-    const auto odecl_it = spec.declaration.find(out.name);
-    if (odecl_it == spec.declaration.end())
-        specError("einsum '", expr.text, "': undeclared output '",
-                  out.name, "'");
-    const std::vector<std::string>& odecl = odecl_it->second;
-
-    struct OutLevel
-    {
-        std::string rank;
-        std::string var;
-        int boundAt;
-        int tieBreak;
-    };
-    std::vector<OutLevel> levels;
-    for (std::size_t slot = 0; slot < expr.output.indices.size();
-         ++slot) {
-        const std::string var = expr.output.indices[slot].vars[0];
-        const auto bit = plan.varBoundAt.find(var);
-        if (bit == plan.varBoundAt.end())
-            specError("einsum '", expr.text, "': output variable '", var,
-                      "' is never bound");
-        const ir::LoopRank& lr =
-            plan.loops[static_cast<std::size_t>(bit->second)];
-        int tie = 0;
-        for (std::size_t i = 0; i < lr.bindsVars.size(); ++i) {
-            if (lr.bindsVars[i] == var ||
-                einsum::varOfRank(baseOfDerived(
-                    einsum::rankOfVar(lr.bindsVars[i]))) == var)
-                tie = static_cast<int>(i);
-        }
-        levels.push_back({odecl[slot], var, bit->second, tie});
-    }
-    std::stable_sort(levels.begin(), levels.end(),
-                     [](const OutLevel& a, const OutLevel& b) {
-                         if (a.boundAt != b.boundAt)
-                             return a.boundAt < b.boundAt;
-                         return a.tieBreak < b.tieBreak;
-                     });
-    for (const OutLevel& l : levels) {
-        out.productionOrder.push_back(l.rank);
-        out.vars.push_back(l.var);
-        out.boundAtLoop.push_back(l.boundAt);
-        out.shapes.push_back(var_shape(l.var));
-    }
-    out.declaredOrder = recipe.outputDeclaredOrder;
-    out.needsReorder = out.productionOrder != out.declaredOrder;
-
-    plan.shard = ir::analyzeSharding(recipe);
+    sp.plan = ir::instantiateWith(recipe, spec, intermediates, tensors);
+    sp.inputs = std::move(tensors.prepared);
     return sp;
 }
 
@@ -940,7 +395,9 @@ estimateEinsum(const SymbolicPlan& sp, const ModelTables& tables)
             const bool gallop =
                 !uni && nd == 2 &&
                 (lr.coiter == ir::CoiterStrategy::Gallop ||
-                 (cmin > 0 && cmax / cmin >= kRuntimeGallopRatio));
+                 (cmin > 0 &&
+                  cmax / cmin >= static_cast<double>(
+                                     exec::kRuntimeGallopRatio)));
             if (lr.coiter == ir::CoiterStrategy::DenseDrive) {
                 // Forced dense probe: every coordinate of the extent
                 // probes every driver.

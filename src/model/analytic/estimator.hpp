@@ -8,10 +8,10 @@
  *
  * Two stages mirror the trace pipeline:
  *
- *   symbolicInstantiate  the expected-value twin of
- *                        ir::instantiatePlan: binds a cached
- *                        EinsumRecipe to SymbolicTensor statistics and
- *                        produces a skeleton ir::EinsumPlan (rank
+ *   symbolicInstantiate  binds a cached EinsumRecipe to SymbolicTensor
+ *                        statistics through the same recipe traversal
+ *                        ir::instantiatePlan runs (ir/instantiate.hpp)
+ *                        and produces a skeleton ir::EinsumPlan (rank
  *                        metadata only, no fiber data) plus the
  *                        post-transform statistics of every input.
  *   estimateEinsum       the expected-value twin of one engine run:
@@ -48,15 +48,19 @@ struct SymbolicPlan
 };
 
 /**
- * Bind @p recipe to tensor statistics instead of tensor data. Follows
- * ir::instantiatePlan step for step (loop metadata, variable binding,
+ * Bind @p recipe to tensor statistics instead of tensor data: the
+ * traversal of ir::instantiatePlan (loop metadata, variable binding,
  * preparation transforms, action placement, strategy selection, output
- * plan), with every data-dependent quantity read from @p stats.
+ * plan) run on SymbolicTensors, with every data-dependent quantity
+ * read from @p stats. @p intermediates names the tensors earlier
+ * Einsums produced (their swizzles are online and charged). The
+ * skeleton carries no shard plan.
  */
 SymbolicPlan
 symbolicInstantiate(const ir::EinsumRecipe& recipe,
                     const einsum::EinsumSpec& spec,
-                    const std::map<std::string, SymbolicTensor>& stats);
+                    const std::map<std::string, SymbolicTensor>& stats,
+                    const std::vector<std::string>& intermediates = {});
 
 /** The analytic walk's result for one Einsum. */
 struct EinsumEstimate

@@ -1,8 +1,8 @@
 #include "model/tables.hpp"
 
 #include <algorithm>
-#include <cctype>
 
+#include "mapping/mapping.hpp"
 #include "util/error.hpp"
 
 namespace teaal::model
@@ -10,18 +10,6 @@ namespace teaal::model
 
 namespace
 {
-
-/** Strip trailing digits: K0 -> K. */
-std::string
-stripDigits(const std::string& rank)
-{
-    std::string base = rank;
-    while (!base.empty() &&
-           std::isdigit(static_cast<unsigned char>(base.back()))) {
-        base.pop_back();
-    }
-    return base;
-}
 
 /**
  * Tolerant binding-rank resolution against a list of (possibly
@@ -37,8 +25,8 @@ resolveRankLevel(const std::vector<ft::RankInfo>& ranks,
             return static_cast<int>(i);
     }
     for (std::size_t i = 0; i < ranks.size(); ++i) {
-        if (stripDigits(ranks[i].id) == rank ||
-            ranks[i].id == stripDigits(rank))
+        if (mapping::baseOfDerived(ranks[i].id) == rank ||
+            ranks[i].id == mapping::baseOfDerived(rank))
             return static_cast<int>(i);
     }
     for (std::size_t i = 0; i < ranks.size(); ++i) {
@@ -241,7 +229,8 @@ ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
             if (!sb.evictOn.empty()) {
                 for (std::size_t l = 0; l < plan.loops.size(); ++l) {
                     if (plan.loops[l].name == sb.evictOn ||
-                        stripDigits(plan.loops[l].name) == sb.evictOn)
+                        mapping::baseOfDerived(plan.loops[l].name) ==
+                            sb.evictOn)
                         unit.evictLoop = static_cast<int>(l);
                 }
             }

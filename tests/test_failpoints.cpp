@@ -99,6 +99,18 @@ TEST_F(Failpoints, EnvVarArmsMultiplePoints)
     EXPECT_EQ(fp::configureFromEnv("TEAAL_FAILPOINTS_TEST"), 0u);
 }
 
+/** A scratch directory private to the running test, so fixtures of
+ *  tests that ctest runs concurrently never delete each other's
+ *  inputs. */
+std::filesystem::path
+testScratchDir(const std::string& prefix)
+{
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::filesystem::temp_directory_path() /
+           (prefix + info->test_suite_name() + "_" + info->name());
+}
+
 // ----------------------------------------------- mtx reader (sites)
 
 class FailpointsMtx : public Failpoints
@@ -107,8 +119,7 @@ class FailpointsMtx : public Failpoints
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_failpoint_mtx";
+        dir_ = testScratchDir("teaal_failpoint_mtx_");
         std::filesystem::create_directories(dir_);
         path_ = (dir_ / "a.mtx").string();
         workloads::writeMatrixMarket(
@@ -243,8 +254,7 @@ class FailpointsServe : public Failpoints
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_failpoint_serve";
+        dir_ = testScratchDir("teaal_failpoint_serve_");
         std::filesystem::create_directories(dir_);
         aPath_ = (dir_ / "a.mtx").string();
         bPath_ = (dir_ / "b.mtx").string();
@@ -369,8 +379,7 @@ class FailpointsStore : public Failpoints
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_failpoint_store";
+        dir_ = testScratchDir("teaal_failpoint_store_");
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
         path_ = (dir_ / "a.teaal").string();

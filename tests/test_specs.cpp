@@ -94,6 +94,15 @@ TEST(Mapping, ResultRankNames)
               (std::vector<std::string>{"MK01", "MK00"}));
 }
 
+TEST(Mapping, BaseOfDerivedStripsEveryTrailingDigit)
+{
+    EXPECT_EQ(mapping::baseOfDerived("K0"), "K");
+    EXPECT_EQ(mapping::baseOfDerived("KM2"), "KM");
+    EXPECT_EQ(mapping::baseOfDerived("MK01"), "MK");
+    EXPECT_EQ(mapping::baseOfDerived("N1"), "N");
+    EXPECT_EQ(mapping::baseOfDerived("K"), "K");
+}
+
 TEST(Mapping, ParseOuterSpaceFigure3)
 {
     const std::string text =
