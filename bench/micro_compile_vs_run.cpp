@@ -9,8 +9,6 @@
  *   first run       plan instantiation (tensor preparation, strategy
  *                   selection) + execution
  *   steady run      execution only — cached plans, nothing re-derived
- *   legacy          the deprecated Simulator::run path, which pays
- *                   instantiation every call
  *
  * The headline invariant: steady-state run() must cost measurably
  * less than compile + run (plan building is off the run path).
@@ -73,16 +71,6 @@ main()
     const double steady_run_s =
         bench::bestSeconds([&]() { (void)model.run(w); }, iters);
 
-    // Legacy: the deprecated one-shot Simulator pays instantiation
-    // (and input cloning) on every call.
-    const double legacy_s = bench::bestSeconds(
-        [&]() {
-            compiler::Simulator sim(accel::gamma());
-            (void)sim.run(
-                {{"A", in.a.clone()}, {"B", in.b.clone()}});
-        },
-        iters);
-
     const double instantiation_s = first_run_s - steady_run_s;
 
     TextTable table("pipeline stage costs (best of " +
@@ -95,7 +83,6 @@ main()
     row("parse+compile", compile_s);
     row("first run (instantiate+execute)", first_run_s);
     row("steady run (execute only)", steady_run_s);
-    row("legacy Simulator::run", legacy_s);
     table.addSeparator();
     row("plan instantiation (derived)", instantiation_s);
     table.print();
@@ -104,7 +91,6 @@ main()
                    {{"compile_ms", compile_s * 1e3},
                     {"first_run_ms", first_run_s * 1e3},
                     {"steady_run_ms", steady_run_s * 1e3},
-                    {"legacy_run_ms", legacy_s * 1e3},
                     {"instantiation_ms", instantiation_s * 1e3},
                     {"steady_vs_compile_plus_run",
                      steady_run_s / (compile_s + first_run_s)}},

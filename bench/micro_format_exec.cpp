@@ -41,8 +41,19 @@ class NullSink : public trace::Observer
 double
 timeRun(const ir::EinsumPlan& plan, unsigned threads, int iters)
 {
+    // Model hooks with a default classifier and no-op sinks: the
+    // executor shards only when hooks are set. The sinks drop the
+    // datapath records; NullSink has no state, so the shards can all
+    // share one.
+    const trace::RecordClassifier classifier;
+    NullSink datapath;
     exec::ExecOptions opts;
     opts.threads = threads;
+    opts.modelHooks.classifier = &classifier;
+    opts.modelHooks.coordinatorSink = &datapath;
+    opts.modelHooks.makeShardSinks = [&datapath](std::size_t shards) {
+        return std::vector<trace::Observer*>(shards, &datapath);
+    };
     return bench::bestSeconds(
         [&]() {
             NullSink sink;

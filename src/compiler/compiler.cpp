@@ -1,9 +1,5 @@
 #include "compiler/compiler.hpp"
 
-#include <algorithm>
-
-#include "compiler/pipeline.hpp"
-#include "fibertree/transform.hpp"
 #include "util/diagnostic.hpp"
 #include "util/error.hpp"
 #include "yaml/yaml.hpp"
@@ -74,78 +70,6 @@ SimulationResult::totalTrafficBytes() const
     for (const auto& [tensor, tt] : traffic)
         total += tt.total();
     return total;
-}
-
-Simulator::Simulator(Specification spec)
-    : model_(std::make_unique<CompiledModel>(compile(std::move(spec))))
-{
-}
-
-Simulator::~Simulator() = default;
-Simulator::Simulator(Simulator&&) noexcept = default;
-Simulator& Simulator::operator=(Simulator&&) noexcept = default;
-
-const Specification&
-Simulator::spec() const
-{
-    return model_->spec();
-}
-
-SimulationResult
-Simulator::run(std::map<std::string, ft::Tensor> inputs,
-               exec::Semiring sr)
-{
-    // Stage inputs in their mapping rank-order up front (one swizzle
-    // per discordant input, zero copies otherwise — the original
-    // API's exact cost). The pipeline then finds them concordant and
-    // uses them in place.
-    const Specification& spec = model_->spec();
-    std::map<std::string, ft::Tensor> staged;
-    for (auto& [name, tensor] : inputs) {
-        const auto& order = spec.mapping.rankOrder(name);
-        if (!order.empty() && tensor.rankIds() != order) {
-            staged.emplace(name, ft::swizzle(tensor, order));
-        } else {
-            staged.emplace(name, std::move(tensor));
-        }
-    }
-
-    Workload workload;
-    for (const auto& [name, tensor] : staged)
-        workload.add(name, tensor); // borrowed; `staged` outlives run
-    RunOptions opts;
-    opts.semiring = sr;
-    opts.cacheState = false; // the workload dies with this call
-    SimulationResult out = model_->run(workload, opts);
-
-    // Legacy surface: the result's tensor map also carries the
-    // (rank-order-swizzled) declared inputs, moved in without
-    // copying. Undeclared extras are dropped, as the original did.
-    for (const std::string& name : spec.einsums.inputTensors()) {
-        const auto it = staged.find(name);
-        if (it != staged.end() && out.tensors.count(name) == 0)
-            out.tensors.emplace(name, std::move(it->second));
-    }
-    return out;
-}
-
-double
-Simulator::algorithmicMinBytes(
-    const std::map<std::string, ft::Tensor>& tensors) const
-{
-    const Specification& spec = model_->spec();
-    double bits = 0;
-    auto add = [&](const std::string& name) {
-        const auto it = tensors.find(name);
-        if (it == tensors.end())
-            return;
-        bits += static_cast<double>(fmt::tensorBits(
-            spec.formats.getLenient(name), it->second));
-    };
-    for (const std::string& name : spec.einsums.inputTensors())
-        add(name);
-    add(spec.einsums.resultTensor());
-    return bits / 8.0;
 }
 
 } // namespace teaal::compiler

@@ -1,7 +1,6 @@
 /**
  * @file
- * The TeAAL specification and simulation-result types, plus the
- * deprecated single-shot `Simulator` shim.
+ * The TeAAL specification and simulation-result types.
  *
  * The public entry point is the staged pipeline in
  * compiler/pipeline.hpp:
@@ -12,15 +11,10 @@
  *   w.add("A", a).add("B", b);
  *   auto result = model.run(w);
  *   result.perf.totalSeconds; result.traffic["A"].readBytes; ...
- *
- * `Simulator` wraps compile+run in one object for source compatibility
- * with the original API; it recompiles nothing but re-instantiates
- * plans on every run() — prefer CompiledModel for sweeps.
  */
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,7 +53,7 @@ struct Specification
 /** Everything a simulation produces. */
 struct SimulationResult
 {
-    /// All tensors by name (inputs + produced), declared rank order.
+    /// Every Einsum's output tensor by name, declared rank order.
     std::map<std::string, ft::Tensor> tensors;
 
     /// Per-Einsum action counts and traffic.
@@ -86,51 +80,6 @@ struct SimulationResult
 
     /** Total DRAM bytes (reads + writes). */
     double totalTrafficBytes() const;
-};
-
-class CompiledModel;
-
-/**
- * Deprecated single-shot shim over the compile/run pipeline
- * (pipeline.hpp). Compiles in the constructor; every run() binds the
- * inputs as a fresh Workload and discards the instantiated plans, so
- * repeated runs pay full plan instantiation — use
- * `compiler::compile(...)` + `CompiledModel::run(...)` for sweeps and
- * run-many workloads.
- */
-class Simulator
-{
-  public:
-    explicit Simulator(Specification spec);
-    ~Simulator();
-    Simulator(Simulator&&) noexcept;
-    Simulator& operator=(Simulator&&) noexcept;
-
-    const Specification& spec() const;
-
-    /** The underlying compiled model. */
-    CompiledModel& model() { return *model_; }
-
-    /**
-     * Execute the cascade on real tensors.
-     * @param inputs One tensor per external input, in declared rank
-     *        order (they are swizzled offline to the mapping's
-     *        rank-order automatically). The result's `tensors` map
-     *        includes the (swizzled) inputs, as the original API did.
-     * @param sr     Operator redefinition for graph algorithms.
-     */
-    SimulationResult run(std::map<std::string, ft::Tensor> inputs,
-                         exec::Semiring sr = exec::Semiring::arithmetic());
-
-    /**
-     * Algorithmic-minimum DRAM traffic: each input read once, the
-     * final result written once (the Figure 9 normalization baseline).
-     */
-    double algorithmicMinBytes(
-        const std::map<std::string, ft::Tensor>& tensors) const;
-
-  private:
-    std::unique_ptr<CompiledModel> model_;
 };
 
 } // namespace teaal::compiler

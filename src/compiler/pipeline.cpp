@@ -597,34 +597,21 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
         }
         const ir::EinsumPlan& plan = st.plans[i];
 
-        model::ModelObserver observer(plan, *topologies_[i],
-                                      *bindings_[i], spec_.formats,
-                                      onChip_[i]);
+        // The model's hooks route every datapath record to an
+        // accumulator as the bus produces it (inside the workers, on
+        // sharded runs); only the order-dependent records reach the
+        // storage tier, and extra observers get that same stream.
+        model::EinsumModel einsum_model(plan, *topologies_[i],
+                                        *bindings_[i], spec_.formats,
+                                        onChip_[i]);
+        eo.modelHooks = einsum_model.hooks();
         trace::FanoutObserver fan;
-        trace::Observer* sink = &observer;
+        trace::Observer* sink = &einsum_model.storageSink();
         if (!opts.observers.empty()) {
-            fan.add(&observer);
+            fan.add(sink);
             for (trace::Observer* o : opts.observers)
                 fan.add(o);
             sink = &fan;
-        }
-
-        // Model split for parallel runs: hand the executor the
-        // model's shard hooks so each worker consumes the
-        // order-independent datapath records inside its shard and the
-        // coordinator replays only the order-dependent storage
-        // records. Requires the model to be the sole trace consumer —
-        // extra observers need the full stream, so their presence
-        // falls back to full capture/replay (byte-identical either
-        // way; see model/model.hpp).
-        eo.modelHooks = exec::ShardModelHooks{};
-        if (opts.threads != 1 && opts.observers.empty()) {
-            eo.modelHooks.classifier = &observer.classifier();
-            eo.modelHooks.coordinatorSink = &observer.coordinatorSink();
-            eo.modelHooks.makeShardSinks =
-                [&observer](std::size_t shards) {
-                    return observer.makeShardSinks(shards);
-                };
         }
 
         if (opts.threads != 1 && !plan.shard.shardable &&
@@ -640,7 +627,7 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
         ft::Tensor result = executor.run();
 
         model::EinsumRecord record =
-            observer.finalize(executor.stats());
+            einsum_model.finalize(executor.stats());
         // Trace diagnostics come from the bus, the single source that
         // counts shard-consumed, replayed, and live records alike —
         // equal to the serial totals at every thread count.

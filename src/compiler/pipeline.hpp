@@ -185,9 +185,13 @@ struct RunOptions
     /// different semiring gets its own plan instantiation.
     exec::Semiring semiring = exec::Semiring::arithmetic();
 
-    /// Extra trace sinks fed alongside the performance model (each
-    /// receives the same event batches; batch-aware sinks consume
-    /// them directly). Must outlive the run() call.
+    /// Extra trace sinks fed alongside the performance model's
+    /// storage tier: each receives the same batches of
+    /// order-dependent records (no CoIterate, CoordScan or Compute —
+    /// the bus routes datapath records to the model's accumulators),
+    /// with the serial run's batch boundaries at every thread count.
+    /// Batch-aware sinks consume them directly. Must outlive the
+    /// run() call.
     std::vector<trace::Observer*> observers;
 
     /// Override the planned co-iteration strategy of specific loop
@@ -218,13 +222,11 @@ struct RunOptions
     /// reduce merges. The rare unshardable Einsum (e.g. a
     /// whole-tensor copy) runs serially, logged once per model.
     ///
-    /// The performance model parallelizes with the walk: when no
-    /// extra `observers` are attached, each worker runs the model's
-    /// order-independent tier (model::ShardAccumulator) inside its
-    /// shard and only the order-dependent storage simulation replays
-    /// serially on the coordinator. Extra observers need the full
-    /// event stream, so their presence falls back to full
-    /// capture/replay — records are byte-identical either way.
+    /// The performance model parallelizes with the walk: each worker
+    /// runs the model's order-independent tier
+    /// (model::ShardAccumulator) inside its shard, and only the
+    /// order-dependent storage simulation (and any extra
+    /// `observers`) replays serially on the coordinator.
     unsigned threads = 1;
 
     /// Worker pool for threads >= 2. Default (nullptr) uses the

@@ -48,22 +48,23 @@ namespace teaal::exec
 {
 
 /**
- * The performance model's hooks into sharded execution: when set (and
- * the run has no extra trace observers needing the full stream), each
- * worker's capture-mode trace bus routes order-independent datapath
- * records straight into a per-shard model accumulator instead of
- * logging them for the coordinator's in-order replay — the model's
- * Amdahl floor moves into the shards. The coordinator's own bus
- * routes its datapath records (live-executed shards, the top-walk
- * summary) to @ref coordinatorSink; only order-dependent storage
- * records still replay serially. Results stay byte-identical: every
- * datapath quantity is an exact (dyadic-rational) sum, and the
- * event/batch diagnostics are accounted as if unfiltered.
+ * The performance model's hooks into execution (model::EinsumModel::
+ * hooks()). When set, every trace bus of the run routes
+ * order-independent datapath records to a model accumulator as they
+ * are produced, and only the order-dependent records reach the
+ * observer: the serial engine's bus, and the coordinator's on the
+ * sharded path (live-executed slices, the top-walk summary), route to
+ * @ref coordinatorSink; each worker's capture bus routes to its
+ * slice's sink, so the model's datapath work runs inside the shards
+ * and only the stateful records are captured and replayed serially.
+ * Results are the same at every thread count: every datapath
+ * quantity is an exact (dyadic-rational) sum, and the event/batch
+ * diagnostics are accounted as if unfiltered.
  */
-struct ShardModelHooks
+struct ModelHooks
 {
-    /// Record classification (borrowed; typically
-    /// model::ModelObserver::classifier()).
+    /// Record classification (borrowed; typically the model's
+    /// model::ModelTables::classifier).
     const trace::RecordClassifier* classifier = nullptr;
 
     /// Create the per-shard datapath sinks, [0, shards). Called once
@@ -104,8 +105,9 @@ struct ExecOptions
      * Worker threads for sharded execution (exec::Executor): 1 runs
      * the classic serial path, 0 means one per hardware thread, and
      * N >= 2 shards the outermost loop rank across N workers when the
-     * plan is shardable (ir::analyzeSharding) — results and delivered
-     * trace batches are byte-identical at every thread count.
+     * plan is shardable (ir::analyzeSharding) and @ref modelHooks are
+     * set — results and delivered trace batches are byte-identical at
+     * every thread count. Without hooks the run is serial.
      */
     unsigned threads = 1;
 
@@ -117,12 +119,12 @@ struct ExecOptions
     util::ThreadPool* pool = nullptr;
 
     /**
-     * Model split for sharded runs (see ShardModelHooks). Unset —
-     * the default, and what non-pipeline callers get — captures and
-     * replays the full trace, delivering every record to the
-     * observer like PR 3 always has.
+     * Record routing to the model tiers (see ModelHooks); the
+     * pipeline sets them on every run. Unset — the default for
+     * non-pipeline callers — delivers every record to the observer
+     * and runs serially at any thread count.
      */
-    ShardModelHooks modelHooks;
+    ModelHooks modelHooks;
 
     /**
      * Cooperative cancellation: token + deadline + start point,
@@ -406,8 +408,8 @@ class Engine
      * Route datapath-class records on this engine's trace bus to
      * @p sink per @p cls (see trace::BatchBus::setFilter). Set on
      * worker capture engines (per-shard accumulator) and on the
-     * coordinator's delivery engine (coordinator sink) when the model
-     * split is active; call before any event is produced.
+     * delivery engine (coordinator sink) whenever model hooks are
+     * set; call before any event is produced.
      */
     void
     setTraceFilter(const trace::RecordClassifier* cls,

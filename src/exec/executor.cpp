@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -108,32 +107,25 @@ struct FixupState
  *    wrote looks fresh to it — its capture carries flagA=1 and the
  *    expression-add count in `a` (Engine::setReduceCapture). The
  *    serial engine instead reduced into the existing leaf: one extra
- *    semiring add, folded into the leaf's compute('a') record. For
- *    every marked write whose key was already seen, the immediately
- *    preceding compute('a') is bumped by one (or, when the expression
- *    itself had no adds, a compute('a', pe, 1) is inserted before the
- *    write). Marked writes are then normalized to the serial form
- *    (flagA=0, a=0) either way.
- *
- * Filtered captures (model split) hold no compute records — those
- * went to the slice's datapath accumulator with the shard-local
- * count. The restored adds are delivered to @p datapath_sink as
- * synthetic compute events instead, and the *logical* stream
- * accounting (logicalWalkEnds/logicalEvents) absorbs the inserted
- * events so replayed flush points stay serial-identical.
+ *    semiring add, folded into the leaf's compute('a') record (or a
+ *    compute('a', pe, 1) emitted before the write, when the
+ *    expression itself had no adds). Compute records are datapath
+ *    records, which the capture filter already sent to the slice's
+ *    accumulator with the shard-local count, so each restored add is
+ *    delivered to @p datapath_sink as a compute('a', pe, 1) instead,
+ *    and the logical stream accounting (logicalWalkEnds,
+ *    logicalEvents) absorbs the record the serial run emitted in the
+ *    no-adds case, so replayed flush points stay serial-identical.
+ *    Marked writes are normalized to the serial form (flagA=0, a=0).
  *
  * Chunks are rewritten in place: a write cursor trails the read
- * cursor, so drops cost nothing and the common no-op record costs no
- * copy. An inserted compute record needs a slot a drop freed earlier
- * in the chunk; without one, it and every record after it wait in a
- * small carry queue that refills the freed read slots, and whatever
- * is left at the chunk's end is appended to it.
- *
- * Walk boundaries are re-indexed onto the surviving events (drops
- * shift them down, inserts up). No boundary can fall between a leaf's
- * compute and its output write — both are emitted inside one
- * leafCompute with no walkEnd between — so the insert position is
- * unambiguous.
+ * cursor, so drops cost nothing and a kept record costs at most one
+ * copy. Walk boundaries are re-indexed onto the surviving records (a
+ * drop shifts both the logged and the logical index down; a restored
+ * record shifts the logical index up). No boundary can fall between a
+ * leaf's compute and its output write — both are emitted inside one
+ * leafCompute with no walkEnd between — so a restored record shifts
+ * exactly the boundaries after its write.
  *
  * NOTE: the chunk/walkEnds traversal mirrors BatchBus::replay
  * (trace/batch.cpp) — change them together. The thread-equivalence
@@ -145,17 +137,14 @@ struct FixupState
  */
 std::size_t
 fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
-               trace::Observer* datapath_sink)
+               trace::Observer& datapath_sink)
 {
     using trace::Event;
-    std::ptrdiff_t dlog = 0;     // logged-index shift (drops/inserts)
-    std::ptrdiff_t dlogical = 0; // logical-index shift (filtered)
-    std::size_t fixups = 0;
+    std::ptrdiff_t dlog = 0;     // logged-index shift (drops)
+    std::ptrdiff_t dlogical = 0; // logical-index shift
     std::size_t we = 0;
     std::size_t base = 0; // global *input* index of the chunk start
-    std::vector<Event>* prev_chunk = nullptr;
-    trace::EventBatch synthetic;
-    std::deque<Event> carry;
+    trace::EventBatch restored;
 
     const auto shift = [](std::size_t& idx, std::ptrdiff_t d) {
         idx = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(idx) +
@@ -163,8 +152,7 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
     };
     const auto shift_walk_end = [&](std::size_t i) {
         shift(log.walkEnds[i], dlog);
-        if (log.filtered)
-            shift(log.logicalWalkEnds[i], dlogical);
+        shift(log.logicalWalkEnds[i], dlogical);
     };
 
     for (std::vector<Event>& chunk : log.chunks) {
@@ -176,97 +164,44 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
                 shift_walk_end(we);
                 ++we;
             }
-            const bool keep_as_is =
-                chunk[i].kind != Event::Kind::OutputWrite ||
-                !chunk[i].flagA;
-            if (keep_as_is && carry.empty()) {
-                if (w != i)
-                    chunk[w] = chunk[i];
-                ++w;
-                continue;
-            }
-            Event e = chunk[i];
-            while (!carry.empty() && w <= i) {
-                chunk[w++] = carry.front();
-                carry.pop_front();
-            }
-            const auto emit = [&](const Event& ev) {
-                if (carry.empty() && w <= i)
-                    chunk[w++] = ev;
-                else
-                    carry.push_back(ev);
-            };
-            if (keep_as_is) {
-                emit(e);
-                continue;
-            }
-            if (!e.flagB) {
-                if (fs.insertedKeys.insert(e.key)) {
-                    emit(e);
-                } else {
-                    --dlog;
-                    if (log.filtered)
+            Event& e = chunk[i];
+            if (e.kind == Event::Kind::OutputWrite && e.flagA) {
+                if (!e.flagB) {
+                    if (!fs.insertedKeys.insert(e.key)) {
+                        --dlog;
                         --dlogical;
-                }
-                continue;
-            }
-            if (reduce) {
-                if (!fs.reducedLeaves.insert(e.key)) {
-                    // An earlier slice wrote this leaf: the serial
-                    // engine reduced — restore the missing add.
-                    ++fixups;
-                    if (log.filtered) {
-                        synthetic.events.emplace_back();
-                        Event& c = synthetic.events.back();
+                        continue;
+                    }
+                } else if (reduce) {
+                    if (!fs.reducedLeaves.insert(e.key)) {
+                        // An earlier slice wrote this leaf: the serial
+                        // engine reduced — restore the missing add.
+                        restored.events.emplace_back();
+                        Event& c = restored.events.back();
                         c.kind = Event::Kind::Compute;
                         c.op = 'a';
                         c.pe = e.pe;
                         c.a = 1;
                         if (e.a == 0)
-                            ++dlogical; // serial had one more event
-                    } else if (e.a > 0) {
-                        Event* prev = !carry.empty() ? &carry.back()
-                                      : w > 0        ? &chunk[w - 1]
-                                      : prev_chunk != nullptr
-                                          ? &prev_chunk->back()
-                                          : nullptr;
-                        TEAAL_ASSERT(
-                            prev != nullptr &&
-                                prev->kind == Event::Kind::Compute &&
-                                prev->op == 'a' && prev->pe == e.pe,
-                            "reduce fixup: leaf write not preceded by "
-                            "its compute record");
-                        ++prev->a;
-                    } else {
-                        Event c{};
-                        c.kind = Event::Kind::Compute;
-                        c.op = 'a';
-                        c.pe = e.pe;
-                        c.a = 1;
-                        emit(c);
-                        ++dlog;
+                            ++dlogical; // serial had one more record
                     }
+                    e.flagA = false;
+                    e.a = 0;
                 }
-                e.flagA = false;
-                e.a = 0;
             }
-            emit(e);
+            if (w != i)
+                chunk[w] = e;
+            ++w;
         }
         chunk.resize(w);
-        chunk.insert(chunk.end(), carry.begin(), carry.end());
-        carry.clear();
-        if (!chunk.empty())
-            prev_chunk = &chunk;
         base += in_size;
     }
     for (; we < log.walkEnds.size(); ++we)
         shift_walk_end(we);
-    if (log.filtered) {
-        shift(log.logicalEvents, dlogical);
-        if (!synthetic.events.empty() && datapath_sink != nullptr)
-            datapath_sink->onEventBatch(synthetic);
-    }
-    return fixups;
+    shift(log.logicalEvents, dlogical);
+    if (!restored.empty())
+        datapath_sink.onEventBatch(restored);
+    return restored.size();
 }
 
 } // namespace
@@ -280,10 +215,13 @@ Executor::Executor(const ir::EinsumPlan& plan, trace::Observer& obs,
 ft::Tensor
 Executor::run()
 {
+    const ModelHooks& hooks = opts_.modelHooks;
+    if (hooks.enabled())
+        engine_.setTraceFilter(hooks.classifier, hooks.coordinatorSink);
     unsigned threads = opts_.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    if (threads > 1 && plan_.shard.shardable)
+    if (threads > 1 && plan_.shard.shardable && hooks.enabled())
         return runSharded(threads);
     ft::Tensor out = engine_.run();
     stats_ = engine_.stats();
@@ -296,15 +234,10 @@ Executor::runSharded(unsigned threads)
     // Serial enumeration of the sharded walk fixes every unit's
     // coordinates, driver cursors, and PE ids up front (the top-walk
     // summary events are replayed after the slices, where the serial
-    // merge loop would emit them). Model split (performance-model
-    // hooks set, see ShardModelHooks): datapath records are consumed
-    // by per-slice accumulators inside the workers; only
-    // order-dependent storage records are captured and replayed.
-    const bool split_model = opts_.modelHooks.enabled();
-    if (split_model) {
-        engine_.setTraceFilter(opts_.modelHooks.classifier,
-                               opts_.modelHooks.coordinatorSink);
-    }
+    // merge loop would emit them). Datapath records are consumed by
+    // per-slice accumulators inside the workers (see ModelHooks);
+    // only order-dependent records are captured and replayed.
+    const ModelHooks& hooks = opts_.modelHooks;
     const ir::ShardPlan& sp = plan_.shard;
     const bool reduce_mode = sp.reduceMerge;
     // Live execution writes straight to the delivery bus, which only
@@ -330,9 +263,8 @@ Executor::runSharded(unsigned threads)
         weightedBounds(tw, init_shards);
     const std::size_t sink_cap = std::min(n, kSliceCap);
 
-    std::vector<trace::Observer*> shard_sinks;
-    if (split_model)
-        shard_sinks = opts_.modelHooks.makeShardSinks(sink_cap);
+    const std::vector<trace::Observer*> shard_sinks =
+        hooks.makeShardSinks(sink_cap);
 
     /**
      * One contiguous, exclusively-owned unit range [lo, hi). The unit
@@ -463,10 +395,7 @@ Executor::runSharded(unsigned threads)
         try {
             TEAAL_FAILPOINT("exec.executor.slice");
             Engine eng(plan_, s->log, sr_, opts_);
-            if (split_model) {
-                eng.setTraceFilter(opts_.modelHooks.classifier,
-                                   shard_sinks[s->sink]);
-            }
+            eng.setTraceFilter(hooks.classifier, shard_sinks[s->sink]);
             if (reduce_mode)
                 eng.setReduceCapture(true);
             eng.beginShard();
@@ -603,9 +532,7 @@ Executor::runSharded(unsigned threads)
                     if (abort)
                         break;
                 }
-                trace::Observer* fixup_sink =
-                    split_model ? opts_.modelHooks.coordinatorSink
-                                : nullptr;
+                trace::Observer& fixup_sink = *hooks.coordinatorSink;
                 if (s->spillw != nullptr && s->spillw->frames() > 0) {
                     // Spilled slice: stream the on-disk frames back
                     // first (they are a prefix of the slice's stream,

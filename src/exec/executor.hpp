@@ -12,8 +12,8 @@
  *                            (two-finger, gallop, dense-drive),
  *   trace/batch.hpp          the batched trace bus feeding observers.
  *
- * With `ExecOptions::threads >= 2` and a shardable plan
- * (ir::analyzeSharding — nearly every mapping qualifies; see
+ * With `ExecOptions::threads >= 2`, model hooks set, and a shardable
+ * plan (ir::analyzeSharding — nearly every mapping qualifies; see
  * ir::ShardPlan for the three modes and the rare refusals), the
  * executor shards a loop rank's coordinate range across a worker
  * pool: a serial enumeration of the sharded walk fixes every unit's
@@ -41,14 +41,15 @@
  * slices are never split by steals, keeping the grouping
  * deterministic).
  *
- * With ExecOptions::modelHooks set (the pipeline sets them whenever
- * the performance model is the sole trace consumer), the capture
- * buses additionally *split the model*: order-independent datapath
- * records are consumed by per-shard model accumulators inside the
- * workers, and the coordinator replays only the order-dependent
- * storage records — the model is no longer a serial bottleneck, and
- * the assembled counters stay byte-identical (trace/batch.hpp
- * RecordClassifier, model/accumulator.hpp).
+ * ExecOptions::modelHooks (set by the pipeline on every run) make
+ * every trace bus *split the model*: order-independent datapath
+ * records go to a model accumulator as they are produced — inside the
+ * workers, per shard, on the sharded path — and only the
+ * order-dependent records reach the observer, replayed in serial
+ * order by the coordinator. Only the storage tier of the model runs
+ * serially, and the assembled counters stay byte-identical
+ * (trace/batch.hpp RecordClassifier, model/accumulator.hpp). Without
+ * hooks the observer gets every record, and the run is serial.
  *
  * The (x, +) operators are semiring-parameterized so vertex-centric
  * graph algorithms can redefine them (paper Figure 12: SSSP uses

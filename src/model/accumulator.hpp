@@ -10,11 +10,11 @@
  * capture-mode trace bus, instead of serializing through the
  * coordinator's in-order replay.
  *
- * One accumulator runs per shard (plus one on the coordinator for the
- * records it emits itself); ModelObserver::finalize merges them in
- * shard-index order — deterministic by construction — and folds the
- * result into the EinsumRecord next to the StorageReplay tier's
- * counters.
+ * One accumulator runs per shard (plus one for the records the serial
+ * engine or the coordinator emits itself); EinsumModel::finalize
+ * merges them in shard-index order — deterministic by construction —
+ * and folds the result into the EinsumRecord next to the
+ * StorageReplay tier's counters.
  */
 #pragma once
 
@@ -36,12 +36,12 @@ class ShardAccumulator : public trace::Observer
   public:
     explicit ShardAccumulator(const ModelTables& t);
 
-    /** Consume a batch of datapath-class records (the capture
-     *  filter's side channel). Stateful-class records are ignored —
-     *  they belong to the replay tier. */
+    /** Consume a batch of datapath-class records (the bus filter's
+     *  side channel). Stateful-class records are ignored — they
+     *  belong to the replay tier. */
     void onEventBatch(const trace::EventBatch& batch) override;
 
-    /** Per-record entry (the façade's internal routing). */
+    /** Per-record entry. */
     void
     consume(const trace::Event& e)
     {

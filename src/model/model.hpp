@@ -11,20 +11,20 @@
  *                            datapath counters (compute, sequencer,
  *                            intersection, coordinate scans, streamed
  *                            accesses, per-PE loads). Mergeable;
- *                            sharded runs execute one per shard,
- *                            inside the shard, off the capture-mode
- *                            trace bus.
+ *                            fed off the trace bus's filter, one per
+ *                            shard inside the workers on sharded
+ *                            runs.
  *   model/storage_replay.hpp StorageReplay — order-dependent storage
  *                            simulation (buffets, shared LRU caches,
  *                            DRAM fills/drains, partial outputs).
  *                            Fed only in serial event order.
  *
- * ModelObserver is the thin façade composing both over one shared
- * ModelTables: on the serial path it routes every record to its tier
- * inline; on the sharded path the executor's capture filter consumes
- * the datapath records in-shard (ModelObserver::makeShardSinks) and
- * only the stateful remainder flows through the coordinator's
- * in-order replay into this observer. finalize() merges the shard
+ * EinsumModel composes both over one shared ModelTables and hands the
+ * executor the hooks that feed them (hooks()): every trace bus of the
+ * run routes datapath records to an accumulator as it produces them —
+ * the coordinator's own, or one per shard inside the workers — and
+ * delivers only the stateful remainder, in serial order, to the
+ * storage tier (storageSink()). finalize() merges the shard
  * accumulators in shard-index order and assembles an EinsumRecord
  * byte-identical at every thread count (all model sums are dyadic
  * rationals — integers, halves, bits/8 — so accumulation order cannot
@@ -61,97 +61,57 @@ namespace teaal::model
 {
 
 /**
- * Streaming trace consumer for one Einsum.
+ * The performance model of one Einsum.
  *
- * Construct, pass to the Executor as the observer, run, then call
- * finalize() to harvest the EinsumRecord. For sharded runs, also hand
- * the executor the model hooks (classifier / coordinatorSink /
- * makeShardSinks) via exec::ExecOptions::modelHooks so the datapath
- * tier runs inside the shards.
+ * Construct, run the Executor with storageSink() as its observer and
+ * hooks() as exec::ExecOptions::modelHooks, then call finalize() to
+ * harvest the EinsumRecord.
  */
-class ModelObserver : public trace::Observer
+class EinsumModel
 {
   public:
     /**
-     * @param plan      The lowered Einsum (must outlive the observer).
+     * @param plan      The lowered Einsum (must outlive the model).
      * @param topo      The architecture topology bound to this Einsum.
      * @param eb        Its binding.
      * @param formats   Format specification (concrete representations).
      * @param on_chip   Tensors that stay on chip (intermediates of a
      *                  fused block): their DRAM charges are skipped.
      */
-    ModelObserver(const ir::EinsumPlan& plan, const arch::Topology& topo,
-                  const binding::EinsumBinding& eb,
-                  const fmt::FormatSpec& formats,
-                  const std::set<std::string>& on_chip);
+    EinsumModel(const ir::EinsumPlan& plan, const arch::Topology& topo,
+                const binding::EinsumBinding& eb,
+                const fmt::FormatSpec& formats,
+                const std::set<std::string>& on_chip);
+
+    // The tiers and the hooks hold this model's address.
+    EinsumModel(const EinsumModel&) = delete;
+    EinsumModel& operator=(const EinsumModel&) = delete;
+
+    /** The storage tier: the executor's observer, fed the
+     *  order-dependent records in serial order. */
+    trace::Observer& storageSink() { return replay_; }
 
     /**
-     * Batch entry point: consumes the engine's trace batches directly
-     * (one virtual call per batch, non-virtual dispatch per record),
-     * routing each record to its tier. Produces action counts
-     * bit-identical to the per-event path.
+     * The execution hooks that feed the datapath tier: the record
+     * classifier, this model's own accumulator for records the
+     * serial engine or the coordinator emits, and per-shard
+     * accumulators for the workers. The hooks borrow this model.
      */
-    void onEventBatch(const trace::EventBatch& batch) override;
-
-    void onLoopEnter(std::size_t loop, ft::Coord c) override;
-    void onCoIterate(std::size_t loop, std::size_t steps,
-                     std::size_t matches, std::size_t drivers,
-                     std::uint64_t pe) override;
-    void onCoordScan(int input, std::size_t level, std::size_t count,
-                     std::uint64_t pe) override;
-    void onTensorAccess(int input, const std::string& tensor,
-                        std::size_t level, ft::Coord c, const void* key,
-                        const ft::Payload* payload,
-                        std::uint64_t pe) override;
-    void onOutputWrite(const std::string& tensor, std::size_t level,
-                       ft::Coord c, std::uint64_t path_key, bool inserted,
-                       bool at_leaf, std::uint64_t pe) override;
-    void onCompute(char op, std::uint64_t pe, std::size_t count) override;
-    void onSwizzle(const std::string& tensor, std::size_t elements,
-                   std::size_t ways, bool online) override;
-    void onTensorCopy(const std::string& from, const std::string& to,
-                      std::size_t elements) override;
+    exec::ModelHooks hooks();
 
     /**
-     * Drain remaining buffers, merge the shard accumulators (in
-     * shard-index order, after the coordinator's own), and produce
-     * the record.
+     * Merge the shard accumulators (in shard-index order, after the
+     * coordinator's own) and produce the record. The trace-bus
+     * diagnostics (traceEvents, traceBatches) are the caller's to
+     * fill in from the executor's bus.
      */
     EinsumRecord finalize(const exec::ExecutionStats& stats);
-
-    // ------------------------------------------- sharded-model hooks
-    // What exec::ExecOptions::modelHooks carries for a parallel run
-    // with no extra trace observers attached.
-
-    /** The record classifier for capture-filter routing. */
-    const trace::RecordClassifier& classifier() const
-    {
-        return tables_.classifier;
-    }
-
-    /** Datapath sink for records the coordinator emits itself
-     *  (live-executed shards, the top-walk summary). */
-    trace::Observer& coordinatorSink() { return accum_; }
-
-    /**
-     * Create @p n per-shard accumulators (one per shard, addresses
-     * stable) and return them as capture-filter sinks. Called once,
-     * on the coordinating thread, before workers start; each sink is
-     * then used by at most one thread.
-     */
-    std::vector<trace::Observer*> makeShardSinks(std::size_t n);
-
-    /** The shared resolved tables (tests / tooling). */
-    const ModelTables& tables() const { return tables_; }
 
   private:
     ModelTables tables_;
     ShardAccumulator accum_;
     StorageReplay replay_;
     std::deque<ShardAccumulator> shardAccums_;
-
-    std::size_t traceEvents_ = 0;
-    std::size_t traceBatches_ = 0;
 };
 
 } // namespace teaal::model

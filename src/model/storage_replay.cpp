@@ -50,6 +50,13 @@ StorageReplay::StorageReplay(const ModelTables& t) : t_(t)
 }
 
 void
+StorageReplay::onEventBatch(const trace::EventBatch& batch)
+{
+    for (const trace::Event& e : batch.events)
+        consume(e);
+}
+
+void
 StorageReplay::chargeDramTo(TensorTraffic* tt, double bytes, bool write,
                             bool partial)
 {

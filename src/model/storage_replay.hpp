@@ -5,11 +5,12 @@
  * and partial-output accounting. Whether an access hits, when a
  * partial result is evicted and re-fetched, and which cache lines
  * survive all depend on the *serial order* of the trace — so this
- * tier consumes records only on the coordinator, during the in-order
- * capture replay that sharded execution already performs (or inline,
- * on the serial path). Everything order-free lives in the
- * ShardAccumulator tier instead (model/accumulator.hpp), which the
- * capture filter feeds inside each shard.
+ * tier is the executor's observer: it consumes the records the trace
+ * bus delivers, which are only the order-dependent ones, in serial
+ * order (live on the serial path, through the coordinator's in-order
+ * capture replay on the sharded one). Everything order-free lives in
+ * the ShardAccumulator tier instead (model/accumulator.hpp), which
+ * the bus's filter feeds as records are produced.
  */
 #pragma once
 
@@ -33,14 +34,17 @@ namespace teaal::model
 {
 
 /** Order-dependent storage simulation for one Einsum. */
-class StorageReplay
+class StorageReplay : public trace::Observer
 {
   public:
     explicit StorageReplay(const ModelTables& t);
 
-    /** Per-record entry for stateful-class records (the façade's
-     *  internal routing; datapath-class records belong to the
-     *  accumulator tier). */
+    /** Consume a delivered batch of stateful-class records, in
+     *  order. */
+    void onEventBatch(const trace::EventBatch& batch) override;
+
+    /** Per-record entry for stateful-class records (datapath-class
+     *  records belong to the accumulator tier). */
     void
     consume(const trace::Event& e)
     {

@@ -19,8 +19,8 @@ BatchBus::flush()
     flushSide();
     if (log_ != nullptr) {
         // Capture mode: nothing to deliver, but stamp the logical
-        // stream length so a filtered replay can account for the
-        // records the shard accumulator consumed.
+        // stream length so the replay can account for the records
+        // the shard accumulator consumed.
         log_->logicalEvents = events_;
         return;
     }
@@ -37,57 +37,18 @@ BatchBus::flush()
     pendingLogical_ = 0;
 }
 
-// NOTE: dropDuplicateInserts (exec/executor.cpp) mirrors this
-// chunk/walkEnds traversal for its in-place filter — change them
-// together (the thread-equivalence tests compare batch boundaries).
+// NOTE: fixupReplayLog (exec/executor.cpp) mirrors this chunk/walkEnds
+// traversal for its in-place rewrite — change them together (the
+// thread-equivalence tests compare batch boundaries).
 void
 BatchBus::replay(const TraceLog& log)
 {
-    if (log.filtered) {
-        replayFiltered(log);
-        return;
-    }
-    std::size_t we = 0;
-    std::size_t base = 0; // global index of the current chunk's start
-    for (const std::vector<Event>& chunk : log.chunks) {
-        std::size_t i = 0;
-        while (i < chunk.size()) {
-            while (we < log.walkEnds.size() &&
-                   log.walkEnds[we] == base + i) {
-                walkEnd();
-                ++we;
-            }
-            // Bulk-copy the run up to the next walk boundary.
-            std::size_t stop = chunk.size();
-            if (we < log.walkEnds.size())
-                stop = std::min(stop, log.walkEnds[we] - base);
-            batch_.events.insert(batch_.events.end(),
-                                 chunk.begin() +
-                                     static_cast<std::ptrdiff_t>(i),
-                                 chunk.begin() +
-                                     static_cast<std::ptrdiff_t>(stop));
-            events_ += stop - i;
-            pendingLogical_ += stop - i;
-            i = stop;
-        }
-        base += chunk.size();
-    }
-    while (we < log.walkEnds.size() && log.walkEnds[we] == base) {
-        walkEnd();
-        ++we;
-    }
-}
-
-void
-BatchBus::replayFiltered(const TraceLog& log)
-{
-    // The log holds only the stateful records; the logical stream
-    // (datapath records included — already consumed, in-shard, by the
-    // capture filter's accumulator sink) is reconstructed
-    // arithmetically from logicalWalkEnds/logicalEvents so that
-    // events_, pendingLogical_, and therefore every flush decision
-    // and batchCount() land exactly where an unfiltered replay of the
-    // same shard would put them.
+    // The log holds only the records the capture kept; the logical
+    // stream (datapath records included — already consumed, in-shard,
+    // by the capture filter's accumulator sink) is reconstructed
+    // arithmetically from logicalWalkEnds/logicalEvents, so events_,
+    // pendingLogical_, and therefore every flush decision and
+    // batchCount() land exactly where the serial bus put them.
     std::size_t we = 0;
     std::size_t base = 0;    // logged index of the current chunk start
     std::size_t logical = 0; // logical records accounted so far
@@ -106,6 +67,7 @@ BatchBus::replayFiltered(const TraceLog& log)
                     flush();
                 ++we;
             }
+            // Bulk-copy the run up to the next walk boundary.
             std::size_t stop = chunk.size();
             if (we < log.walkEnds.size())
                 stop = std::min(stop, log.walkEnds[we] - base);

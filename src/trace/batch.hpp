@@ -8,10 +8,16 @@
  * compact PODs in an `EventBatch` and delivers whole batches through a
  * single virtual call (`Observer::onEventBatch`), flushed at fiber-walk
  * boundaries. The default `onEventBatch` replays the records through
- * the per-event virtual interface in their original order, so every
- * observer — including ones written against the streaming API — sees a
- * bit-identical event sequence; batch-aware observers (the performance
- * model) override it and skip the per-event dispatch entirely.
+ * the per-event virtual interface in their original order, so
+ * observers written against the streaming API see the delivered
+ * sequence record by record; batch-aware observers override it and
+ * skip the per-event dispatch entirely.
+ *
+ * With a RecordClassifier set (every pipeline run), the bus also
+ * routes each record to its performance-model tier as it is produced:
+ * order-independent datapath records go to an accumulator sink, and
+ * only the order-dependent remainder is delivered (or captured, on a
+ * shard's bus, for the coordinator's in-order replay).
  */
 #pragma once
 
@@ -108,11 +114,11 @@ struct EventBatch
  * order (buffet/cache accesses, output writes, evict-loop entries).
  *
  * The performance model builds one per Einsum from its storage
- * routing tables; a capture-mode BatchBus uses it to feed datapath
- * records straight to a per-shard accumulator instead of logging them
- * for the coordinator's in-order replay. Classification is static per
- * (kind, loop) / (kind, input, level), so the hot path pays one or
- * two vector reads per record.
+ * routing tables; a filtering BatchBus uses it to feed datapath
+ * records straight to an accumulator (per shard on a capture bus)
+ * instead of delivering or logging them. Classification is static
+ * per (kind, loop) / (kind, input, level), so the hot path pays one
+ * or two vector reads per record.
  */
 struct RecordClassifier
 {
@@ -142,44 +148,8 @@ struct RecordClassifier
             return true;
         return statefulAccess[i][level] != 0;
     }
-
-    /** Full-record classification (used when only an Event is at
-     *  hand; the bus producers classify from their arguments). */
-    bool
-    stateful(const Event& e) const
-    {
-        switch (e.kind) {
-          case Event::Kind::CoIterate:
-          case Event::Kind::CoordScan:
-          case Event::Kind::Compute:
-            return false;
-          case Event::Kind::LoopEnter:
-            return loopStateful(e.loop);
-          case Event::Kind::TensorAccess:
-            return accessStateful(e.input, e.level);
-          case Event::Kind::OutputWrite:
-          case Event::Kind::Swizzle:
-          case Event::Kind::TensorCopy:
-            return true;
-        }
-        return true;
-    }
 };
 
-/**
- * A captured event stream: every event in emission order plus the
- * positions at which walkEnd() fired. A capture-mode BatchBus fills
- * one; `BatchBus::replay` later re-emits it through a delivery-mode
- * bus, reproducing the original flush points — so a trace produced by
- * parallel shards and replayed in canonical shard order delivers
- * batches byte-identical to a serial run's (same events, same batch
- * boundaries).
- *
- * Events are stored in fixed-capacity chunks so capture never
- * reallocates (a multi-million-event shard would otherwise re-copy
- * its whole history on every vector growth); replay bulk-copies whole
- * runs between walk boundaries.
- */
 /**
  * Recycles capture chunks between shards: a replayed-and-cleared
  * shard's chunk memory backs the next shard's capture, so the
@@ -237,11 +207,30 @@ class SpillSink
 
     /** Called with the log positioned exactly at a walk boundary
      *  (walkEnds.back() == eventCount()). Return true iff the log's
-     *  chunks/walkEnds/logicalWalkEnds were drained (filtered, pool,
-     *  and this pointer must be preserved). */
+     *  chunks/walkEnds/logicalWalkEnds were drained (pool and this
+     *  pointer must be preserved). */
     virtual bool onWalkBoundary(TraceLog& log) = 0;
 };
 
+/**
+ * A captured event stream: the records a shard's bus kept, in
+ * emission order, plus the positions at which walkEnd() fired. A
+ * capture-mode BatchBus fills one; `BatchBus::replay` later re-emits
+ * it through a delivery-mode bus, reproducing the original flush
+ * points — so a trace produced by parallel shards and replayed in
+ * canonical shard order delivers batches byte-identical to a serial
+ * run's (same records, same batch boundaries).
+ *
+ * A filtering capture keeps only the stateful records; the *logical*
+ * stream — everything the shard emitted, datapath records included —
+ * is tracked alongside in logical indices, so a replay keeps the
+ * delivery bus's event/batch accounting identical to the serial bus.
+ *
+ * Events are stored in fixed-capacity chunks so capture never
+ * reallocates (a multi-million-event shard would otherwise re-copy
+ * its whole history on every vector growth); replay bulk-copies whole
+ * runs between walk boundaries.
+ */
 struct TraceLog
 {
     /// Events per chunk, sized to 64 KB — under the common malloc
@@ -255,17 +244,9 @@ struct TraceLog
     /// Logged event counts at which walkEnd() fired (non-decreasing).
     std::vector<std::size_t> walkEnds;
 
-    /// Filtered capture (a RecordClassifier routed datapath records to
-    /// a shard accumulator instead of the log): chunks hold only the
-    /// stateful records, and the *logical* stream — everything the
-    /// shard emitted, in logical indices — is tracked alongside so a
-    /// replay can keep the delivery bus's event/batch accounting
-    /// byte-identical to an unfiltered serial run.
-    bool filtered = false;
     /// Per walkEnds entry: the logical event count at that boundary.
     std::vector<std::size_t> logicalWalkEnds;
-    /// Total logical events the capture produced (== eventCount()
-    /// when not filtered).
+    /// Total logical events the capture produced.
     std::size_t logicalEvents = 0;
 
     /// Optional chunk recycler shared between captures.
@@ -296,7 +277,6 @@ struct TraceLog
         walkEnds.clear();
         logicalWalkEnds.clear();
         logicalEvents = 0;
-        filtered = false;
     }
 };
 
@@ -345,10 +325,9 @@ class BatchBus
     /**
      * Route datapath-class records (per @p cls) to @p datapath_sink
      * instead of the normal stream. On a capture bus the log then
-     * holds only the stateful records (plus the logical-stream
-     * bookkeeping replay needs); on a delivery bus only stateful
-     * records reach the observer, while event/batch accounting stays
-     * byte-identical to the unfiltered stream. The sink receives
+     * holds only the stateful records; on a delivery bus only
+     * stateful records reach the observer. Either way event/batch
+     * accounting stays that of the unfiltered stream. The sink receives
      * coalesced batches of the datapath records, in emission order,
      * on the emitting thread. Both pointers are borrowed.
      */
@@ -357,8 +336,6 @@ class BatchBus
     {
         cls_ = datapath_sink == nullptr ? nullptr : cls;
         sideSink_ = datapath_sink;
-        if (log_ != nullptr && cls_ != nullptr)
-            log_->filtered = true;
     }
 
     /**
@@ -507,8 +484,7 @@ class BatchBus
             flushSide();
         if (log_ != nullptr) {
             log_->walkEnds.push_back(logged_);
-            if (cls_ != nullptr)
-                log_->logicalWalkEnds.push_back(events_);
+            log_->logicalWalkEnds.push_back(events_);
             if (log_->spill != nullptr &&
                 log_->spill->onWalkBoundary(*log_)) {
                 // The sink wrote the log out as one frame. Restart
@@ -531,16 +507,19 @@ class BatchBus
     void flush();
 
     /**
-     * Re-emit a captured stream through this (delivery-mode) bus:
-     * events are pushed in order and every recorded walk boundary
-     * re-fires walkEnd(), so downstream batch boundaries land exactly
-     * where a live engine emitting the same stream would put them.
+     * Re-emit a captured stream through this (delivery-mode) bus: the
+     * logged records are pushed in order, and the logical stream —
+     * including the datapath records the capture filter already
+     * routed to its shard's accumulator — is accounted at every
+     * recorded walk boundary, so flush points, eventCount() and
+     * batchCount() land exactly where a live engine emitting the same
+     * stream would put them.
      */
     void replay(const TraceLog& log);
 
     /** Logical events recorded so far (delivered + pending + routed
-     *  to the datapath sink; filtered replays count the records their
-     *  shard accumulators consumed, so this matches the serial bus). */
+     *  to the datapath sink; replays count the records their shard
+     *  accumulators consumed, so this matches the serial bus). */
     std::size_t eventCount() const { return events_; }
 
     /** Batches delivered so far (filtered buses count the batches the
@@ -590,11 +569,6 @@ class BatchBus
 
     /** Deliver buffered datapath records to the side sink. */
     void flushSide();
-
-    /** replay() for filtered captures: pushes the logged (stateful)
-     *  records and accounts the consumed datapath records so flush
-     *  points and diagnostics stay serial-identical. */
-    void replayFiltered(const TraceLog& log);
 
     Observer* obs_ = nullptr;
     TraceLog* log_ = nullptr;

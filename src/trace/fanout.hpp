@@ -1,12 +1,14 @@
 /**
  * @file
- * FanoutObserver: one trace sink that forwards every event to a list
- * of downstream observers. RunOptions uses it to attach extra
- * observers (loggers, counters, ring buffers) alongside the
- * performance model without the engine knowing about multiplexing.
+ * FanoutObserver: one trace sink that forwards every delivered batch
+ * to a list of downstream observers. RunOptions uses it to attach
+ * extra observers (loggers, counters, ring buffers) next to the
+ * performance model's storage tier without the engine knowing about
+ * multiplexing.
  *
- * Batches are forwarded as batches: a batch-aware downstream consumes
- * them directly, while a streaming-only downstream sees the default
+ * Batches are forwarded as batches (the bus only ever calls
+ * onEventBatch): a batch-aware downstream consumes them directly,
+ * while a streaming-only downstream sees the default per-event
  * replay — each sink keeps its own consumption style.
  */
 #pragma once
@@ -27,78 +29,11 @@ class FanoutObserver : public Observer
     /** Add a downstream sink; must outlive this observer. */
     void add(Observer* obs) { sinks_.push_back(obs); }
 
-    std::size_t size() const { return sinks_.size(); }
-
     void
     onEventBatch(const EventBatch& batch) override
     {
         for (Observer* o : sinks_)
             o->onEventBatch(batch);
-    }
-
-    void
-    onLoopEnter(std::size_t loop, ft::Coord c) override
-    {
-        for (Observer* o : sinks_)
-            o->onLoopEnter(loop, c);
-    }
-
-    void
-    onCoIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-                std::size_t drivers, std::uint64_t pe) override
-    {
-        for (Observer* o : sinks_)
-            o->onCoIterate(loop, steps, matches, drivers, pe);
-    }
-
-    void
-    onCoordScan(int input, std::size_t level, std::size_t count,
-                std::uint64_t pe) override
-    {
-        for (Observer* o : sinks_)
-            o->onCoordScan(input, level, count, pe);
-    }
-
-    void
-    onTensorAccess(int input, const std::string& tensor, std::size_t level,
-                   ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe) override
-    {
-        for (Observer* o : sinks_)
-            o->onTensorAccess(input, tensor, level, c, key, payload, pe);
-    }
-
-    void
-    onOutputWrite(const std::string& tensor, std::size_t level, ft::Coord c,
-                  std::uint64_t path_key, bool inserted, bool at_leaf,
-                  std::uint64_t pe) override
-    {
-        for (Observer* o : sinks_)
-            o->onOutputWrite(tensor, level, c, path_key, inserted, at_leaf,
-                             pe);
-    }
-
-    void
-    onCompute(char op, std::uint64_t pe, std::size_t count) override
-    {
-        for (Observer* o : sinks_)
-            o->onCompute(op, pe, count);
-    }
-
-    void
-    onSwizzle(const std::string& tensor, std::size_t elements,
-              std::size_t ways, bool online) override
-    {
-        for (Observer* o : sinks_)
-            o->onSwizzle(tensor, elements, ways, online);
-    }
-
-    void
-    onTensorCopy(const std::string& from, const std::string& to,
-                 std::size_t elements) override
-    {
-        for (Observer* o : sinks_)
-            o->onTensorCopy(from, to, elements);
     }
 
   private:

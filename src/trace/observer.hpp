@@ -2,11 +2,15 @@
  * @file
  * Streaming trace interface (paper §4.3 "trace generation").
  *
- * The executor emits one callback per logical event while running the
- * mapped loop nest on real fibertrees; component models subscribe and
+ * The executor streams events to an observer while running the mapped
+ * loop nest on real fibertrees, in batches (trace/batch.hpp); models
  * derive action counts online. This replaces the paper's
  * generate-then-consume trace files with a streaming pipeline that
- * produces identical counts without materializing traces.
+ * produces identical counts without materializing traces. In a
+ * pipeline run the observer is the performance model's storage tier
+ * (plus any RunOptions::observers), and it receives only the
+ * order-dependent records: the bus routes the datapath records to the
+ * model's accumulators as they are produced.
  *
  * Events carry the PE id derived from the mapping's space ranks so
  * models can capture load imbalance.

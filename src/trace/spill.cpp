@@ -15,19 +15,19 @@ namespace
 
 /// First 8 bytes of every frame, a cheap torn-file detector. The digit
 /// names the Event record layout the frame's raw records use.
-constexpr std::uint64_t kFrameMagic = 0x324C4C4950535424ULL; // "$TSPILL2"
+constexpr std::uint64_t kFrameMagic = 0x334C4C4950535424ULL; // "$TSPILL3"
 
+/// Followed by `walkEnds` logged boundary indices, as many logical
+/// ones, then the frame's `events` raw records.
 struct FrameHeader
 {
     std::uint64_t magic = kFrameMagic;
     std::uint64_t events = 0;
     std::uint64_t walkEnds = 0;
-    std::uint64_t logicalWalkEnds = 0;
     std::uint64_t logicalEvents = 0;
-    std::uint64_t filtered = 0;
 };
 
-static_assert(sizeof(FrameHeader) == 48, "frame header layout");
+static_assert(sizeof(FrameHeader) == 32, "frame header layout");
 
 } // namespace
 
@@ -72,8 +72,8 @@ SpillWriter::onWalkBoundary(TraceLog& log)
     if (events * sizeof(Event) < ctx_->segmentBytes())
         return false;
     writeFrame(log);
-    // Drain — selectively: `filtered`, `pool`, and the `spill` hook
-    // itself must survive (TraceLog::clear() would reset filtered).
+    // Drain the records and boundaries; `pool` and the `spill` hook
+    // itself stay.
     if (log.pool != nullptr) {
         for (std::vector<Event>& c : log.chunks)
             log.pool->release(std::move(c));
@@ -102,13 +102,9 @@ SpillWriter::writeFrame(TraceLog& log)
         events += c.size();
     h.events = events;
     h.walkEnds = log.walkEnds.size();
-    h.logicalWalkEnds = log.logicalWalkEnds.size();
     // The frame ends exactly at a walk boundary, so its logical span
-    // is the boundary's logical index (== events when unfiltered).
-    h.logicalEvents = log.logicalWalkEnds.empty()
-                          ? events
-                          : log.logicalWalkEnds.back();
-    h.filtered = log.filtered ? 1 : 0;
+    // is that boundary's logical index.
+    h.logicalEvents = log.logicalWalkEnds.back();
 
     const auto put = [&](const void* p, std::size_t n) {
         out_.write(static_cast<const char*>(p),
@@ -194,9 +190,8 @@ SpillReader::next(TraceLog& frame)
 
     frame.walkEnds.resize(h.walkEnds);
     get(frame.walkEnds.data(), h.walkEnds * sizeof(std::size_t));
-    frame.logicalWalkEnds.resize(h.logicalWalkEnds);
-    get(frame.logicalWalkEnds.data(),
-        h.logicalWalkEnds * sizeof(std::size_t));
+    frame.logicalWalkEnds.resize(h.walkEnds);
+    get(frame.logicalWalkEnds.data(), h.walkEnds * sizeof(std::size_t));
 
     // One chunk per frame: replay and fixup only care about event
     // order and the (frame-relative) walkEnds indices, not the
@@ -206,7 +201,6 @@ SpillReader::next(TraceLog& frame)
     frame.chunks[0].resize(static_cast<std::size_t>(h.events));
     get(frame.chunks[0].data(), h.events * sizeof(Event));
 
-    frame.filtered = h.filtered != 0;
     frame.logicalEvents = static_cast<std::size_t>(h.logicalEvents);
     return true;
 }

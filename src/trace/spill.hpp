@@ -16,9 +16,8 @@
  *
  * Frames are cut only at walk boundaries (SpillSink::onWalkBoundary),
  * so every frame satisfies the TraceLog invariants on its own:
- * walkEnds are frame-relative, a leaf's Compute('a')/OutputWrite pair
- * never straddles frames (they are emitted between boundaries), and
- * the coordinator's replay fixup runs frame-locally with its state
+ * walkEnds and logicalWalkEnds are frame-relative, and the
+ * coordinator's replay fixup runs frame-locally with its state
  * (FixupState) persisting across frames exactly as it persists across
  * slices. Replaying the frames of a file in order, then the slice's
  * residual in-memory tail, delivers a stream byte-identical to the

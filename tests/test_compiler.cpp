@@ -1,15 +1,15 @@
 /**
  * @file
  * End-to-end tests: the four accelerator specifications compile to
- * simulators whose results match the Gustavson oracle and whose
- * action counts / traffic / timing behave as the designs should
- * (paper §5-§7 qualitative properties).
+ * models whose results match the Gustavson oracle and whose action
+ * counts / traffic / timing behave as the designs should (paper
+ * §5-§7 qualitative properties).
  */
 #include <gtest/gtest.h>
 
 #include "accelerators/accelerators.hpp"
 #include "baselines/baselines.hpp"
-#include "compiler/compiler.hpp"
+#include "compiler/pipeline.hpp"
 #include "fibertree/transform.hpp"
 #include "workloads/datasets.hpp"
 
@@ -18,8 +18,9 @@ namespace teaal
 namespace
 {
 
+using compiler::CompiledModel;
 using compiler::SimulationResult;
-using compiler::Simulator;
+using compiler::Workload;
 
 /** Small scaled-down configs so tests stay fast. */
 accel::OuterSpaceConfig
@@ -93,15 +94,24 @@ makeMatrices(std::uint64_t seed, ft::Coord k = 40, ft::Coord m = 32,
     return out;
 }
 
+/** The operand workload (borrowed). */
+Workload
+workloadOf(const TestMatrices& mats)
+{
+    Workload w;
+    w.add("A", mats.a).add("B", mats.b);
+    return w;
+}
+
 TEST(Compiler, OuterSpaceEndToEnd)
 {
-    Simulator sim(accel::outerSpace(smallOuterSpace()));
+    const CompiledModel model =
+        compiler::compile(accel::outerSpace(smallOuterSpace()));
     auto mats = makeMatrices(1);
-    const SimulationResult result =
-        sim.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
+    const SimulationResult result = model.run(workloadOf(mats));
 
     // Functional correctness.
-    EXPECT_TRUE(result.result(sim.spec()).equals(mats.ref, 1e-9));
+    EXPECT_TRUE(result.result(model.spec()).equals(mats.ref, 1e-9));
 
     // OuterSPACE's phases do not fuse (different topologies).
     ASSERT_EQ(result.blocks.size(), 2u);
@@ -114,7 +124,7 @@ TEST(Compiler, OuterSpaceEndToEnd)
 
     // A is streamed once: traffic close to its footprint.
     const double a_bytes = static_cast<double>(fmt::tensorBits(
-                               sim.spec().formats.get("A", "CSC"),
+                               model.spec().formats.get("A", "CSC"),
                                mats.a)) /
                            8.0;
     const auto& a_traffic = result.traffic.at("A");
@@ -137,12 +147,12 @@ TEST(Compiler, OuterSpaceEndToEnd)
 
 TEST(Compiler, GammaEndToEnd)
 {
-    Simulator sim(accel::gamma(smallGamma()));
+    const CompiledModel model =
+        compiler::compile(accel::gamma(smallGamma()));
     auto mats = makeMatrices(2);
-    const SimulationResult result =
-        sim.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
+    const SimulationResult result = model.run(workloadOf(mats));
 
-    EXPECT_TRUE(result.result(sim.spec()).equals(mats.ref, 1e-9));
+    EXPECT_TRUE(result.result(model.spec()).equals(mats.ref, 1e-9));
 
     // Gamma's two Einsums fuse; T never reaches DRAM.
     ASSERT_EQ(result.blocks.size(), 1u);
@@ -155,7 +165,7 @@ TEST(Compiler, GammaEndToEnd)
 
     // A read once (shared through the fused pipeline).
     const double a_bytes = static_cast<double>(fmt::tensorBits(
-                               sim.spec().formats.get("A", "CSR"),
+                               model.spec().formats.get("A", "CSR"),
                                ft::swizzle(mats.a, {"M", "K"}))) /
                            8.0;
     EXPECT_LT(result.traffic.at("A").readBytes, 1.5 * a_bytes);
@@ -173,12 +183,12 @@ TEST(Compiler, GammaEndToEnd)
 
 TEST(Compiler, ExTensorEndToEnd)
 {
-    Simulator sim(accel::extensor(smallExTensor()));
+    const CompiledModel model =
+        compiler::compile(accel::extensor(smallExTensor()));
     auto mats = makeMatrices(3);
-    const SimulationResult result =
-        sim.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
+    const SimulationResult result = model.run(workloadOf(mats));
 
-    EXPECT_TRUE(result.result(sim.spec()).equals(mats.ref, 1e-9));
+    EXPECT_TRUE(result.result(model.spec()).equals(mats.ref, 1e-9));
 
     // Single Einsum -> single block; skip-ahead intersections counted.
     ASSERT_EQ(result.blocks.size(), 1u);
@@ -196,12 +206,12 @@ TEST(Compiler, ExTensorEndToEnd)
 
 TEST(Compiler, SigmaEndToEnd)
 {
-    Simulator sim(accel::sigma(smallSigma()));
+    const CompiledModel model =
+        compiler::compile(accel::sigma(smallSigma()));
     auto mats = makeMatrices(4, 32, 24, 20, 250);
-    const SimulationResult result =
-        sim.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
+    const SimulationResult result = model.run(workloadOf(mats));
 
-    EXPECT_TRUE(result.result(sim.spec()).equals(mats.ref, 1e-9));
+    EXPECT_TRUE(result.result(model.spec()).equals(mats.ref, 1e-9));
     EXPECT_EQ(result.records.size(), 3u); // S, T, Z
 
     // The filter stages produce bitmap metadata: tiny traffic
@@ -218,23 +228,22 @@ TEST(Compiler, EffectualComputeMatchesOracle)
     // (ineffectual compute skipped -- the whole point of sparsity).
     auto mats = makeMatrices(5);
     const auto work = baselines::countSpmspmWork(mats.a, mats.b);
-    Simulator sim(accel::extensor(smallExTensor()));
-    const SimulationResult result =
-        sim.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
+    const CompiledModel model =
+        compiler::compile(accel::extensor(smallExTensor()));
+    const SimulationResult result = model.run(workloadOf(mats));
     EXPECT_EQ(result.records[0].execStats.computeMuls, work.mults);
 }
 
 TEST(Compiler, AlgorithmicMinIsLowerBound)
 {
     auto mats = makeMatrices(6);
+    const Workload w = workloadOf(mats);
     for (auto spec : {accel::outerSpace(smallOuterSpace()),
                       accel::gamma(smallGamma()),
                       accel::extensor(smallExTensor())}) {
-        Simulator sim(std::move(spec));
-        const SimulationResult result =
-            sim.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
-        const double min_bytes =
-            sim.algorithmicMinBytes(result.tensors);
+        const CompiledModel model = compiler::compile(std::move(spec));
+        const SimulationResult result = model.run(w);
+        const double min_bytes = model.algorithmicMinBytes(w, result);
         EXPECT_GT(min_bytes, 0);
         // Total traffic can never beat the compulsory traffic by more
         // than the coordinate-metadata differences; use 0.5x as a
@@ -245,9 +254,12 @@ TEST(Compiler, AlgorithmicMinIsLowerBound)
 
 TEST(Compiler, MissingInputThrows)
 {
-    Simulator sim(accel::gamma(smallGamma()));
+    const CompiledModel model =
+        compiler::compile(accel::gamma(smallGamma()));
     auto mats = makeMatrices(7);
-    EXPECT_THROW(sim.run({{"A", mats.a.clone()}}), SpecError);
+    Workload w;
+    w.add("A", mats.a);
+    EXPECT_THROW(model.run(w), SpecError);
 }
 
 TEST(Compiler, SpecificationParseRejectsGarbage)
@@ -264,29 +276,13 @@ TEST(Compiler, CrossAcceleratorAgreement)
 {
     auto mats = makeMatrices(8);
     std::map<std::string, ft::Tensor> outs;
-    {
-        Simulator sim(accel::outerSpace(smallOuterSpace()));
-        outs.emplace("os",
-                     sim.run({{"A", mats.a.clone()},
-                              {"B", mats.b.clone()}})
-                         .result(sim.spec())
-                         .clone());
-    }
-    {
-        Simulator sim(accel::gamma(smallGamma()));
-        outs.emplace("gm",
-                     sim.run({{"A", mats.a.clone()},
-                              {"B", mats.b.clone()}})
-                         .result(sim.spec())
-                         .clone());
-    }
-    {
-        Simulator sim(accel::sigma(smallSigma()));
-        outs.emplace("sg",
-                     sim.run({{"A", mats.a.clone()},
-                              {"B", mats.b.clone()}})
-                         .result(sim.spec())
-                         .clone());
+    const Workload w = workloadOf(mats);
+    for (auto [key, spec] :
+         {std::pair{"os", accel::outerSpace(smallOuterSpace())},
+          std::pair{"gm", accel::gamma(smallGamma())},
+          std::pair{"sg", accel::sigma(smallSigma())}}) {
+        const CompiledModel model = compiler::compile(std::move(spec));
+        outs.emplace(key, model.run(w).result(model.spec()).clone());
     }
     EXPECT_TRUE(outs.at("os").equals(outs.at("gm"), 1e-9));
     EXPECT_TRUE(outs.at("os").equals(outs.at("sg"), 1e-9));

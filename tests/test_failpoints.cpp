@@ -20,6 +20,7 @@
 #include "serve/server.hpp"
 #include "storage/packed.hpp"
 #include "storage/store.hpp"
+#include "support.hpp"
 #include "util/cancel.hpp"
 #include "util/failpoint.hpp"
 #include "workloads/datasets.hpp"
@@ -35,6 +36,7 @@ using compiler::RunOptions;
 using compiler::Workload;
 using serve::Json;
 using serve::parseJson;
+using test::testScratchDir;
 
 #ifdef TEAAL_FAILPOINTS_ENABLED
 #define TEAAL_REQUIRE_SITES() ((void)0)
@@ -97,18 +99,6 @@ TEST_F(Failpoints, EnvVarArmsMultiplePoints)
                  DiagnosticError);
     ::unsetenv("TEAAL_FAILPOINTS_TEST");
     EXPECT_EQ(fp::configureFromEnv("TEAAL_FAILPOINTS_TEST"), 0u);
-}
-
-/** A scratch directory private to the running test, so fixtures of
- *  tests that ctest runs concurrently never delete each other's
- *  inputs. */
-std::filesystem::path
-testScratchDir(const std::string& prefix)
-{
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    return std::filesystem::temp_directory_path() /
-           (prefix + info->test_suite_name() + "_" + info->name());
 }
 
 // ----------------------------------------------- mtx reader (sites)

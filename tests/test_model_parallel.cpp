@@ -6,11 +6,10 @@
  * diagnostics — must be byte-identical at threads 1/2/4 for all four
  * Table 1 accelerators, on both the pointer and the packed backend.
  *
- * threads=1 runs the serial façade (both tiers fed inline, in order);
- * threads>=2 with no extra observers runs the split path (per-shard
- * accumulators off the capture filter + coordinator-replayed storage
- * tier); threads>=2 *with* an extra observer falls back to full
- * capture/replay. All three must agree bit-for-bit.
+ * threads=1 feeds both tiers off the serial bus's filter, in order;
+ * threads>=2 feeds per-shard accumulators off each capture bus's
+ * filter and the storage tier through the coordinator's in-order
+ * replay. Both must agree bit-for-bit.
  */
 #include <gtest/gtest.h>
 
@@ -235,32 +234,7 @@ TEST(ModelParallel, SigmaPackedThreads124)
     expectPackedModelEquivalence(accel::sigma(smallSigma()));
 }
 
-// ------------------------------------------------ mode equivalence
-
-/**
- * The split path (threads=4, model is the sole consumer) and the
- * full-capture fallback (threads=4 with an extra observer) must
- * produce the same records — they are two routes to one model.
- */
-TEST(ModelParallel, SplitPathMatchesFullReplayFallback)
-{
-    const TestMatrices m = makeMatrices(31);
-    auto model = compiler::compile(accel::gamma(smallGamma()));
-    Workload w;
-    w.add("A", m.a).add("B", m.b);
-
-    RunOptions split;
-    split.threads = 4;
-    const SimulationResult split_r = model.run(w, split);
-
-    trace::Observer noop; // forces the full-capture fallback
-    RunOptions full;
-    full.threads = 4;
-    full.observers.push_back(&noop);
-    const SimulationResult full_r = model.run(w, full);
-
-    expectIdenticalRecords(split_r, full_r, "split vs full replay");
-}
+// ------------------------------------------------ trace diagnostics
 
 /**
  * Trace-bus diagnostics sum correctly across shards: the sharded

@@ -11,11 +11,11 @@
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
 #include "storage/packed.hpp"
+#include "support.hpp"
 #include "util/diagnostic.hpp"
 #include "workloads/datasets.hpp"
 
@@ -28,6 +28,7 @@ using compiler::CompiledModel;
 using compiler::RunOptions;
 using compiler::SimulationResult;
 using compiler::Workload;
+using test::StreamRecorder;
 
 accel::GammaConfig
 smallGamma()
@@ -88,87 +89,6 @@ makeMatrices(std::uint64_t seed)
             workloads::uniformMatrix("B", 40, 36, 300, seed + 1,
                                      {"K", "N"})};
 }
-
-/** Semantic stream log (no pointers), batch boundaries included, so
- *  packed and pointer runs can be compared for identical delivery. */
-class StreamRecorder : public trace::Observer
-{
-  public:
-    std::vector<std::string> log;
-
-    void
-    onEventBatch(const trace::EventBatch& batch) override
-    {
-        log.push_back("batch:" + std::to_string(batch.size()));
-        trace::Observer::onEventBatch(batch); // replay per-event below
-    }
-
-    void
-    onLoopEnter(std::size_t loop, ft::Coord c) override
-    {
-        add("L", loop, c);
-    }
-    void
-    onCoIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-                std::size_t drivers, std::uint64_t pe) override
-    {
-        add("I", loop, steps, matches, drivers, pe);
-    }
-    void
-    onCoordScan(int input, std::size_t level, std::size_t count,
-                std::uint64_t pe) override
-    {
-        add("S", input, level, count, pe);
-    }
-    void
-    onTensorAccess(int input, const std::string& tensor,
-                   std::size_t level, ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe) override
-    {
-        (void)key;
-        (void)payload;
-        add("A", input, level, c, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onOutputWrite(const std::string& tensor, std::size_t level,
-                  ft::Coord c, std::uint64_t path_key, bool inserted,
-                  bool at_leaf, std::uint64_t pe) override
-    {
-        add("W", level, c, path_key, inserted, at_leaf, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onCompute(char op, std::uint64_t pe, std::size_t count) override
-    {
-        add("C", op, pe, count);
-    }
-    void
-    onSwizzle(const std::string& tensor, std::size_t elements,
-              std::size_t ways, bool online) override
-    {
-        add("Z", elements, ways, online);
-        log.back() += ":" + tensor;
-    }
-    void
-    onTensorCopy(const std::string& from, const std::string& to,
-                 std::size_t elements) override
-    {
-        add("Y", elements);
-        log.back() += ":" + from + ">" + to;
-    }
-
-  private:
-    template <typename... Args>
-    void
-    add(const char* tag, Args... args)
-    {
-        std::ostringstream os;
-        os << tag;
-        ((os << ':' << args), ...);
-        log.push_back(os.str());
-    }
-};
 
 void
 expectSameResults(const SimulationResult& x, const SimulationResult& y)

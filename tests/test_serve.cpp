@@ -24,6 +24,7 @@
 #include "serve/server.hpp"
 #include "storage/packed.hpp"
 #include "storage/store.hpp"
+#include "support.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/datasets.hpp"
 #include "workloads/mtx.hpp"
@@ -35,18 +36,7 @@ namespace
 
 using serve::Json;
 using serve::parseJson;
-
-/** A scratch directory owned by the running test alone: ctest runs
- *  tests of one fixture concurrently, so a shared name would let one
- *  test's TearDown delete another's inputs. */
-std::filesystem::path
-testScratchDir(const std::string& prefix)
-{
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    return std::filesystem::temp_directory_path() /
-           (prefix + info->test_suite_name() + "_" + info->name());
-}
+using test::testScratchDir;
 
 // ------------------------------------------------------------- JSON
 

@@ -12,11 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
+#include "support.hpp"
 #include "workloads/datasets.hpp"
 
 namespace teaal
@@ -28,117 +28,8 @@ namespace fs = std::filesystem;
 using compiler::RunOptions;
 using compiler::SimulationResult;
 using compiler::Workload;
-
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        const auto* info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::temp_directory_path() /
-               (std::string("teaal_spill_") + info->test_suite_name() +
-                "_" + info->name());
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    ~TempDir() { fs::remove_all(dir_); }
-
-    std::string str() const { return dir_.string(); }
-
-    std::size_t
-    fileCount() const
-    {
-        std::size_t n = 0;
-        for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir_))
-            ++n;
-        return n;
-    }
-
-  private:
-    fs::path dir_;
-};
-
-/** Semantic stream log with batch boundaries (the packed-exec test's
- *  recorder): spilled replay must deliver the identical sequence. */
-class StreamRecorder : public trace::Observer
-{
-  public:
-    std::vector<std::string> log;
-
-    void
-    onEventBatch(const trace::EventBatch& batch) override
-    {
-        log.push_back("batch:" + std::to_string(batch.size()));
-        trace::Observer::onEventBatch(batch);
-    }
-    void
-    onLoopEnter(std::size_t loop, ft::Coord c) override
-    {
-        add("L", loop, c);
-    }
-    void
-    onCoIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-                std::size_t drivers, std::uint64_t pe) override
-    {
-        add("I", loop, steps, matches, drivers, pe);
-    }
-    void
-    onCoordScan(int input, std::size_t level, std::size_t count,
-                std::uint64_t pe) override
-    {
-        add("S", input, level, count, pe);
-    }
-    void
-    onTensorAccess(int input, const std::string& tensor,
-                   std::size_t level, ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe) override
-    {
-        (void)key;
-        (void)payload;
-        add("A", input, level, c, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onOutputWrite(const std::string& tensor, std::size_t level,
-                  ft::Coord c, std::uint64_t path_key, bool inserted,
-                  bool at_leaf, std::uint64_t pe) override
-    {
-        add("W", level, c, path_key, inserted, at_leaf, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onCompute(char op, std::uint64_t pe, std::size_t count) override
-    {
-        add("C", op, pe, count);
-    }
-    void
-    onSwizzle(const std::string& tensor, std::size_t elements,
-              std::size_t ways, bool online) override
-    {
-        add("Z", elements, ways, online);
-        log.back() += ":" + tensor;
-    }
-    void
-    onTensorCopy(const std::string& from, const std::string& to,
-                 std::size_t elements) override
-    {
-        add("Y", elements);
-        log.back() += ":" + from + ">" + to;
-    }
-
-  private:
-    template <typename... Args>
-    void
-    add(const char* tag, Args... args)
-    {
-        std::ostringstream os;
-        os << tag;
-        ((os << ':' << args), ...);
-        log.push_back(os.str());
-    }
-};
+using test::StreamRecorder;
+using test::TempDir;
 
 void
 expectSameResults(const SimulationResult& x, const SimulationResult& y)

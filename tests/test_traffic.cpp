@@ -9,7 +9,7 @@
 
 #include "accelerators/accelerators.hpp"
 #include "baselines/baselines.hpp"
-#include "compiler/compiler.hpp"
+#include "compiler/pipeline.hpp"
 #include "workloads/datasets.hpp"
 
 namespace teaal
@@ -21,8 +21,11 @@ compiler::SimulationResult
 run(compiler::Specification spec, const ft::Tensor& a,
     const ft::Tensor& b)
 {
-    compiler::Simulator sim(std::move(spec));
-    return sim.run({{"A", a.clone()}, {"B", b.clone()}});
+    compiler::Workload w;
+    w.add("A", a).add("B", b);
+    compiler::RunOptions opts;
+    opts.cacheState = false;
+    return compiler::compile(std::move(spec)).run(w, opts);
 }
 
 /** Skewed test matrices (reuse-sensitive). */
