@@ -38,21 +38,32 @@ class NullSink : public trace::Observer
     }
 };
 
+/** No-op datapath sink: drops the records the bus routes to it. */
+class NullDatapath final : public trace::DatapathSink
+{
+  public:
+    void coIterate(std::size_t, std::size_t, std::size_t,
+                   std::uint64_t) override {}
+    void coordScan(int, std::size_t, std::size_t) override {}
+    void compute(char, std::uint64_t, std::size_t) override {}
+    void tensorAccess(int, std::size_t) override {}
+};
+
 double
 timeRun(const ir::EinsumPlan& plan, unsigned threads, int iters)
 {
     // Model hooks with a default classifier and no-op sinks: the
     // executor shards only when hooks are set. The sinks drop the
-    // datapath records; NullSink has no state, so the shards can all
-    // share one.
+    // datapath records; NullDatapath has no state, so the shards can
+    // all share one.
     const trace::RecordClassifier classifier;
-    NullSink datapath;
+    NullDatapath datapath;
     exec::ExecOptions opts;
     opts.threads = threads;
     opts.modelHooks.classifier = &classifier;
     opts.modelHooks.coordinatorSink = &datapath;
     opts.modelHooks.makeShardSinks = [&datapath](std::size_t shards) {
-        return std::vector<trace::Observer*>(shards, &datapath);
+        return std::vector<trace::DatapathSink*>(shards, &datapath);
     };
     return bench::bestSeconds(
         [&]() {

@@ -9,13 +9,24 @@
  * across thread counts (asserted per row — a violation aborts the
  * bench).
  *
+ * A second table times the storage tier alone, per Table 1
+ * accelerator: each Einsum's storage-tier stream is recorded from a
+ * serial run, then replayed into a fresh model's StorageReplay and
+ * finalized (model construction untimed). That replay is the serial
+ * floor of a sharded run's coordinator.
+ *
  * Emits bench::jsonRow lines keyed by (accel, dataset, mode=accum)
- * with `wall_ms` for the CI perf differ.
+ * and (accel, dataset, tier=storage) with `wall_ms` for the CI perf
+ * differ.
  */
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "common.hpp"
+#include "exec/executor.hpp"
+#include "model/model.hpp"
 
 namespace
 {
@@ -79,6 +90,75 @@ runOne(const std::string& accel_name, compiler::Specification spec,
     table.addSeparator();
 }
 
+/** Copies of the storage-tier batches one Einsum delivered. */
+class StreamCopy : public trace::Observer
+{
+  public:
+    std::vector<trace::EventBatch> batches;
+
+    void
+    onEventBatch(const trace::EventBatch& batch) override
+    {
+        batches.push_back(batch);
+    }
+};
+
+/**
+ * Best-of-@p reps time to replay every Einsum's recorded storage-tier
+ * stream into a fresh model and finalize it. The streams borrow the
+ * cached plans' inputs, which plans() keeps alive.
+ */
+double
+storageReplayMs(compiler::CompiledModel& model, const compiler::Workload& w,
+                int reps)
+{
+    const std::vector<ir::EinsumPlan>& plans = model.plans(w);
+    std::vector<StreamCopy> streams(plans.size());
+    std::vector<exec::ExecutionStats> stats;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        model::EinsumModel em = model.einsumModel(i, plans[i]);
+        exec::ExecOptions eo;
+        eo.modelHooks = em.hooks();
+        exec::Executor ex(plans[i], streams[i],
+                          exec::Semiring::arithmetic(), eo);
+        (void)ex.run();
+        stats.push_back(ex.stats());
+    }
+    double best = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < reps; ++r) {
+        double ms = 0;
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            model::EinsumModel em = model.einsumModel(i, plans[i]);
+            trace::Observer& sink = em.storageSink();
+            const auto t0 = std::chrono::steady_clock::now();
+            for (const trace::EventBatch& b : streams[i].batches)
+                sink.onEventBatch(b);
+            (void)em.finalize(stats[i]);
+            ms += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+        }
+        best = std::min(best, ms);
+    }
+    return best;
+}
+
+void
+storageRow(const std::string& accel_name, compiler::Specification spec,
+           const std::string& dataset, const bench::SpmspmInput& in,
+           TextTable& table)
+{
+    auto model = compiler::compile(std::move(spec));
+    const compiler::Workload w = bench::workloadOf(in);
+    const double wall_ms = storageReplayMs(model, w, 5);
+    bench::jsonRow(std::cout, "micro_model",
+                   {{"accel", accel_name},
+                    {"dataset", dataset},
+                    {"tier", "storage"}},
+                   {}, 1, wall_ms);
+    table.addRow({accel_name, dataset, TextTable::num(wall_ms, 2)});
+}
+
 } // namespace
 
 int
@@ -92,13 +172,23 @@ main()
                     "byte-identical records asserted per row)");
     table.setHeader({"accel", "dataset", "threads", "ms", "speedup"});
 
+    TextTable storage("Storage tier alone: recorded storage-tier "
+                      "stream replayed into a fresh model (best of 5)");
+    storage.setHeader({"accel", "dataset", "ms"});
+
     for (const std::string& key :
          {std::string("p2"), std::string("wi")}) {
         const bench::SpmspmInput in = bench::loadSpmspm(key, scale);
         runOne("gamma", accel::gamma({}), key, in, table);
         runOne("extensor", accel::extensor({}), key, in, table);
+        storageRow("gamma", accel::gamma({}), key, in, storage);
+        storageRow("outerspace", accel::outerSpace({}), key, in, storage);
+        storageRow("extensor", accel::extensor({}), key, in, storage);
+        storageRow("sigma", accel::sigma({}), key, in, storage);
     }
 
     table.print();
+    std::cout << "\n";
+    storage.print();
     return 0;
 }

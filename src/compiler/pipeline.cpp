@@ -601,9 +601,7 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
         // accumulator as the bus produces it (inside the workers, on
         // sharded runs); only the order-dependent records reach the
         // storage tier, and extra observers get that same stream.
-        model::EinsumModel einsum_model(plan, *topologies_[i],
-                                        *bindings_[i], spec_.formats,
-                                        onChip_[i]);
+        model::EinsumModel einsum_model = einsumModel(i, plan);
         eo.modelHooks = einsum_model.hooks();
         trace::FanoutObserver fan;
         trace::Observer* sink = &einsum_model.storageSink();
@@ -673,6 +671,15 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
             r, spec_.architecture.topology(r.topologyName));
     }
     return out;
+}
+
+model::EinsumModel
+CompiledModel::einsumModel(std::size_t einsum,
+                           const ir::EinsumPlan& plan) const
+{
+    return model::EinsumModel(plan, *topologies_.at(einsum),
+                              *bindings_.at(einsum), spec_.formats,
+                              onChip_.at(einsum));
 }
 
 const std::vector<ir::EinsumPlan>&

@@ -44,6 +44,11 @@
 #include "util/diagnostic.hpp"
 #include "util/thread_pool.hpp"
 
+namespace teaal::model
+{
+class EinsumModel;
+} // namespace teaal::model
+
 namespace teaal::compiler
 {
 
@@ -435,6 +440,17 @@ class CompiledModel
      * called.
      */
     const std::vector<ir::EinsumPlan>& plans(const Workload& workload);
+
+    /**
+     * A fresh performance model of Einsum @p einsum over @p plan (the
+     * Einsum's entry of plans()), as run() builds one for every
+     * Einsum it executes: the topology, binding, format and on-chip
+     * tables resolved at compile time. Benches replay a recorded
+     * storage-tier stream into its storageSink(). Include
+     * model/model.hpp to use it.
+     */
+    model::EinsumModel einsumModel(std::size_t einsum,
+                                   const ir::EinsumPlan& plan) const;
 
     /**
      * Algorithmic-minimum DRAM traffic: each input read once, the

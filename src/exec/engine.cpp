@@ -1334,17 +1334,12 @@ Engine::leafCompute(std::uint64_t pe)
         materializeOutputPath(pe);
     TEAAL_ASSERT(leafFiber_ != nullptr, "output leaf not bound");
     ft::Payload& leaf = leafFiber_->payloadAt(leafPos_);
-    bool shard_fresh = false;
-    if (kind == einsum::OpKind::Take) {
-        leaf.setValue(value); // idempotent copy
-    } else if (leafFresh_) {
-        leaf.setValue(value);
-        leafFresh_ = false;
-        // Reduction sharding: an engine-locally fresh write may be a
-        // reduce into a leaf another shard already wrote; mark it so
-        // the coordinator's in-order replay can tell (and carry the
-        // expression-add count the fixup needs).
-        shard_fresh = markReduce_;
+    // The first write of any kind consumes the leaf's freshness; it
+    // rides on the write record as the first-write bit.
+    const bool first = leafFresh_;
+    leafFresh_ = false;
+    if (kind == einsum::OpKind::Take || first) {
+        leaf.setValue(value); // take: idempotent copy
     } else {
         leaf.setValue(sr_.add(leaf.value(), value));
         ++adds;
@@ -1357,9 +1352,13 @@ Engine::leafCompute(std::uint64_t pe)
         bus_.compute('m', pe, muls);
     if (adds > 0)
         bus_.compute('a', pe, adds);
+    // Reduction sharding: an engine-locally first write may be a
+    // reduce into a leaf another shard already wrote; the
+    // coordinator's in-order fixup tells, from the bit and the
+    // expression-add count carried in `a`.
     bus_.outputWrite(plan_.output.name, out_.numRanks() - 1, leafCoord_,
-                     leafHash_, shard_fresh, true, pe,
-                     shard_fresh ? adds : 0);
+                     leafHash_, first, true, pe,
+                     markReduce_ && first ? adds : 0);
 }
 
 } // namespace teaal::exec

@@ -49,17 +49,19 @@ namespace teaal::exec
 
 /**
  * The performance model's hooks into execution (model::EinsumModel::
- * hooks()). When set, every trace bus of the run routes
- * order-independent datapath records to a model accumulator as they
- * are produced, and only the order-dependent records reach the
- * observer: the serial engine's bus, and the coordinator's on the
- * sharded path (live-executed slices, the top-walk summary), route to
- * @ref coordinatorSink; each worker's capture bus routes to its
- * slice's sink, so the model's datapath work runs inside the shards
- * and only the stateful records are captured and replayed serially.
- * Results are the same at every thread count: every datapath
- * quantity is an exact (dyadic-rational) sum, and the event/batch
- * diagnostics are accounted as if unfiltered.
+ * hooks()). When set, every trace bus of the run hands
+ * order-independent datapath records to a model accumulator where
+ * they are produced, through typed trace::DatapathSink calls that
+ * build no Event, and only the order-dependent records reach the
+ * observer. The serial engine's bus, and the coordinator's on the
+ * sharded path (live-executed slices, the top-walk summary, the reduce
+ * adds the replay fixup restores), call @ref coordinatorSink; each
+ * worker's capture bus calls its slice's sink, so the model's
+ * datapath work runs inside the shards and only the stateful records
+ * are captured and replayed serially. Results are the same at every
+ * thread count: every datapath quantity is an exact (dyadic-rational)
+ * sum, and the event/batch diagnostics are accounted as if
+ * unfiltered.
  */
 struct ModelHooks
 {
@@ -70,11 +72,11 @@ struct ModelHooks
     /// Create the per-shard datapath sinks, [0, shards). Called once
     /// on the coordinating thread before workers start; sink s is
     /// then fed only by the thread executing shard s.
-    std::function<std::vector<trace::Observer*>(std::size_t shards)>
+    std::function<std::vector<trace::DatapathSink*>(std::size_t shards)>
         makeShardSinks;
 
     /// Sink for datapath records the coordinator emits itself.
-    trace::Observer* coordinatorSink = nullptr;
+    trace::DatapathSink* coordinatorSink = nullptr;
 
     bool
     enabled() const
@@ -379,11 +381,13 @@ class Engine
     void finishShard();
 
     /**
-     * Reduction sharding: mark leaf output writes that were fresh *in
-     * this engine* (flagA, with the expression-add count riding in
-     * the event's `a` field). The coordinator's replay fixup turns
-     * every marked write whose leaf an earlier shard already wrote
-     * back into the reduce-add form the serial engine emitted.
+     * Reduction sharding: leaf output writes that are fresh *in this
+     * engine* (flagA, the first-write bit) carry their expression-add
+     * count in the event's `a` field. The coordinator's replay fixup
+     * turns every such write whose leaf an earlier shard already
+     * wrote back into the reduce-add form the serial engine emitted
+     * (clearing the bit), and keeps the bit on the run's true first
+     * writes.
      */
     void setReduceCapture(bool on) { markReduce_ = on; }
 
@@ -413,7 +417,7 @@ class Engine
      */
     void
     setTraceFilter(const trace::RecordClassifier* cls,
-                   trace::Observer* sink)
+                   trace::DatapathSink* sink)
     {
         bus_.setFilter(cls, sink);
     }

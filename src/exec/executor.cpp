@@ -104,19 +104,23 @@ struct FixupState
  *
  * 2. Reduce-add restoration (reduction sharding): each slice engine
  *    held a *private* partial output, so a leaf another slice already
- *    wrote looks fresh to it — its capture carries flagA=1 and the
- *    expression-add count in `a` (Engine::setReduceCapture). The
- *    serial engine instead reduced into the existing leaf: one extra
- *    semiring add, folded into the leaf's compute('a') record (or a
- *    compute('a', pe, 1) emitted before the write, when the
- *    expression itself had no adds). Compute records are datapath
+ *    wrote looks fresh to it — its capture carries the first-write
+ *    bit (flagA=1) and the expression-add count in `a`
+ *    (Engine::setReduceCapture). The serial engine instead reduced
+ *    into the existing leaf: one extra semiring add, folded into the
+ *    leaf's compute('a') record (or a compute('a', pe, 1) emitted
+ *    before the write, when the expression itself had no adds), and
+ *    its write was no first write. Compute records are datapath
  *    records, which the capture filter already sent to the slice's
  *    accumulator with the shard-local count, so each restored add is
- *    delivered to @p datapath_sink as a compute('a', pe, 1) instead,
+ *    handed to @p datapath_sink as a compute('a', pe, 1) call instead,
  *    and the logical stream accounting (logicalWalkEnds,
  *    logicalEvents) absorbs the record the serial run emitted in the
  *    no-adds case, so replayed flush points stay serial-identical.
- *    Marked writes are normalized to the serial form (flagA=0, a=0).
+ *    Marked writes are normalized to the serial form: a=0, and the
+ *    bit stays set exactly on the run's first write of the leaf.
+ *    (Disjoint slices own disjoint leaves, so there a slice's first
+ *    write is the run's and the bit needs no fixup.)
  *
  * Chunks are rewritten in place: a write cursor trails the read
  * cursor, so drops cost nothing and a kept record costs at most one
@@ -137,14 +141,14 @@ struct FixupState
  */
 std::size_t
 fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
-               trace::Observer& datapath_sink)
+               trace::DatapathSink& datapath_sink)
 {
     using trace::Event;
     std::ptrdiff_t dlog = 0;     // logged-index shift (drops)
     std::ptrdiff_t dlogical = 0; // logical-index shift
     std::size_t we = 0;
     std::size_t base = 0; // global *input* index of the chunk start
-    trace::EventBatch restored;
+    std::size_t restored = 0;
 
     const auto shift = [](std::size_t& idx, std::ptrdiff_t d) {
         idx = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(idx) +
@@ -176,16 +180,12 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
                     if (!fs.reducedLeaves.insert(e.key)) {
                         // An earlier slice wrote this leaf: the serial
                         // engine reduced — restore the missing add.
-                        restored.events.emplace_back();
-                        Event& c = restored.events.back();
-                        c.kind = Event::Kind::Compute;
-                        c.op = 'a';
-                        c.pe = e.pe;
-                        c.a = 1;
+                        datapath_sink.compute('a', e.pe, 1);
+                        ++restored;
                         if (e.a == 0)
                             ++dlogical; // serial had one more record
+                        e.flagA = false;
                     }
-                    e.flagA = false;
                     e.a = 0;
                 }
             }
@@ -199,9 +199,7 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
     for (; we < log.walkEnds.size(); ++we)
         shift_walk_end(we);
     shift(log.logicalEvents, dlogical);
-    if (!restored.empty())
-        datapath_sink.onEventBatch(restored);
-    return restored.size();
+    return restored;
 }
 
 } // namespace
@@ -263,7 +261,7 @@ Executor::runSharded(unsigned threads)
         weightedBounds(tw, init_shards);
     const std::size_t sink_cap = std::min(n, kSliceCap);
 
-    const std::vector<trace::Observer*> shard_sinks =
+    const std::vector<trace::DatapathSink*> shard_sinks =
         hooks.makeShardSinks(sink_cap);
 
     /**
@@ -532,7 +530,7 @@ Executor::runSharded(unsigned threads)
                     if (abort)
                         break;
                 }
-                trace::Observer& fixup_sink = *hooks.coordinatorSink;
+                trace::DatapathSink& fixup_sink = *hooks.coordinatorSink;
                 if (s->spillw != nullptr && s->spillw->frames() > 0) {
                     // Spilled slice: stream the on-disk frames back
                     // first (they are a prefix of the slice's stream,

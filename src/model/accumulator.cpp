@@ -10,13 +10,6 @@ ShardAccumulator::ShardAccumulator(const ModelTables& t)
 }
 
 void
-ShardAccumulator::onEventBatch(const trace::EventBatch& batch)
-{
-    for (const trace::Event& e : batch.events)
-        consume(e);
-}
-
-void
 ShardAccumulator::coIterate(std::size_t steps, std::size_t matches,
                             std::size_t drivers, std::uint64_t pe)
 {
@@ -29,19 +22,9 @@ ShardAccumulator::coIterate(std::size_t steps, std::size_t matches,
     if (drivers >= 2 && !t_.unionCombine && !t_.isectName.empty()) {
         isectSteps_.add(static_cast<double>(steps));
         isectMatches_.add(static_cast<double>(matches));
-        const double skips = static_cast<double>(steps - matches);
-        double cycles;
-        if (t_.isectType == "skip-ahead") {
-            // Hegde et al.'s unit fast-forwards through non-matching
-            // runs at ~2 elements/cycle.
-            cycles = static_cast<double>(matches) + skips / 2.0;
-        } else if (t_.isectType == "leader-follower") {
-            // Only the leader's elements are examined.
-            cycles = static_cast<double>(steps) / 2.0 +
-                     static_cast<double>(matches) / 2.0;
-        } else { // two-finger
-            cycles = static_cast<double>(steps);
-        }
+        const double cycles =
+            isectCycles(t_.isectType, static_cast<double>(steps),
+                        static_cast<double>(matches));
         isectCycles_.add(cycles);
         isectPerPe_[peSlot(t_.isectInstances, pe)] += cycles;
     }

@@ -23,56 +23,26 @@
 
 #include "model/tables.hpp"
 #include "trace/batch.hpp"
-#include "trace/observer.hpp"
 
 namespace teaal::model
 {
 
 /** Order-independent datapath counters for one shard (or one serial
- *  run). Also a trace::Observer so a filtering BatchBus can feed it
- *  coalesced datapath batches directly. */
-class ShardAccumulator : public trace::Observer
+ *  run). A trace::DatapathSink, so a filtering BatchBus calls it
+ *  directly from the record's producer. */
+class ShardAccumulator final : public trace::DatapathSink
 {
   public:
     explicit ShardAccumulator(const ModelTables& t);
 
-    /** Consume a batch of datapath-class records (the bus filter's
-     *  side channel). Stateful-class records are ignored — they
-     *  belong to the replay tier. */
-    void onEventBatch(const trace::EventBatch& batch) override;
-
-    /** Per-record entry. */
-    void
-    consume(const trace::Event& e)
-    {
-        using trace::Event;
-        switch (e.kind) {
-          case Event::Kind::CoIterate:
-            coIterate(e.a, e.b, e.c, e.pe);
-            break;
-          case Event::Kind::CoordScan:
-            coordScan(e.input, e.level, e.a);
-            break;
-          case Event::Kind::Compute:
-            compute(e.op, e.pe, e.a);
-            break;
-          case Event::Kind::TensorAccess:
-            tensorAccess(e.input, e.level);
-            break;
-          case Event::Kind::LoopEnter:
-            break; // order-free LoopEnter drains nothing
-          default:
-            break; // stateful kinds: not ours
-        }
-    }
-
     void coIterate(std::size_t steps, std::size_t matches,
-                   std::size_t drivers, std::uint64_t pe);
-    void coordScan(int input, std::size_t level, std::size_t count);
-    void compute(char op, std::uint64_t pe, std::size_t count);
+                   std::size_t drivers, std::uint64_t pe) override;
+    void coordScan(int input, std::size_t level,
+                   std::size_t count) override;
+    void compute(char op, std::uint64_t pe, std::size_t count) override;
     /** The order-free TensorAccess cases: no covering unit (streamed)
      *  or absorbed by an eager fill above (cache port charge only). */
-    void tensorAccess(int input, std::size_t level);
+    void tensorAccess(int input, std::size_t level) override;
 
     /** Fold @p o into this accumulator (exact element-wise sums). */
     void merge(const ShardAccumulator& o);

@@ -437,11 +437,8 @@ estimateEinsum(const SymbolicPlan& sp, const ModelTables& tables)
                 const double ma = walkRuns * mEff;
                 isectSteps += st;
                 isectMatches += ma;
-                double cycles = st;
-                if (tables.isectType == "skip-ahead")
-                    cycles = ma + (st - ma) / 2.0;
-                else if (tables.isectType == "leader-follower")
-                    cycles = st / 2.0 + ma / 2.0;
+                const double cycles =
+                    model::isectCycles(tables.isectType, st, ma);
                 isectCycles += cycles;
                 isectLoad += cycles /
                              std::max(1.0, std::min(capIsect, spatialPes));

@@ -43,7 +43,7 @@ Buffet::read(std::uint64_t key, double bytes)
 {
     counters_.accessBytes += bytes;
     const auto [entry, inserted] =
-        resident_.tryEmplace(key, Entry{bytes, false});
+        resident_.tryEmplace(key, Entry{bytes, false, false});
     (void)entry;
     if (!inserted) {
         ++counters_.hits;
@@ -56,38 +56,55 @@ Buffet::read(std::uint64_t key, double bytes)
 }
 
 bool
-Buffet::write(std::uint64_t key, double bytes)
+Buffet::write(std::uint64_t key, double bytes, bool first)
 {
     counters_.accessBytes += bytes;
-    const auto [entry, inserted] =
-        resident_.tryEmplace(key, Entry{bytes, true});
-    bool revisit = false;
-    if (inserted) {
-        resident_bytes_ += bytes;
-        revisit = everDrained_.contains(key);
-        if (revisit) {
-            // Partial output re-fetched from the parent level.
-            counters_.fillBytes += bytes;
-            ++counters_.misses;
+    if (!drained_) {
+        // Nothing written has left yet, so a later write hits.
+        if (first) {
+            untrackedWrites_ = true;
+            untrackedWriteBytes_ += bytes;
+            resident_bytes_ += bytes;
+        } else {
+            ++counters_.hits;
         }
-    } else {
+        return false;
+    }
+    const auto [entry, inserted] =
+        resident_.tryEmplace(key, Entry{bytes, true, !first});
+    if (!inserted) {
         entry->written = true;
         ++counters_.hits;
+        return false;
     }
-    return revisit;
+    resident_bytes_ += bytes;
+    if (first)
+        return false;
+    // Written before and not resident: drained, so this re-fetches
+    // the partial output from the parent level.
+    counters_.fillBytes += bytes;
+    ++counters_.misses;
+    return true;
 }
 
 Buffet::DrainResult
 Buffet::evictAll()
 {
     DrainResult result;
+    if (untrackedWrites_) {
+        counters_.drainBytes += untrackedWriteBytes_;
+        result.firstBytes += untrackedWriteBytes_;
+        drained_ = true;
+        untrackedWrites_ = false;
+        untrackedWriteBytes_ = 0;
+    }
     for (const auto& e : resident_.entries()) {
         if (e.value.written) {
             counters_.drainBytes += e.value.bytes;
-            if (everDrained_.insert(e.key))
-                result.firstBytes += e.value.bytes;
-            else
+            if (e.value.revisit)
                 result.againBytes += e.value.bytes;
+            else
+                result.firstBytes += e.value.bytes;
         }
     }
     resident_.clear();
@@ -99,8 +116,10 @@ void
 Buffet::reset()
 {
     resident_.clear();
-    everDrained_.clear();
     resident_bytes_ = 0;
+    drained_ = false;
+    untrackedWrites_ = false;
+    untrackedWriteBytes_ = 0;
 }
 
 } // namespace teaal::model

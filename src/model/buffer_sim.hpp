@@ -72,7 +72,16 @@ class LruCache
  * Explicitly managed buffet. Objects are identified by 64-bit keys
  * (payload addresses or output path hashes). All resident objects are
  * dropped (reads) or drained (writes) when the eviction context
- * advances.
+ * advances. A buffet holds one tensor, so a key is either read or
+ * written, never both.
+ *
+ * Writes carry the first-write bit of the output write record, which
+ * replaces a set of every key ever drained: only evictAll removes
+ * entries, and it drains every written one, so a later write whose
+ * key is not resident is exactly a revisit of a drained partial. Until
+ * some written entry has drained, a later write is always a hit, and
+ * written entries are kept as running byte totals instead of table
+ * entries.
  */
 class Buffet
 {
@@ -86,13 +95,14 @@ class Buffet
     bool read(std::uint64_t key, double bytes);
 
     /**
-     * Write access; allocates on first touch. If the object was
-     * drained in an earlier residency, it is re-filled first (partial
-     * output re-read; the caller charges the parent).
-     * @return true if this key was drained before (a partial-output
-     *         revisit).
+     * Write access. @p first marks the first write of @p key in the
+     * run, which allocates it. A later write hits while the key is
+     * resident; otherwise the key was drained in an earlier residency
+     * and is re-filled first (partial output re-read; the caller
+     * charges the parent).
+     * @return true for a partial-output revisit.
      */
-    bool write(std::uint64_t key, double bytes);
+    bool write(std::uint64_t key, double bytes, bool first);
 
     /** Bytes drained by one eviction, split by first-time vs. re-drain
      *  (re-drains are partial-output traffic). */
@@ -120,6 +130,8 @@ class Buffet
     {
         double bytes;
         bool written;
+        /// Allocated by a revisit: its drain is a re-drain.
+        bool revisit;
     };
 
     /// Flat tables: one buffet access per trace event made the node
@@ -129,8 +141,15 @@ class Buffet
     /// deterministic — all byte quantities are multiples of 1/8, so
     /// accumulation order cannot perturb the sums either.
     util::FlatMap64<Entry> resident_;
-    util::FlatSet64 everDrained_;
     double resident_bytes_ = 0;
+
+    /// Whether some written entry has drained. Until then written
+    /// keys stay out of resident_: they are all resident and all
+    /// first drains, so only their total bytes are kept.
+    bool drained_ = false;
+    bool untrackedWrites_ = false;
+    double untrackedWriteBytes_ = 0;
+
     BufferCounters counters_;
 };
 

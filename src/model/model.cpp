@@ -23,7 +23,7 @@ EinsumModel::hooks()
     // stable.
     h.makeShardSinks = [this](std::size_t shards) {
         shardAccums_.clear();
-        std::vector<trace::Observer*> sinks;
+        std::vector<trace::DatapathSink*> sinks;
         sinks.reserve(shards);
         for (std::size_t s = 0; s < shards; ++s) {
             shardAccums_.emplace_back(tables_);

@@ -11,9 +11,10 @@
  *                            datapath counters (compute, sequencer,
  *                            intersection, coordinate scans, streamed
  *                            accesses, per-PE loads). Mergeable;
- *                            fed off the trace bus's filter, one per
- *                            shard inside the workers on sharded
- *                            runs.
+ *                            a trace::DatapathSink the trace bus's
+ *                            filter calls as records are produced,
+ *                            one per shard inside the workers on
+ *                            sharded runs.
  *   model/storage_replay.hpp StorageReplay — order-dependent storage
  *                            simulation (buffets, shared LRU caches,
  *                            DRAM fills/drains, partial outputs).

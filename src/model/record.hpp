@@ -32,6 +32,8 @@ namespace teaal::model
  * hash map on every operation the model performs — O(log n) find,
  * linear max/merge — and its iteration order is deterministic by
  * construction (no hash-order dependence anywhere downstream).
+ * Consecutive updates mostly name one PE, so the last slot found is
+ * checked before searching.
  */
 class PeLoadVector
 {
@@ -40,10 +42,13 @@ class PeLoadVector
     double&
     operator[](std::uint64_t pe)
     {
-        const auto it = lowerBound(pe);
-        if (it != v_.end() && it->first == pe)
-            return it->second;
-        return v_.insert(it, {pe, 0.0})->second;
+        if (last_ < v_.size() && v_[last_].first == pe)
+            return v_[last_].second;
+        auto it = lowerBound(pe);
+        if (it == v_.end() || it->first != pe)
+            it = v_.insert(it, {pe, 0.0});
+        last_ = static_cast<std::size_t>(it - v_.begin());
+        return it->second;
     }
 
     void add(std::uint64_t pe, double load) { (*this)[pe] += load; }
@@ -84,6 +89,8 @@ class PeLoadVector
 
     /// Sorted by PE id.
     std::vector<std::pair<std::uint64_t, double>> v_;
+    /// Index of the last slot operator[] returned.
+    std::size_t last_ = 0;
 };
 
 /** Action counts of one component during one Einsum. */

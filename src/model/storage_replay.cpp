@@ -192,7 +192,8 @@ StorageReplay::tensorAccess(int input, std::size_t level, const void* key,
 }
 
 void
-StorageReplay::outputWrite(std::uint64_t path_key, bool at_leaf)
+StorageReplay::outputWrite(std::uint64_t path_key, bool first,
+                           bool at_leaf)
 {
     if (!at_leaf)
         return;
@@ -201,7 +202,7 @@ StorageReplay::outputWrite(std::uint64_t path_key, bool at_leaf)
         const std::size_t u = static_cast<std::size_t>(t_.outUnit);
         UnitState& state = units_[u];
         const double resident_before = state.buffet.residentBytes();
-        const bool revisit = state.buffet.write(path_key, bytes);
+        const bool revisit = state.buffet.write(path_key, bytes, first);
         // Repeat writes to a resident partial accumulate in
         // registers/adder trees; the buffer port is paid on
         // allocation (and again at drain).
@@ -213,12 +214,10 @@ StorageReplay::outputWrite(std::uint64_t path_key, bool at_leaf)
         }
         return;
     }
-    // Streaming output: every write goes to memory; revisits are
-    // partial-output read-modify-writes.
+    // Streaming output: every write goes to memory; writes after the
+    // first are partial-output read-modify-writes.
     const double dram_bytes =
         t_.outLineBytes > 0 ? t_.outLineBytes : bytes;
-    auto [count, first] = outWritten_.tryEmplace(path_key, 0);
-    ++*count;
     if (first) {
         chargeDramTo(outTrafficOrNull_, dram_bytes, true, false);
     } else {

@@ -10,7 +10,9 @@
  * order (live on the serial path, through the coordinator's in-order
  * capture replay on the sharded one). Everything order-free lives in
  * the ShardAccumulator tier instead (model/accumulator.hpp), which
- * the bus's filter feeds as records are produced.
+ * the bus's filter feeds as records are produced. Leaf output writes
+ * carry the run's first-write bit (trace::Event::flagA), so partial
+ * outputs are charged without a table of every leaf written.
  */
 #pragma once
 
@@ -23,7 +25,6 @@
 #include "model/buffer_sim.hpp"
 #include "model/tables.hpp"
 #include "trace/batch.hpp"
-#include "util/flat_hash.hpp"
 
 namespace teaal::storage
 {
@@ -58,7 +59,7 @@ class StorageReplay : public trace::Observer
                          e.a);
             break;
           case Event::Kind::OutputWrite:
-            outputWrite(e.key, e.flagB);
+            outputWrite(e.key, e.flagA, e.flagB);
             break;
           case Event::Kind::Swizzle:
             swizzle(e.a, e.b, e.flagA);
@@ -82,8 +83,10 @@ class StorageReplay : public trace::Observer
                       std::size_t pos);
 
     /** Output leaf write: buffet partial accounting or streaming
-     *  read-modify-write. Non-leaf writes are ignored. */
-    void outputWrite(std::uint64_t path_key, bool at_leaf);
+     *  read-modify-write, decided by the first-write bit @p first
+     *  (Event::flagA) with no per-leaf table. Non-leaf writes are
+     *  ignored. */
+    void outputWrite(std::uint64_t path_key, bool first, bool at_leaf);
 
     void swizzle(std::size_t elements, std::size_t ways, bool online);
 
@@ -138,9 +141,6 @@ class StorageReplay : public trace::Observer
     Slot mergeElems_;
     Slot mergeSwizzles_;
     Slot seqSwizzleElems_;
-
-    // Streaming-output partial accounting.
-    util::FlatMap64<int> outWritten_;
 
     // Subtree footprint memoization (bytes incl. any transaction
     // granularity penalty for interleaved layouts).

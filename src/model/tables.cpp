@@ -39,6 +39,16 @@ resolveRankLevel(const std::vector<ft::RankInfo>& ranks,
 
 } // namespace
 
+IsectType
+isectTypeOf(const std::string& type)
+{
+    if (type == "skip-ahead")
+        return IsectType::SkipAhead;
+    if (type == "leader-follower")
+        return IsectType::LeaderFollower;
+    return IsectType::TwoFinger;
+}
+
 ModelTables
 ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
                    const binding::EinsumBinding& eb,
@@ -75,17 +85,12 @@ ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
                 t.seqName = comp->name;
             break;
           case arch::ComponentClass::Intersection:
-            if (t.isectName.empty()) {
+            if (t.isectName.empty())
                 t.isectName = comp->name;
-                t.isectType = comp->attrString("type", "two-finger");
-            }
             break;
           case arch::ComponentClass::Merger:
-            if (t.mergerName.empty()) {
+            if (t.mergerName.empty())
                 t.mergerName = comp->name;
-                t.mergerRadix =
-                    std::max(2L, comp->attrLong("comparator_radix", 2));
-            }
             break;
           case arch::ComponentClass::Compute: {
             const std::string type = comp->attrString("type", "mul");
@@ -121,6 +126,18 @@ ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
                 t.seqName = cb.component;
             record.nonStorageComponents.insert(cb.component);
         }
+    }
+
+    // Unit parameters come from the component the op landed on.
+    if (const arch::Component* isect =
+            topo.findComponent(t.isectName, nullptr)) {
+        t.isectType =
+            isectTypeOf(isect->attrString("type", "two-finger"));
+    }
+    if (const arch::Component* merger =
+            topo.findComponent(t.mergerName, nullptr)) {
+        t.mergerRadix =
+            std::max(2L, merger->attrLong("comparator_radix", 2));
     }
 
     // Pre-create component records with instance counts.

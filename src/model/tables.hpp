@@ -87,6 +87,41 @@ peSlot(long instances, std::uint64_t pe)
     return splitMix64(state) % n;
 }
 
+/** Algorithm of an intersection unit (its `type` attribute). */
+enum class IsectType : std::uint8_t
+{
+    TwoFinger,
+    LeaderFollower,
+    SkipAhead,
+};
+
+/** Parse an intersection `type` attribute; unknown names model the
+ *  two-finger unit. */
+IsectType isectTypeOf(const std::string& type);
+
+/**
+ * Cycles an intersection unit of @p type spends on a walk of @p steps
+ * element advances producing @p matches coordinates. Both model tiers
+ * charge it: the trace tier per CoIterate record, the analytic tier
+ * per estimated walk.
+ */
+inline double
+isectCycles(IsectType type, double steps, double matches)
+{
+    switch (type) {
+      case IsectType::SkipAhead:
+        // Hegde et al.'s unit fast-forwards through non-matching
+        // runs at ~2 elements/cycle.
+        return matches + (steps - matches) / 2.0;
+      case IsectType::LeaderFollower:
+        // Only the leader's elements are examined.
+        return steps / 2.0 + matches / 2.0;
+      case IsectType::TwoFinger:
+        break;
+    }
+    return steps;
+}
+
 /// DRAM transaction granularity paid per element when chasing
 /// interleaved (array-of-structs / linked-list) layouts; partial
 /// write-combining makes this less than a full 64B line. Shared by
@@ -102,11 +137,12 @@ struct ModelTables
     const fmt::FormatSpec* formats = nullptr;
     std::set<std::string> onChip;
 
-    // Resolved functional components (empty name = absent).
+    // Resolved functional components (empty name = absent). The
+    // intersection type and merger radix are the bound unit's.
     std::string dramName;
     std::string seqName;
     std::string isectName;
-    std::string isectType;
+    IsectType isectType = IsectType::TwoFinger;
     std::string mergerName;
     long mergerRadix = 2;
     std::string mulName;

@@ -4,19 +4,8 @@ namespace teaal::trace
 {
 
 void
-BatchBus::flushSide()
-{
-    if (sideBatch_.events.empty())
-        return;
-    if (sideSink_ != nullptr)
-        sideSink_->onEventBatch(sideBatch_);
-    sideBatch_.events.clear();
-}
-
-void
 BatchBus::flush()
 {
-    flushSide();
     if (log_ != nullptr) {
         // Capture mode: nothing to deliver, but stamp the logical
         // stream length so the replay can account for the records
@@ -45,7 +34,7 @@ BatchBus::replay(const TraceLog& log)
 {
     // The log holds only the records the capture kept; the logical
     // stream (datapath records included — already consumed, in-shard,
-    // by the capture filter's accumulator sink) is reconstructed
+    // by the capture filter's datapath sink) is reconstructed
     // arithmetically from logicalWalkEnds/logicalEvents, so events_,
     // pendingLogical_, and therefore every flush decision and
     // batchCount() land exactly where the serial bus put them.

@@ -13,11 +13,15 @@
  * sequence record by record; batch-aware observers override it and
  * skip the per-event dispatch entirely.
  *
- * With a RecordClassifier set (every pipeline run), the bus also
- * routes each record to its performance-model tier as it is produced:
- * order-independent datapath records go to an accumulator sink, and
- * only the order-dependent remainder is delivered (or captured, on a
- * shard's bus, for the coordinator's in-order replay).
+ * With a RecordClassifier and a DatapathSink set (every pipeline run),
+ * the bus routes each record to its performance-model tier where it is
+ * produced. An order-independent datapath record never becomes an
+ * Event: the producer calls the sink's typed method directly, and an
+ * order-free LoopEnter (one no buffet drains on) is only counted. Only
+ * the order-dependent remainder is built as Events and delivered (or
+ * captured, on a shard's bus, for the coordinator's in-order replay).
+ * Either way the bus's event and batch accounting is that of the
+ * unfiltered stream.
  */
 #pragma once
 
@@ -58,8 +62,12 @@ struct alignas(64) Event
     };
 
     Kind kind = Kind::LoopEnter;
-    char op = 0;             // Compute: 'm' or 'a'
-    bool flagA = false;      // OutputWrite: inserted; Swizzle: online
+    char op = 0; // Compute: 'm' or 'a'
+    /// OutputWrite: inserted — an interior write created the node; a
+    /// leaf write is the first write of that leaf in the run (the
+    /// storage tier charges first writes without any per-leaf
+    /// lookup). Swizzle: online.
+    bool flagA = false;
     bool flagB = false;      // OutputWrite: at_leaf
     std::int32_t input = -1; // CoordScan/TensorAccess input slot
     std::uint32_t loop = 0;  // LoopEnter/CoIterate loop index
@@ -106,6 +114,34 @@ struct EventBatch
 };
 
 /**
+ * Typed receiver of the order-independent datapath records (the model
+ * split's accumulator tier). A filtering BatchBus calls it from the
+ * producer, on the emitting thread, in place of building an Event, so
+ * a datapath record costs one virtual call and no copy. Each method
+ * takes the fields that tier consumes.
+ */
+class DatapathSink
+{
+  public:
+    virtual ~DatapathSink() = default;
+
+    /** A co-iteration walk ended (see Observer::onCoIterate). */
+    virtual void coIterate(std::size_t steps, std::size_t matches,
+                           std::size_t drivers, std::uint64_t pe) = 0;
+
+    /** @p count coordinates of one driver were scanned. */
+    virtual void coordScan(int input, std::size_t level,
+                           std::size_t count) = 0;
+
+    /** @p count compute operations of kind @p op ('m' or 'a'). */
+    virtual void compute(char op, std::uint64_t pe, std::size_t count) = 0;
+
+    /** An order-free payload read: streamed past every unit, or
+     *  absorbed by an eager fill above. */
+    virtual void tensorAccess(int input, std::size_t level) = 0;
+};
+
+/**
  * Cheap per-record order classification (the model split): a record is
  * either *datapath* — its consumption is a pure, order-independent
  * accumulation (compute ops, sequencer steps, intersection tallies,
@@ -114,8 +150,8 @@ struct EventBatch
  * order (buffet/cache accesses, output writes, evict-loop entries).
  *
  * The performance model builds one per Einsum from its storage
- * routing tables; a filtering BatchBus uses it to feed datapath
- * records straight to an accumulator (per shard on a capture bus)
+ * routing tables; a filtering BatchBus uses it to hand datapath
+ * records straight to a DatapathSink (per shard on a capture bus)
  * instead of delivering or logging them. Classification is static
  * per (kind, loop) / (kind, input, level), so the hot path pays one
  * or two vector reads per record.
@@ -324,18 +360,20 @@ class BatchBus
 
     /**
      * Route datapath-class records (per @p cls) to @p datapath_sink
-     * instead of the normal stream. On a capture bus the log then
-     * holds only the stateful records; on a delivery bus only
-     * stateful records reach the observer. Either way event/batch
-     * accounting stays that of the unfiltered stream. The sink receives
-     * coalesced batches of the datapath records, in emission order,
-     * on the emitting thread. Both pointers are borrowed.
+     * instead of the normal stream: the producer calls the sink and
+     * builds no Event, and an order-free LoopEnter is counted and
+     * dropped (the model consumes nothing from it). On a capture bus
+     * the log then holds only the stateful records; on a delivery bus
+     * only stateful records reach the observer. Either way event/batch
+     * accounting stays that of the unfiltered stream. The sink is
+     * called in emission order, on the emitting thread. Both pointers
+     * are borrowed; a null sink (or classifier) turns filtering off.
      */
     void
-    setFilter(const RecordClassifier* cls, Observer* datapath_sink)
+    setFilter(const RecordClassifier* cls, DatapathSink* datapath_sink)
     {
         cls_ = datapath_sink == nullptr ? nullptr : cls;
-        sideSink_ = datapath_sink;
+        sink_ = cls_ == nullptr ? nullptr : datapath_sink;
     }
 
     /**
@@ -352,8 +390,11 @@ class BatchBus
     void
     loopEnter(std::size_t loop, ft::Coord c)
     {
-        Event& e = push(Event::Kind::LoopEnter,
-                        cls_ != nullptr && !cls_->loopStateful(loop));
+        if (cls_ != nullptr && !cls_->loopStateful(loop)) {
+            route(); // drains nothing: only counted
+            return;
+        }
+        Event& e = push(Event::Kind::LoopEnter);
         e.loop = static_cast<std::uint32_t>(loop);
         e.coord = c;
     }
@@ -362,7 +403,12 @@ class BatchBus
     coIterate(std::size_t loop, std::size_t steps, std::size_t matches,
               std::size_t drivers, std::uint64_t pe)
     {
-        Event& e = push(Event::Kind::CoIterate, cls_ != nullptr);
+        if (sink_ != nullptr) {
+            if (route())
+                sink_->coIterate(steps, matches, drivers, pe);
+            return;
+        }
+        Event& e = push(Event::Kind::CoIterate);
         e.loop = static_cast<std::uint32_t>(loop);
         e.a = steps;
         e.b = matches;
@@ -374,7 +420,12 @@ class BatchBus
     coordScan(int input, std::size_t level, std::size_t count,
               std::uint64_t pe)
     {
-        Event& e = push(Event::Kind::CoordScan, cls_ != nullptr);
+        if (sink_ != nullptr) {
+            if (route())
+                sink_->coordScan(input, level, count);
+            return;
+        }
+        Event& e = push(Event::Kind::CoordScan);
         e.input = input;
         e.level = static_cast<std::uint32_t>(level);
         e.a = count;
@@ -387,9 +438,9 @@ class BatchBus
     tensorAccess(int input, const std::string& tensor, std::size_t level,
                  ft::Coord c, const ft::Payload* payload, std::uint64_t pe)
     {
-        Event& e =
-            push(Event::Kind::TensorAccess,
-                 cls_ != nullptr && !cls_->accessStateful(input, level));
+        if (routedAccess(input, level))
+            return;
+        Event& e = push(Event::Kind::TensorAccess);
         e.input = input;
         e.name = &tensor;
         e.level = static_cast<std::uint32_t>(level);
@@ -407,9 +458,9 @@ class BatchBus
                        const void* packed, std::size_t pos,
                        std::uint64_t pe)
     {
-        Event& e =
-            push(Event::Kind::TensorAccess,
-                 cls_ != nullptr && !cls_->accessStateful(input, level));
+        if (routedAccess(input, level))
+            return;
+        Event& e = push(Event::Kind::TensorAccess);
         e.input = input;
         e.name = &tensor;
         e.level = static_cast<std::uint32_t>(level);
@@ -420,15 +471,17 @@ class BatchBus
         e.pe = pe;
     }
 
-    /** @p reduce_adds rides in `a` on reduce-mode shard captures
-     *  only (the expression-add count of a shard-fresh leaf write,
-     *  which the replay fixup needs); serial streams leave it 0. */
+    /** @p inserted is Event::flagA (on a leaf write: the first write
+     *  of the leaf). @p reduce_adds rides in `a` on reduce-mode shard
+     *  captures only (the expression-add count of a shard-fresh leaf
+     *  write, which the replay fixup needs); serial streams leave it
+     *  0. */
     void
     outputWrite(const std::string& tensor, std::size_t level, ft::Coord c,
                 std::uint64_t path_key, bool inserted, bool at_leaf,
                 std::uint64_t pe, std::size_t reduce_adds = 0)
     {
-        Event& e = push(Event::Kind::OutputWrite, false);
+        Event& e = push(Event::Kind::OutputWrite);
         e.name = &tensor;
         e.level = static_cast<std::uint32_t>(level);
         e.coord = c;
@@ -442,7 +495,12 @@ class BatchBus
     void
     compute(char op, std::uint64_t pe, std::size_t count)
     {
-        Event& e = push(Event::Kind::Compute, cls_ != nullptr);
+        if (sink_ != nullptr) {
+            if (route())
+                sink_->compute(op, pe, count);
+            return;
+        }
+        Event& e = push(Event::Kind::Compute);
         e.op = op;
         e.pe = pe;
         e.a = count;
@@ -452,7 +510,7 @@ class BatchBus
     swizzle(const std::string& tensor, std::size_t elements,
             std::size_t ways, bool online)
     {
-        Event& e = push(Event::Kind::Swizzle, false);
+        Event& e = push(Event::Kind::Swizzle);
         e.name = &tensor;
         e.a = elements;
         e.b = ways;
@@ -463,7 +521,7 @@ class BatchBus
     tensorCopy(const std::string& from, const std::string& to,
                std::size_t elements)
     {
-        Event& e = push(Event::Kind::TensorCopy, false);
+        Event& e = push(Event::Kind::TensorCopy);
         e.name = &from;
         e.name2 = &to;
         e.a = elements;
@@ -480,8 +538,6 @@ class BatchBus
     {
         if (muted_)
             return;
-        if (sideBatch_.events.size() >= kFlushThreshold)
-            flushSide();
         if (log_ != nullptr) {
             log_->walkEnds.push_back(logged_);
             log_->logicalWalkEnds.push_back(events_);
@@ -518,8 +574,9 @@ class BatchBus
     void replay(const TraceLog& log);
 
     /** Logical events recorded so far (delivered + pending + routed
-     *  to the datapath sink; replays count the records their shard
-     *  accumulators consumed, so this matches the serial bus). */
+     *  to the datapath sink or only counted; replays count the records
+     *  their shard accumulators consumed, so this matches the serial
+     *  bus). */
     std::size_t eventCount() const { return events_; }
 
     /** Batches delivered so far (filtered buses count the batches the
@@ -527,8 +584,33 @@ class BatchBus
     std::size_t batchCount() const { return batches_; }
 
   private:
+    /** Account one logical record that becomes no Event (routed to
+     *  the datapath sink, or an order-free LoopEnter). False while
+     *  muted: the record does not exist. */
+    bool
+    route()
+    {
+        if (muted_)
+            return false;
+        ++events_;
+        ++pendingLogical_;
+        return true;
+    }
+
+    /** Route an order-free TensorAccess to the sink; false when the
+     *  access is stateful (or the bus unfiltered) and needs an Event. */
+    bool
+    routedAccess(int input, std::size_t level)
+    {
+        if (sink_ == nullptr || cls_->accessStateful(input, level))
+            return false;
+        if (route())
+            sink_->tensorAccess(input, level);
+        return true;
+    }
+
     Event&
-    push(Event::Kind kind, bool datapath)
+    push(Event::Kind kind)
     {
         if (muted_) {
             mutedScratch_ = Event{};
@@ -537,14 +619,6 @@ class BatchBus
         }
         ++events_;
         ++pendingLogical_;
-        if (datapath) {
-            // Routed to the datapath sink: never logged or delivered
-            // downstream (flushed to the sink at walk boundaries).
-            sideBatch_.events.emplace_back();
-            Event& e = sideBatch_.events.back();
-            e.kind = kind;
-            return e;
-        }
         if (log_ != nullptr) {
             if (logChunk_ == nullptr ||
                 logChunk_->size() == TraceLog::kChunkEvents) {
@@ -567,9 +641,6 @@ class BatchBus
         return e;
     }
 
-    /** Deliver buffered datapath records to the side sink. */
-    void flushSide();
-
     Observer* obs_ = nullptr;
     TraceLog* log_ = nullptr;
     std::vector<Event>* logChunk_ = nullptr;
@@ -583,10 +654,10 @@ class BatchBus
     /// filter is set); the serial-equivalent flush criterion.
     std::size_t pendingLogical_ = 0;
 
-    // Record filtering (see setFilter).
+    // Record filtering (see setFilter); sink_ is set exactly when
+    // cls_ is.
     const RecordClassifier* cls_ = nullptr;
-    Observer* sideSink_ = nullptr;
-    EventBatch sideBatch_;
+    DatapathSink* sink_ = nullptr;
 
     // Muting (see setMuted): producers write into the scratch event.
     bool muted_ = false;

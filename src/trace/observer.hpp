@@ -109,7 +109,10 @@ class Observer
 
     /**
      * The output was written at @p level.
-     * @param inserted True if this created a new element.
+     * @param inserted An interior write (fiber insert): true if it
+     *                 created the node. A leaf write: true exactly on
+     *                 the first write of that leaf in the run, at
+     *                 every thread count.
      * @param at_leaf  True for scalar writes (else fiber inserts).
      * @param path_key Hash of the coordinate path (stable identity).
      */

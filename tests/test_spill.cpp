@@ -7,15 +7,20 @@
  * baseline, across every Table 1 accelerator. Plus the lifecycle
  * rules: segments are process-private scratch deleted after replay
  * (spillKeep retains them), serial runs never touch the directory,
- * and SpillStats reports what was written.
+ * and SpillStats reports what was written. Also the first-write bit
+ * that leaf output writes carry through every variant, spill
+ * included.
  */
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
+#include "storage/packed.hpp"
 #include "support.hpp"
 #include "workloads/datasets.hpp"
 
@@ -159,6 +164,110 @@ TEST_P(SpillAccelerators, SpilledShardedRunMatchesResidentAndSerial)
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, SpillAccelerators,
+                         ::testing::Values("gamma", "extensor",
+                                           "outerspace", "sigma"),
+                         [](const auto& info) { return info.param; });
+
+/**
+ * Checks the first-write bit (Event::flagA) of every leaf output write
+ * in the delivered storage-tier stream against the set of (tensor,
+ * path key) pairs seen so far, and logs each leaf write's key and bit
+ * so variants can be compared.
+ */
+class FirstWriteRecorder : public trace::Observer
+{
+  public:
+    std::vector<std::string> log;
+    std::size_t firstWrites = 0;
+    std::size_t wrongBits = 0;
+
+    void
+    onEventBatch(const trace::EventBatch& batch) override
+    {
+        for (const trace::Event& e : batch.events) {
+            if (e.kind != trace::Event::Kind::OutputWrite || !e.flagB)
+                continue;
+            const bool fresh = seen_.insert({*e.name, e.key}).second;
+            wrongBits += fresh != e.flagA ? 1 : 0;
+            firstWrites += e.flagA ? 1 : 0;
+            log.push_back(*e.name + ":" + std::to_string(e.key) +
+                          (e.flagA ? ":1" : ":0"));
+        }
+    }
+
+  private:
+    std::set<std::pair<std::string, std::uint64_t>> seen_;
+};
+
+class FirstWriteBit : public ::testing::TestWithParam<std::string>
+{
+};
+
+/** A leaf write carries the first-write bit exactly when its path key
+ *  is new in the serial stream, and 4-thread (disjoint and reduce
+ *  sharding), packed and spilled runs deliver the same bits. */
+TEST_P(FirstWriteBit, MarksNewLeavesInEveryVariant)
+{
+    auto model = compiler::compile(specFor(GetParam()));
+    const Workload w = workloadFor(46);
+    Workload packed;
+    for (const std::string& name : w.names()) {
+        packed.add(name, storage::PackedTensor::fromTensor(
+                             w.tensor(name),
+                             model.spec().formats.getLenient(name)));
+    }
+
+    FirstWriteRecorder serial;
+    RunOptions opts;
+    opts.observers = {&serial};
+    (void)model.run(w, opts);
+    EXPECT_EQ(serial.wrongBits, 0u);
+    EXPECT_GT(serial.firstWrites, 0u);
+    // Some leaf is written again, so the bit is not trivially set.
+    EXPECT_LT(serial.firstWrites, serial.log.size());
+
+    const TempDir tmp;
+    struct Variant
+    {
+        const char* name;
+        const Workload* w;
+        unsigned threads;
+        bool spill;
+    };
+    for (const Variant& v : {Variant{"threads4", &w, 4, false},
+                             Variant{"packed", &packed, 1, false},
+                             Variant{"packed_threads4", &packed, 4, false},
+                             Variant{"spilled_threads4", &w, 4, true}}) {
+        SCOPED_TRACE(v.name);
+        FirstWriteRecorder rec;
+        RunOptions o;
+        o.threads = v.threads;
+        o.observers = {&rec};
+        if (v.spill) {
+            o.spillDir = tmp.str();
+            o.spillSegmentBytes = 4096;
+        }
+        const SimulationResult r = model.run(*v.w, o);
+        if (v.spill)
+            EXPECT_GT(r.spill.frames, 0u);
+        EXPECT_EQ(rec.wrongBits, 0u);
+        EXPECT_EQ(rec.log, serial.log);
+    }
+
+    // The suite covers both merge modes of a sharded Einsum.
+    bool reduce = false;
+    bool disjoint = false;
+    for (const ir::ShardPlan& sp : model.shardPlans()) {
+        reduce = reduce || (sp.shardable && sp.reduceMerge);
+        disjoint = disjoint || (sp.shardable && !sp.reduceMerge);
+    }
+    if (GetParam() == "sigma")
+        EXPECT_TRUE(reduce);
+    if (GetParam() == "gamma")
+        EXPECT_TRUE(disjoint);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, FirstWriteBit,
                          ::testing::Values("gamma", "extensor",
                                            "outerspace", "sigma"),
                          [](const auto& info) { return info.param; });
