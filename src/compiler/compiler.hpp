@@ -75,6 +75,13 @@ struct SimulationResult
     /// zero when spilling was off or nothing crossed the threshold.
     trace::SpillStats spill;
 
+    /// Where each Einsum's walk was split, in cascade order: the loop,
+    /// its unit count and the merge this run used (the sharded path
+    /// picks them per run from the walk; serial runs report
+    /// SplitPoint::Merge::Serial). Diagnostic: records and tensors are
+    /// identical at every thread count, this is not.
+    std::vector<exec::SplitPoint> splits;
+
     /** The final Einsum's output. */
     const ft::Tensor& result(const Specification& spec) const;
 

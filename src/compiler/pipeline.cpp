@@ -370,7 +370,8 @@ CompiledModel::shardingReport() const
                        "' (partial outputs merged by semiring add)";
             } else {
                 out += "inner-rank sharding along rank '" + e.rank +
-                       "' (outermost rank unshardable or too coarse)";
+                       "' (outermost rank carries lookups or binds no "
+                       "variable)";
             }
             if (!e.spaceRank.empty())
                 out += ", space rank '" + e.spaceRank + "'";
@@ -623,6 +624,7 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
 
         exec::Executor executor(plan, *sink, opts.semiring, eo);
         ft::Tensor result = executor.run();
+        out.splits.push_back(executor.split());
 
         model::EinsumRecord record =
             einsum_model.finalize(executor.stats());

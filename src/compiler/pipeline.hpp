@@ -216,16 +216,18 @@ struct RunOptions
     /// Worker threads per Einsum execution: 1 (default) is the
     /// classic serial path; 0 means one per hardware thread; N >= 2
     /// shards each shardable Einsum's walk across N workers drawn
-    /// from the model's shared pool (see CompiledModel::shardPlans
-    /// and shardingReport). Nearly every mapping shards:
-    /// contraction-outermost nests shard with private partial
-    /// outputs merged by semiring add (ir::ShardPlan::Mode::Reduce),
-    /// and nests whose top rank is lookup-bound or too coarse shard
-    /// the first viable inner rank. Counters and delivered trace
+    /// from the model's shared pool. Nearly every mapping shards: the
+    /// executor splits the walk at the outermost loop (the one below
+    /// it when the top rank is lookup-bound), one loop deeper while
+    /// that yields too few units, and reports the split in
+    /// SimulationResult::splits. Counters and delivered trace
     /// batches are byte-identical at every thread count; output
-    /// values too, up to floating-point summation grouping under
-    /// reduce merges. The rare unshardable Einsum (e.g. a
-    /// whole-tensor copy) runs serially, logged once per model.
+    /// values too, except where a walk already branches at a
+    /// contraction-restricting loop at its starting depth (SIGMA's
+    /// K1 tiles): its partial outputs merge by semiring add, which
+    /// may regroup floating-point sums. The rare unshardable Einsum
+    /// (e.g. a whole-tensor copy) runs serially, logged once per
+    /// model.
     ///
     /// The performance model parallelizes with the walk: each worker
     /// runs the model's order-independent tier
@@ -283,10 +285,11 @@ struct RunOptions
 };
 
 /**
- * One Einsum's parallelization, in stable struct form — what
- * shardingReport() prints, exposed so tools (the serving daemon's
+ * One Einsum's compile-time sharding estimate, in stable struct form —
+ * what shardingReport() prints, exposed so tools (the serving daemon's
  * `sharding_report` endpoint, tests) can assert on fields instead of
- * parsing a log line.
+ * parsing a log line. The split a run actually used is in
+ * SimulationResult::splits.
  */
 struct ShardingEntry
 {
@@ -371,9 +374,11 @@ class CompiledModel
 
     /**
      * Per-Einsum shard plans, precomputed at compile() from the
-     * recipes: whether (and along which outermost rank) each Einsum's
-     * execution can be split across RunOptions::threads workers, with
-     * the reason when it cannot.
+     * recipes: whether each Einsum's execution can be split across
+     * RunOptions::threads workers (with the reason when it cannot),
+     * and the compile-time estimate of where: the outermost rank. A
+     * run picks its own split loop from the data; SimulationResult::
+     * splits reports it.
      */
     const std::vector<ir::ShardPlan>& shardPlans() const
     {
@@ -381,10 +386,11 @@ class CompiledModel
     }
 
     /**
-     * Human-readable summary of how run(threads=N) parallelizes each
-     * Einsum: one line per Einsum naming the shard mode (disjoint /
-     * reduction / inner-rank), the sharded rank, and — for the rare
-     * serial fallback — ir::ShardPlan::reason verbatim.
+     * Human-readable summary of the compile-time sharding estimate:
+     * one line per Einsum naming the shard mode (disjoint / reduction
+     * / inner-rank) and the rank the split starts at, and — for the
+     * rare serial fallback — ir::ShardPlan::reason verbatim. Runs may
+     * split deeper and merge differently (SimulationResult::splits).
      */
     std::string shardingReport() const;
 

@@ -60,26 +60,23 @@ constexpr ft::Coord kNoRange = -1;
 constexpr std::size_t kOutputFiberReserve = 8;
 
 /**
- * Merger "ways" estimate for swizzling @p t into @p target order: the
- * average occupancy of the shallowest rank that moves deeper (the
- * number of sorted runs merged per output fiber).
+ * Merger "ways" estimate for swizzling a tensor of rank order @p ids
+ * into @p target order, from its element counts by depth: the average
+ * occupancy of the shallowest rank that moves deeper (the number of
+ * sorted runs merged per output fiber).
  */
 std::size_t
-estimateMergeWays(const ft::Tensor& t,
-                  const std::vector<std::string>& target)
+mergeWays(const std::vector<std::string>& ids,
+          const std::vector<std::size_t>& counts,
+          const std::vector<std::string>& target)
 {
-    const auto old_ids = t.rankIds();
-    for (std::size_t lvl = 0; lvl < old_ids.size(); ++lvl) {
-        const auto npos =
-            std::find(target.begin(), target.end(), old_ids[lvl]);
+    for (std::size_t lvl = 0; lvl < ids.size(); ++lvl) {
+        const auto npos = std::find(target.begin(), target.end(), ids[lvl]);
         if (npos == target.end())
             continue;
         const auto new_lvl =
             static_cast<std::size_t>(npos - target.begin());
         if (new_lvl > lvl) {
-            std::vector<std::size_t> counts;
-            if (t.root())
-                t.root()->elementCountsByDepth(counts);
             const std::size_t above = lvl == 0
                                           ? 1
                                           : (counts.size() >= lvl
@@ -336,13 +333,28 @@ Engine::finishOutput(ft::Tensor produced)
 {
     if (!plan_.output.productionOrder.empty() &&
         plan_.output.needsReorder) {
-        const std::size_t ways =
-            estimateMergeWays(produced, plan_.output.declaredOrder);
+        std::vector<std::size_t> counts;
+        if (produced.root())
+            produced.root()->elementCountsByDepth(counts);
+        const std::size_t ways = mergeWays(
+            produced.rankIds(), counts, plan_.output.declaredOrder);
         bus_.swizzle(plan_.output.name, produced.nnz(), ways, true);
         produced = ft::swizzle(produced, plan_.output.declaredOrder);
     }
     bus_.flush();
     return produced;
+}
+
+ft::Tensor
+Engine::finishReordered(ft::Tensor reordered, std::size_t nnz,
+                        const std::vector<std::size_t>& counts)
+{
+    bus_.swizzle(plan_.output.name, nnz,
+                 mergeWays(plan_.output.productionOrder, counts,
+                           plan_.output.declaredOrder),
+                 true);
+    bus_.flush();
+    return reordered;
 }
 
 void
@@ -654,9 +666,10 @@ double
 Engine::entryWeight(std::size_t loop) const
 {
     double w = 1.0;
-    const std::vector<double>& factors = plan_.shard.driverWeight;
-    if (factors.empty())
+    const auto& facts = plan_.shard.loops;
+    if (loop >= facts.size())
         return w;
+    const std::vector<double>& factors = facts[loop].driverWeight;
     const auto& drivers = driversAt_[loop];
     const Scratch& s = scratch_[loop];
     for (std::size_t d = 0; d < drivers.size(); ++d) {
@@ -690,210 +703,194 @@ Engine::entryWeight(std::size_t loop) const
 }
 
 void
-Engine::enumerateTop(TopWalk& tw)
+Engine::enumerateTop(TopWalk& tw, std::size_t depth)
 {
-    TEAAL_ASSERT(!plan_.loops.empty(), "enumerateTop on an empty nest");
-    if (plan_.shard.shardable && plan_.shard.depth == 1) {
-        enumerateInner(tw);
-        return;
-    }
-    TEAAL_ASSERT(preLookupsAt_[0].empty() && lookupsAt_[0].empty(),
-                 "enumerateTop: loop 0 carries lookup actions");
-    const ir::LoopRank& lr = plan_.loops[0];
-    const std::size_t nd = driversAt_[0].size();
-    tw.depth = 0;
-    tw.drivers = nd;
-    tw.topDrivers = nd;
-    Scratch& scratch = scratch_[0];
+    TEAAL_ASSERT(depth < plan_.loops.size(), "enumerateTop: split loop ",
+                 depth, " is outside the loop nest");
+    tw = TopWalk{};
+    tw.depth = depth;
+    tw.drivers = driversAt_[depth].size();
+    tw.levels.resize(depth);
+    enumerated_ = 0;
+    bus_.setMuted(true);
+    tw.topSkipped = applyPreLookups(0, 0);
+    if (!tw.topSkipped)
+        tw.top = enumerateLoop(tw, 0, TopWalk::kRoot, 0);
+    undoPreLookups(0);
+    bus_.setMuted(false);
+}
+
+TopWalk::Summary
+Engine::enumerateLoop(TopWalk& tw, std::size_t loop, std::size_t parent,
+                      std::uint64_t pe)
+{
+    const ir::LoopRank& lr = plan_.loops[loop];
+    const std::size_t nd = driversAt_[loop].size();
+    Scratch& s = scratch_[loop];
+    std::size_t matches = 0;
     auto record = [&](ft::Coord c, ft::Coord range_end,
                       std::size_t ordinal) {
-        // Enumeration emits no trace events, so the cancel poll keys
-        // off the entry count instead of the bus.
-        if (cancelArmed_ && (tw.entries.size() & 0xfff) == 0)
-            cancelCheckpoint(0);
-        tw.entries.push_back({c, range_end, nextPe(lr, c, ordinal, 0)});
-        for (std::size_t d = 0; d < nd; ++d) {
-            tw.pos.push_back(scratch.pos[d]);
-            tw.present.push_back(scratch.present[d] ? 1 : 0);
+        // The muted bus counts nothing, so the cancel poll keys off
+        // the recorded coordinates instead.
+        if (cancelArmed_ && (enumerated_++ & 0x3ff) == 0)
+            cancelCheckpoint(loop);
+        ++matches;
+        const TopWalk::Entry e{c, range_end, nextPe(lr, c, ordinal, pe)};
+        if (loop == tw.depth) {
+            tw.entries.push_back(e);
+            for (std::size_t d = 0; d < nd; ++d) {
+                tw.pos.push_back(s.pos[d]);
+                tw.present.push_back(s.present[d] ? 1 : 0);
+            }
+            tw.weight.push_back(entryWeight(loop));
+            if (loop > 0) {
+                tw.ownerLevel.push_back(loop - 1);
+                tw.owner.push_back(parent);
+            }
+            return !lr.probeOnly;
         }
-        tw.weight.push_back(entryWeight(0));
+        // A prefix node: re-derive what the serial walk does at this
+        // coordinate, recording the walk below it. Recursion only
+        // appends to deeper levels, so this level's list stays put.
+        TopWalk::Level& lv = tw.levels[loop];
+        const std::size_t idx = lv.nodes.size();
+        for (std::size_t d = 0; d < nd; ++d) {
+            lv.pos.push_back(s.pos[d]);
+            lv.present.push_back(s.present[d] ? 1 : 0);
+        }
+        TopWalk::Node node;
+        node.e = e;
+        node.parent = parent;
+        node.firstUnit = tw.entries.size();
+        node.entered =
+            atCoordinateEnter(loop, c, range_end, s.pos, s.present, e.pe);
+        if (node.entered) {
+            node.walked = !applyPreLookups(loop + 1, e.pe);
+            if (node.walked)
+                node.below = enumerateLoop(tw, loop + 1, idx, e.pe);
+            undoPreLookups(loop + 1);
+        }
+        atCoordinateExit(loop);
+        node.units = tw.entries.size() - node.firstUnit;
+        if (node.units == 0) {
+            // Barren node: one placeholder unit keeps its enter events
+            // — and, when it walked, its empty-walk summary —
+            // schedulable.
+            node.barren = true;
+            node.units = 1;
+            tw.entries.push_back(e);
+            tw.pos.insert(tw.pos.end(), tw.drivers, 0);
+            tw.present.insert(tw.present.end(), tw.drivers, 0);
+            tw.weight.push_back(1.0);
+            tw.ownerLevel.push_back(loop);
+            tw.owner.push_back(idx);
+        }
+        lv.nodes.push_back(std::move(node));
         return !lr.probeOnly;
     };
     const WalkCounts wc =
-        nd == 0 ? denseCore(0, record) : walkCore(0, record);
-    tw.steps = wc.steps;
-    tw.matches = wc.matches;
-    tw.scans.assign(nd, 0);
-    for (std::size_t d = 0; d < nd; ++d)
-        tw.scans[d] = scratch.scans[d];
+        nd == 0 ? denseCore(loop, record) : walkCore(loop, record);
+    const auto& facts = plan_.shard.loops;
+    if (matches >= 2 &&
+        (loop >= facts.size() || facts[loop].restrictsContraction))
+        tw.collides = true;
+    TopWalk::Summary sum;
+    sum.steps = wc.steps;
+    sum.matches = wc.matches;
+    sum.scans.assign(s.scans.begin(),
+                     s.scans.begin() + static_cast<std::ptrdiff_t>(nd));
+    return sum;
 }
 
-void
-Engine::enumerateInner(TopWalk& tw)
+bool
+Engine::enterTop(bool emit)
 {
-    TEAAL_ASSERT(plan_.loops.size() >= 2,
-                 "inner-rank sharding needs a second loop");
-    const ir::LoopRank& lr0 = plan_.loops[0];
-    const ir::LoopRank& lr1 = plan_.loops[1];
-    const std::size_t nd0 = driversAt_[0].size();
-    const std::size_t nd1 = driversAt_[1].size();
-    tw.depth = 1;
-    tw.drivers = nd1;
-    tw.topDrivers = nd0;
-
-    // The loop-0 pre-lookups fire once per run and their events lead
-    // the serial stream — emit them live, here, exactly once (shard
-    // engines re-apply them muted in beginShard).
-    tw.topSkipped = applyPreLookups(0, 0);
-    if (tw.topSkipped) {
-        undoPreLookups(0);
-        return;
-    }
-
-    Scratch& s0 = scratch_[0];
-    Scratch& s1 = scratch_[1];
-    bus_.setMuted(true);
-    auto outerSink = [&](ft::Coord c, ft::Coord range_end,
-                         std::size_t ordinal) {
-        // Muted enumeration produces no bus events; poll per outer.
-        if (cancelArmed_ && (tw.outers.size() & 0x3ff) == 0)
-            cancelCheckpoint(0);
-        TopWalk::Outer o;
-        o.e = {c, range_end, nextPe(lr0, c, ordinal, 0)};
-        o.pos.assign(nd0, 0);
-        o.present.assign(nd0, 0);
-        for (std::size_t d = 0; d < nd0; ++d) {
-            o.pos[d] = s0.pos[d];
-            o.present[d] = s0.present[d] ? 1 : 0;
-        }
-        o.firstUnit = tw.entries.size();
-        // Re-derive (muted) exactly what a serial walk would do at
-        // this outer coordinate, recording loop 1's matches as units.
-        o.entered = atCoordinateEnter(0, c, range_end, s0.pos,
-                                      s0.present, o.e.pe);
-        if (o.entered) {
-            const bool skip1 = applyPreLookups(1, o.e.pe);
-            if (!skip1) {
-                auto unitSink = [&](ft::Coord c1, ft::Coord re1,
-                                    std::size_t ord1) {
-                    tw.entries.push_back(
-                        {c1, re1, nextPe(lr1, c1, ord1, o.e.pe)});
-                    for (std::size_t d = 0; d < nd1; ++d) {
-                        tw.pos.push_back(s1.pos[d]);
-                        tw.present.push_back(s1.present[d] ? 1 : 0);
-                    }
-                    tw.weight.push_back(entryWeight(1));
-                    tw.outerOf.push_back(tw.outers.size());
-                    return !lr1.probeOnly;
-                };
-                const WalkCounts wc1 = nd1 == 0
-                                           ? denseCore(1, unitSink)
-                                           : walkCore(1, unitSink);
-                o.walked = true;
-                o.steps = wc1.steps;
-                o.matches = wc1.matches;
-                o.scans.assign(nd1, 0);
-                for (std::size_t d = 0; d < nd1; ++d)
-                    o.scans[d] = s1.scans[d];
-            }
-            undoPreLookups(1);
-        }
-        atCoordinateExit(0);
-        o.units = tw.entries.size() - o.firstUnit;
-        if (o.units == 0) {
-            // Barren outer (lookup miss or empty loop-1 walk): one
-            // placeholder unit keeps its enter events — and, when it
-            // walked, its empty-walk summary — schedulable.
-            o.barren = true;
-            o.units = 1;
-            tw.entries.push_back(o.e);
-            for (std::size_t d = 0; d < nd1; ++d) {
-                tw.pos.push_back(0);
-                tw.present.push_back(0);
-            }
-            tw.weight.push_back(1.0);
-            tw.outerOf.push_back(tw.outers.size());
-        }
-        tw.outers.push_back(std::move(o));
-        return !lr0.probeOnly;
-    };
-    const WalkCounts wc0 =
-        nd0 == 0 ? denseCore(0, outerSink) : walkCore(0, outerSink);
+    open_.clear();
+    bus_.setMuted(!emit);
+    const bool skipped = applyPreLookups(0, 0);
     bus_.setMuted(false);
-    tw.steps = wc0.steps;
-    tw.matches = wc0.matches;
-    tw.scans.assign(nd0, 0);
-    for (std::size_t d = 0; d < nd0; ++d)
-        tw.scans[d] = s0.scans[d];
-    undoPreLookups(0);
+    return skipped;
 }
 
 void
 Engine::beginShard()
 {
     beginRun(/*announce_swizzles=*/false);
-    unitOuter_ = kNoOuter;
-    outerPre1_ = false;
-    if (plan_.shard.shardable && plan_.shard.depth == 1) {
-        bus_.setMuted(true);
-        const bool skip = applyPreLookups(0, 0);
-        bus_.setMuted(false);
-        TEAAL_ASSERT(!skip,
-                     "beginShard: loop-0 pre-lookups diverged from "
-                     "enumeration");
-    }
+    TEAAL_ASSERT(!enterTop(/*emit=*/false),
+                 "beginShard: loop-0 pre-lookups diverged from "
+                 "enumeration");
 }
 
 void
-Engine::openOuter(const TopWalk& tw, std::size_t oi, bool own)
+Engine::openNode(const TopWalk& tw, std::size_t level, std::size_t i,
+                 std::size_t u)
 {
-    const TopWalk::Outer& o = tw.outers[oi];
+    const TopWalk::Level& lv = tw.levels[level];
+    const TopWalk::Node& node = lv.nodes[i];
+    const bool own = u == node.firstUnit;
     if (!own)
         bus_.setMuted(true);
-    const std::size_t nd0 = tw.topDrivers;
-    unitPos_.assign(nd0, 0);
-    unitPresent_.assign(nd0, false);
-    for (std::size_t d = 0; d < nd0; ++d) {
-        unitPos_[d] = o.pos[d];
-        unitPresent_[d] = o.present[d] != 0;
+    const std::size_t nd = driversAt_[level].size();
+    unitPos_.assign(nd, 0);
+    unitPresent_.assign(nd, false);
+    for (std::size_t d = 0; d < nd; ++d) {
+        unitPos_[d] = lv.pos[i * nd + d];
+        unitPresent_[d] = lv.present[i * nd + d] != 0;
     }
-    const bool entered = atCoordinateEnter(0, o.e.c, o.e.rangeEnd,
-                                           unitPos_, unitPresent_,
-                                           o.e.pe);
-    TEAAL_ASSERT(entered == o.entered,
-                 "inner shard diverged from enumeration at outer "
-                 "coordinate ", o.e.c);
-    outerPre1_ = false;
+    const bool entered =
+        atCoordinateEnter(level, node.e.c, node.e.rangeEnd, unitPos_,
+                          unitPresent_, node.e.pe);
+    TEAAL_ASSERT(entered == node.entered,
+                 "split walk diverged from enumeration at loop ", level,
+                 " coordinate ", node.e.c);
     if (entered) {
-        const bool skip1 = applyPreLookups(1, o.e.pe);
-        TEAAL_ASSERT(skip1 != o.walked,
-                     "inner shard pre-lookups diverged at outer "
-                     "coordinate ", o.e.c);
-        outerPre1_ = true;
+        const bool skip = applyPreLookups(level + 1, node.e.pe);
+        TEAAL_ASSERT(skip != node.walked,
+                     "split walk pre-lookups diverged at loop ", level + 1,
+                     " below coordinate ", node.e.c);
     }
     if (!own)
         bus_.setMuted(false);
-    unitOuter_ = oi;
+    open_.push_back({i, entered});
 }
 
 void
-Engine::closeOuter()
+Engine::closeNode()
 {
-    if (unitOuter_ == kNoOuter)
-        return;
-    if (outerPre1_) {
-        undoPreLookups(1);
-        outerPre1_ = false;
-    }
-    atCoordinateExit(0);
-    unitOuter_ = kNoOuter;
+    const std::size_t level = open_.size() - 1;
+    if (open_.back().entered)
+        undoPreLookups(level + 1);
+    atCoordinateExit(level);
+    open_.pop_back();
 }
 
 void
 Engine::executeUnit(const TopWalk& tw, std::size_t u)
 {
-    const std::size_t nd = tw.drivers;
-    if (tw.depth == 0) {
+    bool placeholder = false;
+    if (tw.depth > 0) {
+        // Move the open prefix to this unit's owner: keep the shared
+        // ancestors, close the rest, open the new nodes.
+        const std::size_t owner_level = tw.ownerLevel[u];
+        chain_.resize(owner_level + 1);
+        std::size_t idx = tw.owner[u];
+        for (std::size_t l = owner_level + 1; l-- > 0;) {
+            chain_[l] = idx;
+            idx = tw.levels[l].nodes[idx].parent;
+        }
+        std::size_t keep = 0;
+        while (keep < open_.size() && keep <= owner_level &&
+               open_[keep].node == chain_[keep])
+            ++keep;
+        while (open_.size() > keep)
+            closeNode();
+        for (std::size_t l = keep; l <= owner_level; ++l)
+            openNode(tw, l, chain_[l], u);
+        placeholder = tw.levels[owner_level].nodes[chain_[owner_level]]
+                          .barren;
+    }
+    if (!placeholder) {
+        const std::size_t nd = tw.drivers;
         const TopWalk::Entry& e = tw.entries[u];
         unitPos_.assign(nd, 0);
         unitPresent_.assign(nd, false);
@@ -901,68 +898,58 @@ Engine::executeUnit(const TopWalk& tw, std::size_t u)
             unitPos_[d] = tw.pos[u * nd + d];
             unitPresent_[d] = tw.present[u * nd + d] != 0;
         }
-        atCoordinate(0, e.c, e.rangeEnd, unitPos_, unitPresent_, e.pe);
-        pollCancel(0);
-        return;
+        atCoordinate(tw.depth, e.c, e.rangeEnd, unitPos_, unitPresent_,
+                     e.pe);
     }
+    // The last unit of a node owns the summary of the walk below it
+    // (emitted by the serial walk after its merge loop) and the state
+    // unwind, deepest node first.
+    while (!open_.empty()) {
+        const std::size_t level = open_.size() - 1;
+        const TopWalk::Node& node = tw.levels[level].nodes[open_.back().node];
+        if (u + 1 != node.firstUnit + node.units)
+            break;
+        if (node.walked)
+            emitWalkSummary(level + 1, node.below, node.e.pe);
+        closeNode();
+    }
+    pollCancel(tw.depth);
+}
 
-    const std::size_t oi = tw.outerOf[u];
-    const TopWalk::Outer& o = tw.outers[oi];
-    if (unitOuter_ != oi) {
-        closeOuter();
-        openOuter(tw, oi, /*own=*/u == o.firstUnit);
-    }
-    if (!o.barren) {
-        const TopWalk::Entry& e = tw.entries[u];
-        unitPos_.assign(nd, 0);
-        unitPresent_.assign(nd, false);
-        for (std::size_t d = 0; d < nd; ++d) {
-            unitPos_[d] = tw.pos[u * nd + d];
-            unitPresent_[d] = tw.present[u * nd + d] != 0;
-        }
-        atCoordinate(1, e.c, e.rangeEnd, unitPos_, unitPresent_, e.pe);
-    }
-    if (u + 1 == o.firstUnit + o.units) {
-        // Last unit: this engine owns the outer's loop-1 walk summary
-        // (emitted by the serial walk after its merge loop) and the
-        // state unwind.
-        if (o.walked) {
-            const auto& drivers = driversAt_[1];
-            bus_.coIterate(1, o.steps, o.matches, nd, o.e.pe);
-            for (std::size_t d = 0; d < nd; ++d) {
-                bus_.coordScan(drivers[d].input,
-                               static_cast<std::size_t>(
-                                   drivers[d].action->level),
-                               o.scans[d], o.e.pe);
-            }
-            bus_.walkEnd();
-        }
-        closeOuter();
-    }
-    pollCancel(1);
+void
+Engine::closeUnits()
+{
+    while (!open_.empty())
+        closeNode();
 }
 
 void
 Engine::finishShard()
 {
-    closeOuter();
+    closeUnits();
     bus_.flush();
+}
+
+void
+Engine::emitWalkSummary(std::size_t loop, const TopWalk::Summary& sum,
+                        std::uint64_t pe)
+{
+    const auto& drivers = driversAt_[loop];
+    TEAAL_ASSERT(drivers.size() == sum.scans.size(),
+                 "walk summary driver count mismatch at loop ", loop);
+    bus_.coIterate(loop, sum.steps, sum.matches, drivers.size(), pe);
+    for (std::size_t d = 0; d < drivers.size(); ++d) {
+        bus_.coordScan(drivers[d].input,
+                       static_cast<std::size_t>(drivers[d].action->level),
+                       sum.scans[d], pe);
+    }
+    bus_.walkEnd();
 }
 
 void
 Engine::emitTopSummary(const TopWalk& tw)
 {
-    bus_.coIterate(0, tw.steps, tw.matches, tw.topDrivers, 0);
-    const auto& drivers = driversAt_[0];
-    TEAAL_ASSERT(drivers.size() == tw.topDrivers,
-                 "top-walk driver count mismatch");
-    for (std::size_t d = 0; d < tw.topDrivers; ++d) {
-        bus_.coordScan(drivers[d].input,
-                       static_cast<std::size_t>(
-                           drivers[d].action->level),
-                       tw.scans[d], 0);
-    }
-    bus_.walkEnd();
+    emitWalkSummary(0, tw.top, 0);
 }
 
 bool
@@ -1236,9 +1223,8 @@ Engine::materializeOutputPath(std::uint64_t pe)
         bool inserted = false;
         const std::size_t pos = fiber->getOrInsertPos(c, inserted);
         ft::Payload& p = fiber->payloadAt(pos);
-        if (inserted &&
-            (insertFilter_ == nullptr ||
-             insertFilter_->insert(hash))) {
+        if (inserted && (insertFilter_ == nullptr ||
+                         insertFilter_->admit(hash, level))) {
             bus_.outputWrite(plan_.output.name, level, c, hash, true,
                              false, pe);
         }

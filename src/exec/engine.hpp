@@ -106,9 +106,10 @@ struct ExecOptions
     /**
      * Worker threads for sharded execution (exec::Executor): 1 runs
      * the classic serial path, 0 means one per hardware thread, and
-     * N >= 2 shards the outermost loop rank across N workers when the
-     * plan is shardable (ir::analyzeSharding) and @ref modelHooks are
-     * set — results and delivered trace batches are byte-identical at
+     * N >= 2 splits the walk at the loop the executor picks for the
+     * run (see exec::SplitPoint) across N workers when the plan is
+     * shardable (ir::analyzeSharding) and @ref modelHooks are set —
+     * counters and delivered trace batches are byte-identical at
      * every thread count. Without hooks the run is serial.
      */
     unsigned threads = 1;
@@ -153,23 +154,51 @@ struct ExecOptions
 };
 
 /**
- * The recorded shardable walk of a plan: one entry per schedulable
- * *unit* of work, carrying everything `atCoordinate` needs to process
- * it on any engine clone (driver positions/presence, the bound
- * coordinate range, the PE id with its serial walk ordinal already
- * folded in). The walk-summary counters reproduce the trace events
- * the serial walk would emit after its merge loop.
+ * The interior output nodes a sharded run has announced, shared by the
+ * coordinator's replay fixup and its live engine
+ * (Engine::setInsertFilter). Each node's insert reaches the stream
+ * once, where the serial engine announced it, so the per-level tallies
+ * are the merged production-order output's element counts by depth —
+ * what the declared-order swizzle is charged from when the slices
+ * reorder their own partial outputs.
+ */
+struct OutputNodes
+{
+    util::FlatSet64 keys;
+    std::vector<std::size_t> perLevel;
+
+    /** True iff @p key is new (then counted at @p level). */
+    bool
+    admit(std::uint64_t key, std::size_t level)
+    {
+        if (!keys.insert(key))
+            return false;
+        if (perLevel.size() <= level)
+            perLevel.resize(level + 1, 0);
+        ++perLevel[level];
+        return true;
+    }
+};
+
+/**
+ * The recorded walk of a plan split at loop `depth`: one entry per
+ * schedulable *unit* of work, carrying everything `atCoordinate` needs
+ * to process it on any engine clone (driver positions/presence, the
+ * bound coordinate range, the PE id with its serial walk ordinal
+ * already folded in), plus the prefix above it and the walk summaries
+ * the serial walk would emit after each merge loop.
  *
- * Depth 0 (ShardPlan depth 0, the common case): a unit is one
- * outermost-loop coordinate. Depth 1 (inner-rank sharding, when the
- * top rank itself cannot be sharded): a unit is one *loop-1*
- * coordinate, flattened across all outer coordinates; `outers`
- * records each outer coordinate's enter state and loop-1 walk
- * summary, and ownership of the outer's events is positional — the
- * engine executing the outer's first unit emits its enter events
- * unmuted, the engine executing its last unit emits the loop-1
- * summary. An outer whose loop-1 walk produced nothing still owns one
- * placeholder ("barren") unit so its enter events are scheduled.
+ * Units are loop-`depth` coordinates, flattened across the prefix:
+ * loops 0..depth-1, one node list per level. Depth 0 is the empty
+ * prefix (a unit is one outermost coordinate). Ownership of a prefix
+ * node's events is positional: the engine executing the node's first
+ * unit opens it unmuted (its enter events and the next loop's
+ * pre-lookups), and the engine executing its last unit emits the
+ * summary of the walk below it and closes it. A node whose walk below
+ * produced nothing (lookup miss, pre-lookup miss, empty walk) still
+ * owns one placeholder ("barren") unit so its events are scheduled.
+ * The merged stream is therefore byte-identical to a serial run's no
+ * matter where slice boundaries (or steals) fall.
  */
 struct TopWalk
 {
@@ -180,6 +209,48 @@ struct TopWalk
         std::uint64_t pe = 0;
     };
 
+    /// One loop's end-of-merge trace summary (coIterate + per-driver
+    /// coordScans).
+    struct Summary
+    {
+        std::size_t steps = 0;
+        std::size_t matches = 0;
+        std::vector<std::size_t> scans;
+    };
+
+    static constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
+
+    /// One prefix coordinate: a match of loop l < depth.
+    struct Node
+    {
+        Entry e;
+        /// Node index at level l-1 (kRoot at level 0).
+        std::size_t parent = kRoot;
+        std::size_t firstUnit = 0;
+        std::size_t units = 0;
+        /// The serial run entered it (post-lookup hit) ...
+        bool entered = false;
+        /// ... and walked loop l+1 (its pre-lookups hit).
+        bool walked = false;
+        /// No unit below: it owns one placeholder unit.
+        bool barren = false;
+        /// Loop l+1's walk, when walked.
+        Summary below;
+    };
+
+    /// One prefix level: its nodes and their loop's driver cursors
+    /// (nodes x drivers, row-major).
+    struct Level
+    {
+        std::vector<Node> nodes;
+        std::vector<std::size_t> pos;
+        std::vector<char> present;
+    };
+
+    /// The split loop.
+    std::size_t depth = 0;
+    std::vector<Level> levels;
+
     std::vector<Entry> entries;
 
     /// Per-entry driver cursors/presence, entries.size() x drivers
@@ -187,51 +258,33 @@ struct TopWalk
     std::vector<std::size_t> pos;
     std::vector<char> present;
 
-    /// Driver count of the *sharded* loop (loop 0 at depth 0, loop 1
-    /// at depth 1).
+    /// Driver count of the split loop.
     std::size_t drivers = 0;
 
     /// Estimated work per entry: 1 + the present drivers' child-fiber
-    /// occupancy scaled by ShardPlan::driverWeight (deeper-occupancy
-    /// estimate). Work-weighted shard boundaries split on this.
+    /// occupancy scaled by the loop's driver weights
+    /// (ir::ShardPlan::LoopFacts). Slice boundaries split on this.
     std::vector<double> weight;
 
-    /// ShardPlan::depth of the enumeration (0 or 1).
-    std::size_t depth = 0;
+    /// Per entry (depth >= 1): the owning node, as level and index.
+    /// Real units belong to a level depth-1 node; a barren node's
+    /// placeholder belongs to that node, at any level.
+    std::vector<std::size_t> ownerLevel;
+    std::vector<std::size_t> owner;
 
-    /// Depth 1 only: the loop-0 pre-lookups missed — the serial run
-    /// executes nothing and emits no top-walk summary.
+    /// Loop 0's pre-lookups missed: the serial run executes nothing
+    /// and emits no loop-0 summary.
     bool topSkipped = false;
 
-    // Top-walk summary (the serial walk's end-of-merge trace events);
-    // always describes *loop 0*, whose driver count is topDrivers.
-    std::size_t steps = 0;
-    std::size_t matches = 0;
-    std::vector<std::size_t> scans;
-    std::size_t topDrivers = 0;
+    /// Loop 0's walk summary.
+    Summary top;
 
-    /// Depth 1 only: per outer coordinate — its entry data, loop-0
-    /// driver cursors, whether the serial run entered it (post-lookup
-    /// hit) and walked loop 1 (pre-lookup hit), its unit range, and
-    /// its recorded loop-1 walk summary.
-    struct Outer
-    {
-        Entry e;
-        std::vector<std::size_t> pos;
-        std::vector<char> present;
-        std::size_t firstUnit = 0;
-        std::size_t units = 0;
-        bool entered = false;
-        bool walked = false;
-        bool barren = false;
-        std::size_t steps = 0;
-        std::size_t matches = 0;
-        std::vector<std::size_t> scans;
-    };
-    std::vector<Outer> outers;
-
-    /// Depth 1 only: owning outer index per entry.
-    std::vector<std::size_t> outerOf;
+    /// Some loop in 0..depth that restricts a contraction variable
+    /// branches (two or more coordinates under one prefix node): unit
+    /// partials may write the same output point, so they merge by
+    /// semiring add. Otherwise every unit owns a disjoint set of
+    /// output points.
+    bool collides = false;
 };
 
 /** Operator redefinition for Einsum evaluation. */
@@ -333,7 +386,7 @@ class Engine
     /**
      * Initialize per-run state (fresh output tensor, tensor cursors,
      * scratch). run() does this implicitly; the parallel path calls it
-     * before enumerateTop()/runShard(). When @p announce_swizzles is
+     * before enumerateTop()/beginShard(). When @p announce_swizzles is
      * false the per-input swizzle events are suppressed (the
      * coordinator emits them once via emitSwizzleAnnouncements so the
      * merged stream carries them exactly once, up front, like a serial
@@ -342,42 +395,42 @@ class Engine
     void beginRun(bool announce_swizzles);
 
     /**
-     * Enumerate the plan's schedulable units into @p tw — no trace
-     * emission except, at shard depth 1, the loop-0 pre-lookup events
-     * (which lead the serial stream and are emitted live exactly
-     * once, on this engine's bus). Requires beginRun(). At depth 0
-     * the outermost walk is recorded match by match; at depth 1 every
-     * outer coordinate is entered with the bus muted and its loop-1
-     * walk recorded as units (see TopWalk).
+     * Record the walk split at loop @p depth into @p tw (see TopWalk):
+     * every prefix node and unit, re-derived with the bus muted
+     * exactly as a serial walk would reach it. Emits nothing and
+     * leaves the engine's state as it found it. Requires beginRun().
      */
-    void enumerateTop(TopWalk& tw);
+    void enumerateTop(TopWalk& tw, std::size_t depth);
 
     /**
-     * Initialize this engine as a shard body: fresh run state (no
-     * swizzle announcements) plus, at shard depth 1, a *muted*
-     * re-application of the loop-0 pre-lookups (their state is needed
-     * to re-enter outer coordinates; their events were already
-     * emitted once by the enumerating engine).
+     * Apply loop 0's pre-lookups, the root of every split prefix.
+     * Their events lead the serial stream, so exactly one engine of a
+     * run applies them with @p emit set (the coordinator, after
+     * enumeration); shard engines re-apply them muted for the state.
+     * Returns true when a lookup missed (TopWalk::topSkipped).
      */
+    bool enterTop(bool emit);
+
+    /** Initialize this engine as a shard body: fresh run state (no
+     *  swizzle announcements) and the muted loop-0 pre-lookups. */
     void beginShard();
 
     /**
-     * Execute unit @p u of a recorded walk. Units given to one engine
-     * must be a contiguous ascending range (a work-stealing slice);
-     * the partial output accumulates in this engine, retrieved once
-     * via takeOutput(). At depth 1 the owning outer coordinate is
-     * entered on demand — unmuted exactly when @p u is the outer's
-     * first unit — and its loop-1 walk summary is emitted when @p u
-     * is its last, so the merged stream is byte-identical to a serial
-     * run no matter where slice boundaries (or steals) fall.
+     * Execute unit @p u of a recorded walk. The units one engine
+     * executes must ascend (a work-stealing slice, or the
+     * coordinator's live slices in order); the partial output
+     * accumulates in this engine, retrieved once via takeOutput().
+     * The unit's prefix nodes are opened on demand, unmuted exactly
+     * where @p u is a node's first unit, and the walk summary of
+     * every node whose last unit @p u is is emitted here.
      */
     void executeUnit(const TopWalk& tw, std::size_t u);
 
-    /**
-     * Close an outer coordinate left open by a slice ending mid-outer
-     * (state restore only — the events are owned positionally) and
-     * flush the bus: the tail of a shard body.
-     */
+    /** Close the prefix nodes left open by a slice ending mid-node
+     *  (state restore only: their events are owned positionally). */
+    void closeUnits();
+
+    /** closeUnits() and flush the bus: the tail of a shard body. */
     void finishShard();
 
     /**
@@ -394,18 +447,18 @@ class Engine
     /**
      * Shared output-node insert dedup (parallel path). Every shard
      * materializes output paths lazily from scratch, so an output
-     * node shared between shards (sharded rank deeper than the
+     * node shared between shards (split loop deeper than the
      * output's top rank) would announce its creation once per shard;
      * the serial engine announces it exactly once. With a filter set,
-     * a non-leaf insert event is emitted only when its path key enters
-     * the set for the first time — the coordinator shares one set
-     * between live execution and capture replay (single-threaded, in
-     * stream order).
+     * a non-leaf insert event is emitted only when @p nodes admits its
+     * path key — the coordinator shares one set between live
+     * execution and capture replay (single-threaded, in stream
+     * order).
      */
     void
-    setInsertFilter(util::FlatSet64* filter)
+    setInsertFilter(OutputNodes* nodes)
     {
-        insertFilter_ = filter;
+        insertFilter_ = nodes;
     }
 
     /**
@@ -425,7 +478,7 @@ class Engine
     /** Emit the per-input swizzle announcements a serial run makes. */
     void emitSwizzleAnnouncements();
 
-    /** Emit the top walk's end-of-merge events (coIterate, per-driver
+    /** Emit loop 0's end-of-merge events (coIterate, per-driver
      *  coordScans, walkEnd), exactly as the serial walk would. */
     void emitTopSummary(const TopWalk& tw);
 
@@ -435,6 +488,15 @@ class Engine
      * tail of a serial run(), applied once to the merged result.
      */
     ft::Tensor finishOutput(ft::Tensor produced);
+
+    /**
+     * finishOutput() for an output the slices already reordered:
+     * announce the online swizzle a serial run charges — @p nnz
+     * elements, merge ways from @p counts, the production-order
+     * output's element counts by depth — and flush the bus.
+     */
+    ft::Tensor finishReordered(ft::Tensor reordered, std::size_t nnz,
+                               const std::vector<std::size_t>& counts);
 
     /** Re-emit a shard's captured trace through this engine's bus. */
     void replayTrace(const trace::TraceLog& log);
@@ -562,7 +624,7 @@ class Engine
      * The enter half of atCoordinate: bind variables, descend the
      * drivers, apply slices and per-coordinate lookups, descend the
      * output path. Undo state persists in scratch_[loop] until the
-     * matching atCoordinateExit — inner-rank sharding holds an outer
+     * matching atCoordinateExit — a split walk holds a prefix
      * coordinate open across many units this way. Returns false on a
      * lookup miss (Exit must still be called).
      */
@@ -584,22 +646,33 @@ class Engine
     bool applyPreLookups(std::size_t loop, std::uint64_t pe);
     void undoPreLookups(std::size_t loop);
 
-    /** Depth-1 enumeration body of enumerateTop (see TopWalk). */
-    void enumerateInner(TopWalk& tw);
+    /**
+     * Body of enumerateTop: walk loop @p loop below prefix node
+     * @p parent (at level loop-1), recording loop-`tw.depth` matches
+     * as units and shallower ones as prefix nodes entered (muted) and
+     * recursed into. Returns the loop's walk summary.
+     */
+    TopWalk::Summary enumerateLoop(TopWalk& tw, std::size_t loop,
+                                   std::size_t parent, std::uint64_t pe);
 
     /**
-     * Enter outer coordinate @p oi of a depth-1 walk on this engine:
-     * atCoordinateEnter(0) plus the loop-1 pre-lookups, muted unless
-     * @p own (positional event ownership — only the engine executing
-     * the outer's first unit emits its events).
+     * Open prefix node @p i of level @p level for unit @p u:
+     * atCoordinateEnter plus the next loop's pre-lookups, muted unless
+     * @p u is the node's first unit.
      */
-    void openOuter(const TopWalk& tw, std::size_t oi, bool own);
+    void openNode(const TopWalk& tw, std::size_t level, std::size_t i,
+                  std::size_t u);
 
-    /** Undo the state applied by openOuter (no events). */
-    void closeOuter();
+    /** Undo the state of the deepest open node (no events). */
+    void closeNode();
+
+    /** Emit a recorded walk's end-of-merge events for @p loop. */
+    void emitWalkSummary(std::size_t loop, const TopWalk::Summary& sum,
+                         std::uint64_t pe);
 
     /** Estimated work of the current walkCore match at @p loop: 1 +
-     *  present drivers' child occupancy x ShardPlan::driverWeight. */
+     *  present drivers' child occupancy x the loop's driver weights
+     *  (ir::ShardPlan::LoopFacts). */
     double entryWeight(std::size_t loop) const;
 
     /**
@@ -694,7 +767,7 @@ class Engine
     std::vector<std::uint64_t> outHashAt_;
     bool outPathValid_ = false;
     /// Parallel-path insert dedup (null for serial runs).
-    util::FlatSet64* insertFilter_ = nullptr;
+    OutputNodes* insertFilter_ = nullptr;
 
     ft::Fiber* leafFiber_ = nullptr;
     std::size_t leafPos_ = 0;
@@ -711,13 +784,18 @@ class Engine
     std::size_t nextCancelPoll_ = 0;
 
     // Sharded-execution state (see the public shard API).
-    static constexpr std::size_t kNoOuter =
-        static_cast<std::size_t>(-1);
-    bool markReduce_ = false;      // setReduceCapture
-    std::size_t unitOuter_ = kNoOuter; // outer held open by executeUnit
-    bool outerPre1_ = false;       // loop-1 pre-lookups applied for it
-    std::vector<std::size_t> unitPos_;   // executeUnit driver scratch
+    bool markReduce_ = false; // setReduceCapture
+    /// Prefix nodes held open by executeUnit, one per level from 0.
+    struct OpenNode
+    {
+        std::size_t node;
+        bool entered; // the next loop's pre-lookups were applied
+    };
+    std::vector<OpenNode> open_;
+    std::vector<std::size_t> chain_;   // executeUnit owner-chain scratch
+    std::vector<std::size_t> unitPos_; // driver scratch
     std::vector<bool> unitPresent_;
+    std::size_t enumerated_ = 0; // enumerateTop cancel-poll counter
 
     /** Materialize the bound output path; sets leafFiber_/leafPos_. */
     void materializeOutputPath(std::uint64_t pe);

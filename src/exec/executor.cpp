@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "fibertree/transform.hpp"
 #include "trace/spill.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -31,6 +32,22 @@ namespace
  * negligible.
  */
 constexpr std::size_t kMaxShards = 64;
+
+/**
+ * Initial slice count of a colliding walk. Its slices are never split
+ * by steals (their partition is the summation grouping), and each
+ * one's partial output costs the coordinator a semiring-add merge, so
+ * it takes half as many slices as a disjoint walk.
+ */
+constexpr std::size_t kReduceShards = 32;
+
+/**
+ * Fewest units a split should yield: while the walk has fewer, it is
+ * enumerated again one loop deeper (Executor::enumerateSplit). A
+ * constant, so the split — and with it a reduce merge's summation
+ * grouping — never depends on the thread count.
+ */
+constexpr std::size_t kMinUnits = 16;
 
 /**
  * Hard cap on total slices including work-stealing splits. A split
@@ -87,7 +104,7 @@ struct FixupState
 {
     /// Interior output nodes already announced (shared with the live
     /// engine's insert filter).
-    util::FlatSet64 insertedKeys;
+    OutputNodes nodes;
     /// Reduce mode: leaf path keys some earlier slice already wrote.
     util::FlatSet64 reducedLeaves;
 };
@@ -171,7 +188,7 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
             Event& e = chunk[i];
             if (e.kind == Event::Kind::OutputWrite && e.flagA) {
                 if (!e.flagB) {
-                    if (!fs.insertedKeys.insert(e.key)) {
+                    if (!fs.nodes.admit(e.key, e.level)) {
                         --dlog;
                         --dlogical;
                         continue;
@@ -204,6 +221,18 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
 
 } // namespace
 
+const char*
+mergeName(SplitPoint::Merge m)
+{
+    switch (m) {
+      case SplitPoint::Merge::Serial: return "serial";
+      case SplitPoint::Merge::Live: return "live";
+      case SplitPoint::Merge::Disjoint: return "disjoint";
+      case SplitPoint::Merge::Reduce: return "reduce";
+    }
+    return "?";
+}
+
 Executor::Executor(const ir::EinsumPlan& plan, trace::Observer& obs,
                    Semiring sr, const ExecOptions& opts)
     : plan_(plan), sr_(sr), opts_(opts), engine_(plan, obs, sr, opts)
@@ -219,6 +248,7 @@ Executor::run()
     unsigned threads = opts_.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
+    split_ = SplitPoint{};
     if (threads > 1 && plan_.shard.shardable && hooks.enabled())
         return runSharded(threads);
     ft::Tensor out = engine_.run();
@@ -226,37 +256,86 @@ Executor::run()
     return out;
 }
 
+void
+Executor::enumerateSplit(TopWalk& tw)
+{
+    const ir::ShardPlan& sp = plan_.shard;
+    engine_.enumerateTop(tw, sp.depth);
+    // Deepen while the walk is too coarse to feed a pool. Stop before
+    // a take's probe loop, and before a loop that would make a
+    // collision-free walk collide: its disjoint merge adds nothing up,
+    // and a reduce merge there would regroup sums the serial run
+    // groups differently.
+    for (std::size_t d = sp.depth + 1;
+         tw.entries.size() < kMinUnits && d < sp.loops.size() &&
+         !sp.loops[d].restrictsProbe;
+         ++d) {
+        TopWalk deeper;
+        engine_.enumerateTop(deeper, d);
+        if (deeper.collides && !tw.collides)
+            break;
+        tw = std::move(deeper);
+    }
+}
+
 ft::Tensor
 Executor::runSharded(unsigned threads)
 {
-    // Serial enumeration of the sharded walk fixes every unit's
-    // coordinates, driver cursors, and PE ids up front (the top-walk
-    // summary events are replayed after the slices, where the serial
-    // merge loop would emit them). Datapath records are consumed by
+    // Serial enumeration of the split walk fixes every unit's
+    // coordinates, driver cursors, and PE ids up front (the loop-0
+    // walk summary is replayed after the slices, where the serial
+    // merge loop would emit it). Datapath records are consumed by
     // per-slice accumulators inside the workers (see ModelHooks);
     // only order-dependent records are captured and replayed.
     const ModelHooks& hooks = opts_.modelHooks;
-    const ir::ShardPlan& sp = plan_.shard;
-    const bool reduce_mode = sp.reduceMerge;
-    // Live execution writes straight to the delivery bus, which only
-    // reproduces the serial stream when slice outputs are disjoint
-    // and units are top-level (no positional outer ownership).
-    const bool live_ok = !reduce_mode && sp.depth == 0;
 
     engine_.beginRun(/*announce_swizzles=*/false);
     engine_.emitSwizzleAnnouncements();
     TopWalk tw;
-    engine_.enumerateTop(tw);
+    enumerateSplit(tw);
+    // Loop 0's pre-lookups lead the serial stream: emitted here,
+    // exactly once, and kept applied for the coordinator's live units.
+    const bool top_skipped = engine_.enterTop(/*emit=*/true);
+    TEAAL_ASSERT(top_skipped == tw.topSkipped,
+                 "loop-0 pre-lookups diverged from enumeration");
 
     const std::size_t n = tw.entries.size();
-    if (n == 0) {
+    // Partials of a collision-free walk own disjoint output points:
+    // they merge without adding anything up, and the coordinator runs
+    // the slices it claims live on the delivery bus.
+    const bool reduce_mode = tw.collides;
+    split_.rank = plan_.loops[tw.depth].name;
+    split_.depth = tw.depth;
+    split_.units = n;
+    split_.merge = n <= 1 ? SplitPoint::Merge::Live
+                          : (reduce_mode ? SplitPoint::Merge::Reduce
+                                         : SplitPoint::Merge::Disjoint);
+
+    if (n <= 1) {
+        // Nothing to spread: run it live, with no worker, capture,
+        // spill or replay.
+        if (n == 1)
+            engine_.executeUnit(tw, 0);
+        engine_.closeUnits();
         if (!tw.topSkipped)
             engine_.emitTopSummary(tw);
-        stats_ = ExecutionStats{};
+        stats_ = engine_.stats();
         return engine_.finishOutput(engine_.takeOutput());
     }
 
-    const std::size_t init_shards = std::min(n, kMaxShards);
+    // Each slice of a disjoint walk reorders its own partial output
+    // into the declared order, so the coordinator only merges.
+    const bool reorder_in_slices = !reduce_mode &&
+                                   !plan_.output.productionOrder.empty() &&
+                                   plan_.output.needsReorder;
+    const auto reorder = [&](ft::Tensor&& t) {
+        return reorder_in_slices
+                   ? ft::swizzle(t, plan_.output.declaredOrder)
+                   : std::move(t);
+    };
+
+    const std::size_t init_shards =
+        std::min(n, reduce_mode ? kReduceShards : kMaxShards);
     const std::vector<std::size_t> bounds =
         weightedBounds(tw, init_shards);
     const std::size_t sink_cap = std::min(n, kSliceCap);
@@ -288,6 +367,7 @@ Executor::runSharded(unsigned threads)
         /// only if the log actually crosses the segment threshold.
         std::unique_ptr<trace::SpillWriter> spillw;
         ft::Tensor out;
+        std::size_t leaves = 0; // out's nnz, when reordered in the slice
         ExecutionStats stats;
     };
 
@@ -315,6 +395,7 @@ Executor::runSharded(unsigned threads)
     std::condition_variable cv;
     std::size_t replay_idx = 0;   // next slice the coordinator finalizes
     std::size_t sink_next = init_shards;
+    unsigned joined = 0; // workers that entered drain()
     bool abort = false;
     std::exception_ptr first_error;
 
@@ -408,7 +489,9 @@ Executor::runSharded(unsigned threads)
                 eng.executeUnit(tw, u);
             }
             eng.finishShard();
-            s->out = eng.takeOutput();
+            s->out = reorder(eng.takeOutput());
+            if (reorder_in_slices)
+                s->leaves = s->out.nnz();
             s->stats = eng.stats();
         } catch (...) {
             record_error();
@@ -421,6 +504,10 @@ Executor::runSharded(unsigned threads)
     };
 
     auto drain = [&](unsigned) {
+        {
+            std::lock_guard<std::mutex> lk(mutex);
+            ++joined;
+        }
         for (;;) {
             Slice* s = nullptr;
             {
@@ -450,16 +537,18 @@ Executor::runSharded(unsigned threads)
     }
 
     FixupState fixup_state;
-    engine_.setInsertFilter(&fixup_state.insertedKeys);
+    engine_.setInsertFilter(&fixup_state.nodes);
     ft::AbsorbContext actx;
     actx.einsum = plan_.output.name;
     actx.rankIds = plan_.output.productionOrder.empty()
                        ? std::vector<std::string>{"_S"}
-                       : plan_.output.productionOrder;
+                       : (reorder_in_slices ? plan_.output.declaredOrder
+                                            : plan_.output.productionOrder);
     ft::Tensor merged;
     bool first_merge = true;
     ExecutionStats agg;
     std::size_t fixup_adds = 0;
+    std::size_t leaves = 0;
     auto absorb = [&](ft::Tensor&& part) {
         if (first_merge) {
             merged = std::move(part);
@@ -480,9 +569,9 @@ Executor::runSharded(unsigned threads)
     };
 
     // The coordinator walks slices strictly in begin order:
-    // live-executing (disjoint depth-0) or capture-executing every
-    // slice no worker got to first, and replaying worker captures
-    // otherwise (after the in-order fixup pass).
+    // live-executing (disjoint walks) or capture-executing every slice
+    // no worker got to first, and replaying worker captures otherwise
+    // (after the in-order fixup pass).
     try {
         for (;;) {
             Slice* s = nullptr;
@@ -494,7 +583,13 @@ Executor::runSharded(unsigned threads)
                 s = slices[replay_idx].get();
                 if (!s->running && !s->done) {
                     s->running = true;
-                    s->live = live_ok;
+                    // Live execution skips capture, spill and replay.
+                    // Until the whole pool has joined, the coordinator
+                    // captures like a worker instead: a pool slow to
+                    // wake (or busy with other runs) then leaves the
+                    // run on the capture path, not mostly live, and the
+                    // first slice is always captured.
+                    s->live = !reduce_mode && joined == workers;
                     execute_here = true;
                 } else if (!s->done) {
                     cv.wait(lk, [&] { return s->done || abort; });
@@ -554,6 +649,7 @@ Executor::runSharded(unsigned threads)
                 engine_.replayTrace(s->log);
                 s->log.clear();
                 agg += s->stats;
+                leaves += s->leaves;
                 absorb(std::move(s->out));
                 s->out = ft::Tensor();
             }
@@ -598,14 +694,28 @@ Executor::runSharded(unsigned threads)
     // engine's own output partial and stats; the reduce adds restored
     // during replay were counted by the serial run but invisible to
     // the slice engines.
+    engine_.closeUnits();
     agg += engine_.stats();
-    absorb(engine_.takeOutput());
+    ft::Tensor own = reorder(engine_.takeOutput());
+    if (reorder_in_slices)
+        leaves += own.nnz();
+    absorb(std::move(own));
     agg.computeAdds += fixup_adds;
 
     if (!tw.topSkipped)
         engine_.emitTopSummary(tw);
     stats_ = agg;
-    return engine_.finishOutput(std::move(merged));
+    if (!reorder_in_slices)
+        return engine_.finishOutput(std::move(merged));
+    // Every interior node of the production-order output was announced
+    // exactly once, so the announcements per level are its element
+    // counts by depth; the leaves are disjoint across slices.
+    std::vector<std::size_t> counts(plan_.output.productionOrder.size(), 0);
+    const std::vector<std::size_t>& nodes = fixup_state.nodes.perLevel;
+    for (std::size_t l = 0; l + 1 < counts.size() && l < nodes.size(); ++l)
+        counts[l] = nodes[l];
+    counts.back() = leaves;
+    return engine_.finishReordered(std::move(merged), leaves, counts);
 }
 
 } // namespace teaal::exec

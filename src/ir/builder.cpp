@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
-#include <limits>
 #include <set>
 #include <sstream>
 
@@ -623,11 +622,6 @@ instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         IndexExpr expr;
     };
 
-    // Occupancy hints of each prepared input, gathered once (one
-    // O(nnz) traversal each); strategy selection indexes them.
-    std::vector<std::vector<double>> input_hints;
-    input_hints.reserve(expr.inputs.size());
-
     for (std::size_t slot = 0; slot < expr.inputs.size(); ++slot) {
         const TensorRef& ref = expr.inputs[slot];
         const std::unique_ptr<PlanInput> in = tensors.open(ref.name, expr);
@@ -853,7 +847,9 @@ instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
             }
         }
 
-        input_hints.push_back(in->hints());
+        // One O(nnz) traversal per input; strategy selection and the
+        // shard work weights read it.
+        tp.occupancy = in->hints();
         in->finish(tp);
 
         // Materialize final actions with post-swizzle levels.
@@ -894,10 +890,10 @@ instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 if (a.loopIndex == static_cast<int>(i) &&
                     a.mode == LevelAction::Mode::CoIterate) {
                     const auto lvl = static_cast<std::size_t>(a.level);
+                    const std::vector<double>& hints =
+                        plan.inputs[t].occupancy;
                     occupancies.push_back(
-                        lvl < input_hints[t].size()
-                            ? input_hints[t][lvl]
-                            : 0.0);
+                        lvl < hints.size() ? hints[lvl] : 0.0);
                 }
             }
         }
@@ -1203,8 +1199,6 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
 namespace
 {
 
-constexpr std::size_t kInnerMinTopEntries = 4;
-
 bool
 inOutput(const std::vector<std::string>& out_vars, const std::string& v)
 {
@@ -1293,63 +1287,30 @@ loopHasLookup(const EinsumPlan& plan, std::size_t idx)
 }
 
 /**
- * Estimated entry count of the top walk: the smallest driver root
- * occupancy (the walk is an intersection), the dense extent when no
- * driver co-iterates, 1 for a probe-only top.
- */
-std::size_t
-estimateTopEntries(const EinsumPlan& plan)
-{
-    if (plan.loops[0].probeOnly)
-        return 1;
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    for (const TensorPlan& tp : plan.inputs) {
-        for (const LevelAction& a : tp.actions) {
-            if (a.loopIndex != 0 ||
-                a.mode != LevelAction::Mode::CoIterate)
-                continue;
-            const std::size_t occ =
-                tp.packed != nullptr
-                    ? tp.packed->rootView().size()
-                    : (tp.prepared.root() ? tp.prepared.root()->size()
-                                          : 0);
-            best = std::min(best, occ);
-        }
-    }
-    if (best == std::numeric_limits<std::size_t>::max())
-        best = static_cast<std::size_t>(
-            std::max<ft::Coord>(plan.loops[0].denseExtent, 0));
-    return best;
-}
-
-/**
- * Per-input work-weighting factors for sharding loop @p depth:
+ * Per-input work-weighting factors for splitting at loop @p loop:
  * expected leaves below one *child* of that input's driver fiber,
  * i.e. the product of the input's occupancy hints strictly below the
  * child level (a leaf-level driver scores 1 per element). Inputs
- * without a driver at @p depth get 0 and contribute nothing.
+ * without a driver at @p loop get 0 and contribute nothing.
  */
 std::vector<double>
-driverWeightsAt(const EinsumPlan& plan, std::size_t depth)
+driverWeightsAt(const EinsumPlan& plan, std::size_t loop)
 {
     std::vector<double> w(plan.inputs.size(), 0.0);
     for (std::size_t t = 0; t < plan.inputs.size(); ++t) {
         const TensorPlan& tp = plan.inputs[t];
         int level = -1;
         for (const LevelAction& a : tp.actions) {
-            if (a.loopIndex == static_cast<int>(depth) &&
+            if (a.loopIndex == static_cast<int>(loop) &&
                 a.mode == LevelAction::Mode::CoIterate)
                 level = a.level;
         }
         if (level < 0)
             continue;
-        const std::vector<double> hints =
-            tp.packed != nullptr ? tp.packed->occupancyHints()
-                                 : tp.prepared.occupancyHints();
         double factor = 1.0;
         for (std::size_t l = static_cast<std::size_t>(level) + 2;
-             l < hints.size(); ++l)
-            factor *= std::max(hints[l], 1.0);
+             l < tp.occupancy.size(); ++l)
+            factor *= std::max(tp.occupancy[l], 1.0);
         w[t] = factor;
     }
     return w;
@@ -1418,39 +1379,50 @@ analyzeSharding(const EinsumPlan& plan)
     const std::string top = plan.loops[0].name;
     std::vector<std::string> vars = loopGroupVars(plan, 0);
 
-    // Depth 0 — the outermost rank — unless it is unshardable:
-    // loop-entry lookups would re-fire per shard, a rank binding no
-    // variable partitions nothing, and a walk thinner than a few
-    // entries cannot feed a pool. Those fall through to the loop
-    // below (Mode::Inner) instead of rejecting the plan.
+    // Start at depth 0 — the outermost rank — unless it is
+    // unshardable: loop-entry lookups would re-fire per shard, and a
+    // rank binding no variable partitions nothing. Those start at the
+    // loop below (Mode::Inner) instead of rejecting the plan.
     std::string why_inner;
     if (loopHasLookup(plan, 0))
         why_inner = "rank '" + top + "' carries lookup actions";
     else if (vars.empty())
         why_inner = "rank '" + top + "' binds no index variable";
-    else if (estimateTopEntries(plan) < kInnerMinTopEntries)
-        why_inner = "rank '" + top + "' walks too few entries";
 
     if (why_inner.empty()) {
         sp = classifyShard(std::move(sp), plan.expr, 0, top, vars);
-        if (sp.shardable)
-            sp.driverWeight = driverWeightsAt(plan, 0);
+    } else {
+        if (plan.loops.size() < 2)
+            return reject(why_inner + " and no inner loop exists");
+        // The merge classifies over everything loops 0 and 1 bind or
+        // restrict (partials span both).
+        for (const std::string& v : loopGroupVars(plan, 1)) {
+            if (std::find(vars.begin(), vars.end(), v) == vars.end())
+                vars.push_back(v);
+        }
+        sp = classifyShard(std::move(sp), plan.expr, 1,
+                           plan.loops[1].name, vars);
+    }
+    if (!sp.shardable)
         return sp;
-    }
-    if (plan.loops.size() < 2)
-        return reject(why_inner + " and no inner loop exists");
 
-    // Inner fall-through: shard loop 1's walk below each top
-    // coordinate. The merge classifies over everything loops 0 and 1
-    // bind or restrict (partials span both).
-    for (const std::string& v : loopGroupVars(plan, 1)) {
-        if (std::find(vars.begin(), vars.end(), v) == vars.end())
-            vars.push_back(v);
+    // What splitting deeper than the starting depth needs, per loop.
+    const std::vector<std::string> out_vars = plan.expr.outputVars();
+    const bool take = plan.expr.kind == einsum::OpKind::Take;
+    sp.loops.resize(plan.loops.size());
+    for (std::size_t l = 0; l < plan.loops.size(); ++l) {
+        ShardPlan::LoopFacts& f = sp.loops[l];
+        f.driverWeight = driverWeightsAt(plan, l);
+        // A loop whose partition group binds no variable counts as
+        // contracting: nothing shows its coordinates separate output
+        // points. (SIGMA's K1 is one: its leaf rank K0 is flattened
+        // into MK0, and it does restrict k.)
+        const std::vector<std::string> group = loopGroupVars(plan, l);
+        f.restrictsContraction = out_vars.empty() || group.empty();
+        for (const std::string& v : group)
+            f.restrictsContraction |= !inOutput(out_vars, v);
+        f.restrictsProbe = take && f.restrictsContraction;
     }
-    sp = classifyShard(std::move(sp), plan.expr, 1, plan.loops[1].name,
-                       vars);
-    if (sp.shardable)
-        sp.driverWeight = driverWeightsAt(plan, 1);
     return sp;
 }
 

@@ -133,6 +133,11 @@ struct TensorPlan
     /// Actions in execution order (sorted by loopIndex, then level).
     std::vector<LevelAction> actions;
 
+    /// Per-level occupancy hints of the prepared input (elements per
+    /// fiber, ft::Tensor::occupancyHints), measured once at
+    /// instantiation.
+    std::vector<double> occupancy;
+
     /// Swizzle inferred to reach concordant order. Online swizzles
     /// (on intermediates) are charged to the merger model.
     bool swizzled = false;
@@ -225,22 +230,23 @@ struct OutputPlan
 struct ShardPlan
 {
     /**
-     * How shard partial outputs relate, which picks the merge:
-     *  - Disjoint: the sharded prefix binds only output variables,
-     *    so shards write disjoint output subtrees; merged with
+     * How shard partial outputs relate at the *starting* depth, which
+     * is what the spec-level analysis can predict. Each run then picks
+     * its own split loop and merge from the walk it enumerates (see
+     * exec::Executor and exec::SplitPoint):
+     *  - Disjoint: the prefix binds only output variables, so shards
+     *    write disjoint output subtrees; merged with
      *    `Fiber::absorbDisjoint` (leaf collisions are hard errors —
      *    the debug check of this mode).
-     *  - Reduce: the sharded prefix restricts a contraction variable
-     *    (or the output is a scalar), so shards hold private partial
-     *    outputs that legitimately overlap; merged with
-     *    `Fiber::absorbReduce` (semiring-add on leaf collisions),
-     *    and the replayed trace stream is patched so the reduce adds
-     *    land exactly where the serial run put them.
+     *  - Reduce: the prefix restricts a contraction variable (or the
+     *    output is a scalar), so shards may hold partial outputs that
+     *    overlap; merged with `Fiber::absorbReduce` (semiring-add on
+     *    leaf collisions), and the replayed trace stream is patched so
+     *    the reduce adds land exactly where the serial run put them.
      *  - Inner: the outermost rank itself is unshardable (lookup
-     *    actions, binds no variable) or too thin to feed a pool, so
-     *    the walk *below* each top coordinate is sharded instead
-     *    (`depth == 1`); partials merge per Disjoint/Reduce rules via
-     *    `reduceMerge`.
+     *    actions, binds no variable), so the split starts one loop
+     *    down (`depth == 1`); partials merge per Disjoint/Reduce rules
+     *    via `reduceMerge`.
      */
     enum class Mode { Disjoint, Reduce, Inner };
 
@@ -248,16 +254,18 @@ struct ShardPlan
 
     Mode mode = Mode::Disjoint;
 
-    /// Loop index whose walk is partitioned into contiguous shards:
-    /// 0 for Disjoint/Reduce, 1 for Inner.
+    /// Starting split depth: the loop whose coordinates are the units
+    /// of work when the walk yields enough of them (0 for
+    /// Disjoint/Reduce, 1 for Inner). A run may split deeper.
     std::size_t depth = 0;
 
-    /// True when partial outputs may overlap and must merge with
-    /// absorbReduce (Mode::Reduce, or Mode::Inner over a
-    /// contraction-restricting prefix).
+    /// True when partial outputs at the starting depth may overlap
+    /// (Mode::Reduce, or Mode::Inner over a contraction-restricting
+    /// prefix). A run merges with absorbReduce only when its walk
+    /// actually branches at such a loop.
     bool reduceMerge = false;
 
-    /// The sharded loop rank (loop `depth`'s rank id).
+    /// The starting split loop rank (loop `depth`'s rank id).
     std::string rank;
 
     /// The (outermost) space rank, when the mapping declares one.
@@ -268,13 +276,31 @@ struct ShardPlan
     /// Why the plan is not shardable (empty when it is).
     std::string reason;
 
-    /// Work-weighting factors, one per input slot (plan overload
-    /// only): expected leaves below one child of that input's driver
-    /// fiber at the sharded loop, from occupancy hints. The engine
-    /// scores each top-walk entry as 1 + sum over present drivers of
-    /// child-occupancy x factor, and the executor places shard
-    /// boundaries at weighted quantiles instead of equal counts.
-    std::vector<double> driverWeight;
+    /** What the executor needs to split a walk at one loop. */
+    struct LoopFacts
+    {
+        /// Work-weighting factors, one per input slot: expected leaves
+        /// below one child of that input's driver fiber at this loop,
+        /// from occupancy hints. The engine scores each unit as 1 +
+        /// sum over present drivers of child-occupancy x factor, and
+        /// the executor places slice boundaries at weighted quantiles
+        /// instead of equal counts.
+        std::vector<double> driverWeight;
+
+        /// The loop binds or range-restricts a contraction variable
+        /// (any variable, for a scalar output): two of its coordinates
+        /// under one prefix coordinate may write the same output
+        /// point.
+        bool restrictsContraction = false;
+
+        /// A take Einsum's loop restricting the probe variable: no
+        /// split reaches it, since idempotent take writes cannot
+        /// reduce-merge.
+        bool restrictsProbe = false;
+    };
+
+    /// Per loop index (plan overload, shardable plans only).
+    std::vector<LoopFacts> loops;
 };
 
 /** A fully lowered Einsum: the unit the executor interprets. */
@@ -369,44 +395,45 @@ struct EinsumRecipe
 /**
  * Decide shardability (the parallel path of `exec::Executor`).
  *
- * Sharding splits one loop rank's walk into contiguous coordinate
- * windows: each shard executes the loop nest below its window against
- * the shared (immutable, fiber-shared) inputs, producing a private
- * partial output and a private trace capture that a finalize step
- * merges in canonical shard order. Since PR 6 every loop nest that
- * actually walks its inputs shards — the analysis picks *how*:
+ * Sharding splits the walk at one loop into contiguous runs of that
+ * loop's coordinates (the units of work): each shard executes the
+ * loop nest below its units against the shared (immutable,
+ * fiber-shared) inputs, producing a private partial output and a
+ * private trace capture that a finalize step merges in canonical
+ * shard order. Every loop nest that actually walks its inputs shards;
+ * the analysis fixes whether it can and where the split *starts*:
  *
- *   - The sharded rank defaults to the outermost loop (`depth` 0).
- *     When every variable that rank binds or restricts (its own
- *     `bindsVars`, plus those of the leaf rank of the same partition
- *     group, e.g. M1 restricting m via M0) appears in the output,
- *     shards write disjoint output subtrees: Mode::Disjoint, merged
- *     with absorbDisjoint.
+ *   - The split starts at the outermost loop (`depth` 0). When every
+ *     variable that rank binds or restricts (its own `bindsVars`,
+ *     plus those of the leaf rank of the same partition group, e.g.
+ *     M1 restricting m via M0) appears in the output, shards write
+ *     disjoint output subtrees: Mode::Disjoint.
  *   - When the prefix restricts a contraction variable (SIGMA's K1)
- *     or the output is a scalar, shards legitimately write the same
- *     output points: Mode::Reduce, merged with absorbReduce
- *     (semiring-add on leaf collisions) plus a replay-time patch
- *     that keeps counters and trace streams serial-identical.
- *   - When the top rank is unshardable — it carries Lookup actions
- *     (loop-entry lookups would re-fire per shard), binds no index
- *     variable, or its walk is too thin to feed a pool (estimated
- *     from driver root occupancy) — the analysis falls through to
- *     the loop below it: Mode::Inner (`depth` 1), where shards split
- *     the flattened inner walk and replicate the outer entry/exit
- *     state machine (muted except for the owning shard).
+ *     or the output is a scalar, shards may write the same output
+ *     points: Mode::Reduce.
+ *   - When the top rank carries Lookup actions or binds no index
+ *     variable, the split starts at the loop below it: Mode::Inner
+ *     (`depth` 1).
+ *
+ * The starting depth is not the split a run uses. The executor
+ * enumerates the walk there and, while it yields fewer units than a
+ * pool needs, one loop deeper, using the per-loop facts recorded in
+ * `ShardPlan::loops`. Whether partials overlap is then read off the
+ * enumerated walk (exec::TopWalk::collides), not the prefix's
+ * variables alone.
  *
  * Plans that still run serially (`shardable == false`, `reason` says
  * why): whole-tensor copies, empty loop nests, single-loop nests
- * whose only rank is unshardable, and take-Einsums whose sharded
+ * whose only rank is unshardable, and take-Einsums whose starting
  * prefix restricts the probe variable (a take reduce-merge would
  * double-count the idempotent writes).
  *
  * The recipe overload is what `compile` can precompute before any
- * workload exists (it cannot see lookup actions or occupancy, so it
- * reports depth-0 modes only); the plan overload is authoritative
+ * workload exists (it cannot see lookup actions, so it reports
+ * depth-0 modes only); the plan overload is authoritative
  * (instantiation adds lookup actions, occupancy hints, and the
- * work-weighting table) and its result is stored in EinsumPlan::shard
- * by instantiatePlan, so the run path never re-derives it.
+ * per-loop facts) and its result is stored in EinsumPlan::shard by
+ * instantiatePlan, so the run path never re-derives it.
  */
 ShardPlan analyzeSharding(const EinsumRecipe& recipe);
 ShardPlan analyzeSharding(const EinsumPlan& plan);

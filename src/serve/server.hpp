@@ -29,6 +29,8 @@
  *            "traffic_bytes":...,"compute_muls":...,"cache":"hit"}
  *   {"op":"stats"}            -> registry/admission/plan-cache counters
  *   {"op":"sharding_report","model":"m1"} -> per-Einsum entries
+ *                             (the compile-time estimate; a run may
+ *                             split deeper, see SimulationResult::splits)
  *   {"op":"cancel","target":<id>}         -> {"ok":true,"cancelled":N}
  *
  * Evaluations accept an optional `deadline_ms`; the server clamps it

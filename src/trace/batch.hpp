@@ -379,10 +379,10 @@ class BatchBus
     /**
      * Suppress the bus entirely while set: muted records are neither
      * counted, logged, delivered, nor routed to the datapath sink.
-     * Inner-rank (depth-1) sharding uses this when a shard engine
-     * re-derives an outer coordinate's loop state that another shard
-     * owns the events for — the state transitions must happen, their
-     * trace must not.
+     * A split walk uses this when an engine re-derives a prefix
+     * coordinate's loop state that another shard owns the events for,
+     * and while it enumerates the walk — the state transitions must
+     * happen, their trace must not.
      */
     void setMuted(bool muted) { muted_ = muted; }
 

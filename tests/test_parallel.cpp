@@ -6,6 +6,9 @@
  * for every thread count, per Table 1 accelerator spec), reduction
  * and inner-rank sharding (contraction-outermost SIGMA, scalar-output
  * cascades, no-space-rank mappings — all shardable since PR 6), the
+ * split each run picks (deeper than the plan's starting loop when
+ * that yields too few units, never regrouping a collision-free
+ * walk's sums) and slices reordering their own partial outputs, the
  * shard-plan classification, the disjoint and reducing fiber merges,
  * concurrent CompiledModel::run from multiple host threads, and the
  * unknown-rank diagnostic for co-iteration overrides.
@@ -18,6 +21,7 @@
 #include <utility>
 
 #include "accelerators/accelerators.hpp"
+#include "baselines/baselines.hpp"
 #include "compiler/pipeline.hpp"
 #include "fibertree/fiber.hpp"
 #include "ir/plan.hpp"
@@ -301,6 +305,146 @@ TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
     pw.add("A", pa).add("B", pb).add("W", pwt);
     expectThreadEquivalenceOn(packed_model, pw, 1, 2);
     expectThreadEquivalenceOn(packed_model, pw, 1, 4);
+}
+
+// ------------------------------------------------------ split depth
+
+/** ExTensor with top tiles larger than the matrices: N2, K2 and M2
+ *  have one coordinate each and M1 alone yields too few units, so the
+ *  walk is split one loop deeper at N1. K1 below it is a contraction
+ *  the collision-free walk must not branch on, so Z keeps the serial
+ *  summation order: bit-identical to the serial run and to Gustavson's,
+ *  with identical counters and streams. */
+TEST(Parallel, ExTensorSplitsBelowOneCoordinateTiles)
+{
+    accel::ExTensorConfig cfg = smallExTensor();
+    cfg.tileK1 = 64;
+    cfg.tileM1 = 64;
+    cfg.tileN1 = 64;
+    const auto mats = makeMatrices(23);
+    auto model = compiler::compile(accel::extensor(cfg));
+    Workload w;
+    w.add("A", mats.a).add("B", mats.b);
+
+    StreamRecorder serial_rec;
+    RunOptions serial;
+    serial.observers.push_back(&serial_rec);
+    const SimulationResult ref = model.run(w, serial);
+    const ft::Tensor& z = ref.result(model.spec());
+    EXPECT_TRUE(z.equals(baselines::gustavsonSpmspm(mats.a, mats.b), 0.0));
+    ASSERT_EQ(ref.splits.size(), 1u);
+    EXPECT_EQ(ref.splits[0].merge, exec::SplitPoint::Merge::Serial);
+
+    for (const unsigned threads : {2u, 4u}) {
+        SCOPED_TRACE(threads);
+        StreamRecorder rec;
+        RunOptions opts;
+        opts.threads = threads;
+        opts.observers.push_back(&rec);
+        const SimulationResult got = model.run(w, opts);
+        expectSameResults(ref, got);
+        EXPECT_EQ(rec.log, serial_rec.log);
+        EXPECT_TRUE(got.result(model.spec()).equals(z, 0.0));
+        ASSERT_EQ(got.splits.size(), 1u);
+        const exec::SplitPoint& split = got.splits[0];
+        EXPECT_EQ(split.rank, "N1");
+        EXPECT_EQ(split.depth, 4u);
+        EXPECT_GE(split.units, 16u);
+        EXPECT_EQ(split.merge, exec::SplitPoint::Merge::Disjoint);
+    }
+}
+
+/** SIGMA's Z at two geometries. At the small one, three K1 tiles of
+ *  about two MK01 chunks each are too few units, and the walk already
+ *  branches at those contraction loops, so the split moves below MK01
+ *  to MK00. With 2-wide K tiles of one chunk each, MK01 never
+ *  branches but the twenty K1 tiles do: the split stays at MK01, and
+ *  the walk still collides through K1, which restricts k although its
+ *  leaf rank K0 is flattened into MK0. Counters and streams match the
+ *  serial run, and since a reduce merge's grouping depends only on
+ *  the plan, the data and constants, tensors are byte-identical
+ *  between 2 and 4 threads. */
+TEST(Parallel, SigmaSplitsBelowItsChunkLoop)
+{
+    accel::SigmaConfig one_chunk_tiles = smallSigma();
+    one_chunk_tiles.kTile = 2;
+    one_chunk_tiles.stationaryChunk = 4096;
+    struct Case
+    {
+        accel::SigmaConfig cfg;
+        const char* rank;
+        std::size_t depth;
+    };
+    for (const Case& c : {Case{smallSigma(), "MK00", 2},
+                          Case{one_chunk_tiles, "MK01", 1}}) {
+        SCOPED_TRACE(c.rank);
+        const auto mats = makeMatrices(23);
+        auto model = compiler::compile(accel::sigma(c.cfg));
+        Workload w;
+        w.add("A", mats.a).add("B", mats.b);
+        expectThreadEquivalenceOn(model, w, 1, 2);
+        expectThreadEquivalenceOn(model, w, 1, 4);
+
+        RunOptions two;
+        two.threads = 2;
+        RunOptions four;
+        four.threads = 4;
+        const SimulationResult r2 = model.run(w, two);
+        const SimulationResult r4 = model.run(w, four);
+        ASSERT_EQ(r4.splits.size(), 3u);
+        const exec::SplitPoint& z4 = r4.splits[2];
+        EXPECT_EQ(z4.rank, c.rank);
+        EXPECT_EQ(z4.depth, c.depth);
+        EXPECT_EQ(z4.merge, exec::SplitPoint::Merge::Reduce);
+        EXPECT_EQ(r2.splits[2].rank, z4.rank);
+        EXPECT_EQ(r2.splits[2].units, z4.units);
+        for (const auto& [name, t] : r4.tensors)
+            EXPECT_TRUE(t.equals(r2.tensors.at(name), 0.0)) << name;
+    }
+}
+
+/** OuterSPACE's T is produced [K, M, N] and stored [M, K, N], and its
+ *  walk splits disjoint, so each slice reorders its own partial and
+ *  the coordinator charges the swizzle from the node counts the merged
+ *  stream announced. T and its delivered swizzle record (elements,
+ *  merge ways) must equal the serial run's at 2 and 4 threads. */
+TEST(Parallel, OuterSpaceSlicesReorderTheirOwnPartials)
+{
+    const auto mats = makeMatrices(23);
+    auto model = compiler::compile(accel::outerSpace(smallOuterSpace()));
+    Workload w;
+    w.add("A", mats.a).add("B", mats.b);
+    ASSERT_TRUE(model.plans(w)[0].output.needsReorder);
+
+    const auto swizzlesOfT = [](const StreamRecorder& rec) {
+        std::vector<std::string> out;
+        for (const std::string& e : rec.log) {
+            if (e.rfind("Z:", 0) == 0 && e.size() > 2 &&
+                e.compare(e.size() - 2, 2, ":T") == 0)
+                out.push_back(e);
+        }
+        return out;
+    };
+    StreamRecorder serial_rec;
+    RunOptions serial;
+    serial.observers.push_back(&serial_rec);
+    const SimulationResult ref = model.run(w, serial);
+    // T's output swizzle, then Z's online swizzle of its input T.
+    ASSERT_EQ(swizzlesOfT(serial_rec).size(), 2u);
+
+    for (const unsigned threads : {2u, 4u}) {
+        SCOPED_TRACE(threads);
+        StreamRecorder rec;
+        RunOptions opts;
+        opts.threads = threads;
+        opts.observers.push_back(&rec);
+        const SimulationResult got = model.run(w, opts);
+        EXPECT_EQ(got.splits[0].merge, exec::SplitPoint::Merge::Disjoint);
+        EXPECT_EQ(swizzlesOfT(rec), swizzlesOfT(serial_rec));
+        EXPECT_TRUE(got.tensors.at("T").equals(ref.tensors.at("T"), 0.0));
+        expectSameResults(ref, got);
+        EXPECT_EQ(rec.log, serial_rec.log);
+    }
 }
 
 /** A mapping with no spacetime section at all still shards: the top

@@ -9,7 +9,8 @@
  * (spillKeep retains them), serial runs never touch the directory,
  * and SpillStats reports what was written. Also the first-write bit
  * that leaf output writes carry through every variant, spill
- * included.
+ * included, a one-unit walk that runs live and spills nothing, and a
+ * walk split below a two-level prefix of pre-lookups and barren nodes.
  */
 #include <gtest/gtest.h>
 
@@ -349,6 +350,154 @@ TEST(Spill, RepeatedSpilledRunsAreDeterministic)
     expectSameResults(first, second);
     EXPECT_EQ(first.spill.frames, second.spill.frames);
     EXPECT_EQ(first.spill.bytes, second.spill.bytes);
+}
+
+/** A walk that yields one unit — ExTensor with every tile larger than
+ *  the matrices, whose first branching loop K1 is a contraction — runs
+ *  live on the coordinator: no worker, capture, spill or replay, and
+ *  the serial run's stream and results. */
+TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
+{
+    accel::ExTensorConfig cfg;
+    cfg.pes = 4;
+    cfg.tileK1 = 64;
+    cfg.tileK0 = 4;
+    cfg.tileM1 = 64;
+    cfg.tileM0 = 64;
+    cfg.tileN1 = 64;
+    cfg.tileN0 = 64;
+    cfg.llcBytes = 256 * 1024;
+    auto model = compiler::compile(accel::extensor(cfg));
+    const Workload w = workloadFor(47);
+
+    StreamRecorder serial_rec;
+    RunOptions opts;
+    opts.observers = {&serial_rec};
+    const SimulationResult serial = model.run(w, opts);
+
+    const TempDir tmp;
+    StreamRecorder rec;
+    opts.threads = 4;
+    opts.spillDir = tmp.str();
+    opts.spillSegmentBytes = 64;
+    opts.observers = {&rec};
+    const SimulationResult live = model.run(w, opts);
+
+    expectSameResults(serial, live);
+    EXPECT_EQ(rec.log, serial_rec.log);
+    ASSERT_EQ(live.splits.size(), 1u);
+    EXPECT_EQ(live.splits[0].merge, exec::SplitPoint::Merge::Live);
+    EXPECT_EQ(live.splits[0].units, 1u);
+    EXPECT_EQ(live.splits[0].rank, "N1");
+    EXPECT_EQ(live.spill.files, 0u);
+    EXPECT_EQ(live.spill.frames, 0u);
+    EXPECT_EQ(live.spill.bytes, 0u);
+    EXPECT_EQ(tmp.fileCount(), 0u);
+}
+
+/**
+ * A split prefix holding loop-0 pre-lookups and barren nodes. P's
+ * constant plane is looked up on entry to M, so the split starts at K;
+ * X's constant column misses for m = 2 (an M node the serial run
+ * enters but never walks below), and for some (m, k) B[k] and C[m]
+ * share no n (K nodes whose N walk is empty). K branches on the
+ * contraction k, so the walk may deepen, and its dozen K units send the
+ * split to N, depth 2. Integer values keep the reduce merge exact.
+ */
+const char* kPrefixYaml = R"(
+einsum:
+  declaration:
+    P: [S, M, K]
+    X: [M, W]
+    B: [K, N]
+    C: [M, N]
+    Z: [M, N]
+  expressions:
+    - Z[m, n] = P[0, m, k] * X[m, 1] * B[k, n] * C[m, n]
+mapping:
+  loop-order:
+    Z: [M, K, N]
+)";
+
+/** The inputs of kPrefixYaml; @p plane is the P plane that holds the
+ *  data (the expression looks up plane 0). */
+Workload
+prefixWorkload(ft::Coord plane)
+{
+    using Elems = std::vector<std::pair<std::vector<ft::Coord>, ft::Value>>;
+    Elems p;
+    Elems x;
+    Elems c;
+    for (ft::Coord m = 0; m < 6; ++m) {
+        // Two k's per row; together they cover k = 0..4.
+        p.push_back({{plane, m, m % 5}, static_cast<ft::Value>(1 + m)});
+        p.push_back({{plane, m, (m + 2) % 5}, 2});
+        x.push_back({{m, 0}, 5});
+        if (m != 2)
+            x.push_back({{m, 1}, static_cast<ft::Value>(2 + m % 3)});
+        // Rows of C hold n = m and m + 2: disjoint from some rows of B.
+        c.push_back({{m, m}, 3});
+        c.push_back({{m, m + 2}, static_cast<ft::Value>(1 + m % 4)});
+    }
+    Elems b;
+    for (ft::Coord k = 0; k < 5; ++k) {
+        b.push_back({{k, k}, static_cast<ft::Value>(1 + k)});
+        b.push_back({{k, k + 3}, 2});
+    }
+    Workload w;
+    w.add("P", ft::Tensor::fromCoo("P", {"S", "M", "K"}, {2, 6, 5}, p))
+        .add("X", ft::Tensor::fromCoo("X", {"M", "W"}, {6, 2}, x))
+        .add("B", ft::Tensor::fromCoo("B", {"K", "N"}, {5, 8}, b))
+        .add("C", ft::Tensor::fromCoo("C", {"M", "N"}, {6, 8}, c));
+    return w;
+}
+
+TEST(Spill, PreLookupsAndBarrenNodesInADepthTwoPrefix)
+{
+    auto model =
+        compiler::compile(compiler::Specification::parse(kPrefixYaml));
+    ASSERT_EQ(model.shardPlans().size(), 1u);
+
+    for (const ft::Coord plane : {0, 1}) {
+        // Plane 1 makes loop 0's pre-lookup miss: the run executes
+        // nothing below it.
+        SCOPED_TRACE(plane);
+        const Workload w = prefixWorkload(plane);
+        StreamRecorder serial_rec;
+        RunOptions opts;
+        opts.observers = {&serial_rec};
+        const SimulationResult serial = model.run(w, opts);
+
+        StreamRecorder resident_rec;
+        opts.threads = 4;
+        opts.observers = {&resident_rec};
+        const SimulationResult resident = model.run(w, opts);
+
+        const TempDir tmp;
+        StreamRecorder spilled_rec;
+        opts.spillDir = tmp.str();
+        opts.spillSegmentBytes = 64;
+        opts.observers = {&spilled_rec};
+        const SimulationResult spilled = model.run(w, opts);
+
+        expectSameResults(serial, resident);
+        expectSameResults(serial, spilled);
+        EXPECT_EQ(serial_rec.log, resident_rec.log);
+        EXPECT_EQ(serial_rec.log, spilled_rec.log);
+        EXPECT_EQ(tmp.fileCount(), 0u);
+        ASSERT_EQ(resident.splits.size(), 1u);
+        if (plane == 0) {
+            EXPECT_GT(serial.records[0].execStats.leafVisits, 0u);
+            EXPECT_EQ(resident.splits[0].rank, "N");
+            EXPECT_EQ(resident.splits[0].depth, 2u);
+            EXPECT_EQ(resident.splits[0].merge,
+                      exec::SplitPoint::Merge::Reduce);
+            EXPECT_GT(spilled.spill.frames, 0u);
+        } else {
+            EXPECT_EQ(serial.records[0].execStats.leafVisits, 0u);
+            EXPECT_EQ(resident.splits[0].units, 0u);
+        }
+    }
 }
 
 } // namespace
