@@ -108,6 +108,26 @@ loadSpmspm(const std::string& key, double scale)
     return in;
 }
 
+/** The end-to-end benchmark's stand-in pair for @p key at scale 0.05:
+ *  `wi` from the registry's power-law generator, `p2` banded with
+ *  p2p-Gnutella31's shape and nonzeros; B is drawn from A's seed. */
+inline SpmspmInput
+benchmarkStandIn(const std::string& key)
+{
+    constexpr double kScale = 0.05;
+    constexpr std::uint64_t kSeed = 7;
+    const workloads::DatasetInfo& info = workloads::dataset(key);
+    if (key == "wi")
+        return {workloads::synthesize(info, "A", kSeed, kScale, {"K", "M"}),
+                workloads::synthesize(info, "B", kSeed, kScale, {"K", "N"}),
+                {}};
+    const auto rows = static_cast<ft::Coord>(info.rows * kScale);
+    const auto nnz = static_cast<std::size_t>(info.nnz * kScale);
+    return {workloads::bandedMatrix("A", rows, rows, nnz, kSeed, {"K", "M"}),
+            workloads::bandedMatrix("B", rows, rows, nnz, kSeed, {"K", "N"}),
+            {}};
+}
+
 /** Workload borrowing one SpMSpM input pair (no tensor copies). */
 inline compiler::Workload
 workloadOf(const SpmspmInput& in)

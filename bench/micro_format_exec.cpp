@@ -1,23 +1,31 @@
 /**
  * @file
- * Format-aware execution microbenchmark: the same Gamma-dataflow
- * SpMSpM (row-wise Gustavson loop order M, K, N) executed over
- * pointer fibertrees vs packed rank stores (storage/packed.hpp).
+ * Bind microbenchmark: what a cold run of each Table 1 accelerator
+ * pays to bind its workload, on the end-to-end benchmark's stand-ins
+ * (scale 0.05, `wi` and `p2` with B drawn from A's seed, pointer
+ * inputs, one thread). Binding prepares every input as the packed
+ * rank store the plans walk (pack, rank-order swizzle, partition,
+ * flatten), instantiates the plans, packs each intermediate at the
+ * Einsum boundary, and frees all of it when the state goes.
  *
- * Both backends run the identical plan, strategies, and trace stream;
- * the packed walk reads flat coordinate/segment arrays instead of
- * chasing per-fiber allocations, so its advantage is pure memory
- * locality. The headline row reports the packed:pointer wall-time
- * ratio; the bench also verifies the two backends' outputs are equal
- * and that the packed bind performs zero Tensor::clone() calls.
+ *   bind_ms   best cold run (RunOptions::cacheState = false: every run
+ *             prepares and frees its own state) minus best warm run
+ *             (plan-cache hit), best of N each;
+ *   state_mb  heap bytes a caching run leaves live in the plan cache
+ *             (glibc heap in use after the run, result dropped, minus
+ *             before it);
+ *   inputs_mb resident bytes of the packed stores the cached plans
+ *             bind (storage::PackedTensor::residentBytes).
  *
- * Emits the human table plus bench::jsonRow machine-readable lines
- * (keyed by backend + threads) for ci/perf_diff.py.
+ * Emits the human table plus bench::jsonRow lines keyed by (accel,
+ * dataset, phase=bind) with wall_ms = bind_ms for ci/perf_diff.py.
  */
+#include <malloc.h>
+
 #include <iostream>
+#include <set>
 
 #include "common.hpp"
-#include "exec/executor.hpp"
 #include "ir/plan.hpp"
 #include "storage/packed.hpp"
 
@@ -26,53 +34,11 @@ namespace
 
 using namespace teaal;
 
-/** Batch-aware no-op sink: absorbs whole batches so the bench times
- *  the walk, not per-event virtual dispatch. */
-class NullSink : public trace::Observer
-{
-  public:
-    void
-    onEventBatch(const trace::EventBatch& batch) override
-    {
-        (void)batch;
-    }
-};
-
-/** No-op datapath sink: drops the records the bus routes to it. */
-class NullDatapath final : public trace::DatapathSink
-{
-  public:
-    void coIterate(std::size_t, std::size_t, std::size_t,
-                   std::uint64_t) override {}
-    void coordScan(int, std::size_t, std::size_t) override {}
-    void compute(char, std::uint64_t, std::size_t) override {}
-    void tensorAccess(int, std::size_t) override {}
-};
-
+/** Heap bytes in use across all glibc arenas. */
 double
-timeRun(const ir::EinsumPlan& plan, unsigned threads, int iters)
+heapInUse()
 {
-    // Model hooks with a default classifier and no-op sinks: the
-    // executor shards only when hooks are set. The sinks drop the
-    // datapath records; NullDatapath has no state, so the shards can
-    // all share one.
-    const trace::RecordClassifier classifier;
-    NullDatapath datapath;
-    exec::ExecOptions opts;
-    opts.threads = threads;
-    opts.modelHooks.classifier = &classifier;
-    opts.modelHooks.coordinatorSink = &datapath;
-    opts.modelHooks.makeShardSinks = [&datapath](std::size_t shards) {
-        return std::vector<trace::DatapathSink*>(shards, &datapath);
-    };
-    return bench::bestSeconds(
-        [&]() {
-            NullSink sink;
-            exec::Executor ex(plan, sink, exec::Semiring::arithmetic(),
-                              opts);
-            ex.run();
-        },
-        iters);
+    return static_cast<double>(mallinfo2().uordblks);
 }
 
 } // namespace
@@ -82,120 +48,65 @@ main()
 {
     using namespace teaal;
 
-    std::cout
-        << "# micro_format_exec: packed rank stores vs pointer "
-           "fibertrees\n"
-        << "# Gamma-dataflow SpMSpM (loop order M, K, N), identical "
-           "plans and trace streams on both backends\n\n";
+    std::cout << "# micro_format_exec: cold bind per Table 1 accelerator\n"
+              << "# benchmark stand-ins (scale 0.05, B from A's seed), "
+                 "pointer inputs, serial; best of 5\n\n";
 
-    // Row-major Gustavson: A [M, K] drives rows, B [K, N] is fetched
-    // row by row. A hyper-sparse B (256k rows of ~4 nonzeros, tree
-    // larger than the LLC) makes the per-row descend the hot path:
-    // the pointer tree dereferences one heap allocation per fetched
-    // row, the packed store reads two contiguous segment entries —
-    // the shape real Gustavson SpMSpM has on SuiteSparse matrices.
-    const ft::Coord m = 1 << 13;
-    const ft::Coord k = 1 << 18;
-    const ft::Coord n = 256;
-    const std::size_t nnz_a = 1000000;
-    const std::size_t nnz_b = 1000000;
-    const ft::Tensor a =
-        workloads::uniformMatrix("A", m, k, nnz_a, 31, {"M", "K"});
-    const ft::Tensor b =
-        workloads::uniformMatrix("B", k, n, nnz_b, 33, {"K", "N"});
-    std::cout << "# A " << m << "x" << k << " nnz " << a.nnz() << ", B "
-              << k << "x" << n << " nnz " << b.nnz() << "\n\n";
+    constexpr int kIters = 5;
+    TextTable table("cold bind: cold run minus warm run");
+    table.setHeader({"accel", "dataset", "cold ms", "warm ms", "bind ms",
+                     "state MB", "inputs MB"});
+    const std::vector<std::pair<std::string, compiler::Specification>>
+        accels{{"gamma", accel::gamma({})},
+               {"extensor", accel::extensor({})},
+               {"outerspace", accel::outerSpace({})},
+               {"sigma", accel::sigma({})}};
+    for (const std::string key : {"wi", "p2"}) {
+        const bench::SpmspmInput in = bench::benchmarkStandIn(key);
+        compiler::Workload w;
+        w.add("A", in.a).add("B", in.b);
+        for (const auto& [name, spec] : accels) {
+            auto model = compiler::compile(spec);
 
-    const char* yaml_text = "einsum:\n"
-                            "  declaration:\n"
-                            "    A: [M, K]\n"
-                            "    B: [K, N]\n"
-                            "    Z: [M, N]\n"
-                            "  expressions:\n"
-                            "    - Z[m, n] = A[k, m] * B[k, n]\n"
-                            "mapping:\n"
-                            "  rank-order:\n"
-                            "    A: [M, K]\n"
-                            "    B: [K, N]\n"
-                            "    Z: [M, N]\n"
-                            "  loop-order:\n"
-                            "    Z: [M, K, N]\n"
-                            "  spacetime:\n"
-                            "    Z:\n"
-                            "      space: [M]\n"
-                            "      time: [K, N]\n";
-    auto model =
-        compiler::compile(compiler::Specification::parse(yaml_text));
+            compiler::RunOptions cold;
+            cold.cacheState = false;
+            const double cold_s = bench::bestSeconds(
+                [&] { (void)model.run(w, cold); }, kIters);
+            const double warm_s = bench::bestSeconds(
+                [&] { (void)model.run(w); }, kIters);
 
-    // Pointer-backed plan.
-    compiler::Workload pointer_w;
-    pointer_w.add("A", a).add("B", b);
-    const ir::EinsumPlan& pointer_plan = model.plans(pointer_w)[0];
+            model.clearCache();
+            const double before = heapInUse();
+            (void)model.run(w);
+            const double state_mb = (heapInUse() - before) / 1e6;
+            double inputs_bytes = 0;
+            std::set<const storage::PackedTensor*> seen;
+            for (const ir::EinsumPlan& plan : model.plans(w)) {
+                for (const ir::TensorPlan& tp : plan.inputs) {
+                    if (tp.packed != nullptr &&
+                        seen.insert(tp.packed.get()).second)
+                        inputs_bytes += static_cast<double>(
+                            tp.packed->residentBytes());
+                }
+            }
 
-    // Packed-backed plan: CSR-style formats, bound clone-free.
-    fmt::TensorFormat csr;
-    fmt::RankFormat u;
-    u.type = fmt::RankFormat::Type::U;
-    fmt::RankFormat c;
-    c.type = fmt::RankFormat::Type::C;
-    csr.ranks["M"] = u;
-    csr.ranks["K"] = c;
-    const auto packed_a = storage::PackedTensor::fromTensor(a, csr);
-    fmt::TensorFormat csr_b;
-    csr_b.ranks["K"] = u;
-    csr_b.ranks["N"] = c;
-    const auto packed_b = storage::PackedTensor::fromTensor(b, csr_b);
-    compiler::Workload packed_w;
-    packed_w.add("A", packed_a).add("B", packed_b);
-    const std::uint64_t clones_before = ft::Tensor::cloneCount();
-    const ir::EinsumPlan& packed_plan = model.plans(packed_w)[0];
-    const std::uint64_t bind_clones =
-        ft::Tensor::cloneCount() - clones_before;
-
-    // Functional sanity: both backends produce the same output.
-    {
-        NullSink sink;
-        exec::Executor pex(pointer_plan, sink,
-                           exec::Semiring::arithmetic(), {});
-        exec::Executor kex(packed_plan, sink,
-                           exec::Semiring::arithmetic(), {});
-        const ft::Tensor zp = pex.run();
-        const ft::Tensor zk = kex.run();
-        if (!zp.equals(zk)) {
-            std::cerr << "FATAL: packed output diverged from pointer\n";
-            return 1;
+            const double bind_ms = (cold_s - warm_s) * 1e3;
+            table.addRow({name, key, TextTable::num(cold_s * 1e3, 2),
+                          TextTable::num(warm_s * 1e3, 2),
+                          TextTable::num(bind_ms, 2),
+                          TextTable::num(state_mb, 2),
+                          TextTable::num(inputs_bytes / 1e6, 2)});
+            bench::jsonRow(std::cout, "micro_format_exec",
+                           {{"accel", name},
+                            {"dataset", key},
+                            {"phase", "bind"}},
+                           {{"cold_ms", cold_s * 1e3},
+                            {"warm_ms", warm_s * 1e3},
+                            {"state_mb", state_mb},
+                            {"inputs_mb", inputs_bytes / 1e6}},
+                           1, bind_ms);
         }
     }
-
-    TextTable table("Gamma SpMSpM walk: pointer fibertree vs packed");
-    table.setHeader(
-        {"backend", "threads", "ms/run", "vs pointer"});
-    double pointer_ms_t1 = 0;
-    for (const unsigned threads : {1u, 4u}) {
-        const int iters = 3;
-        const double pointer_s = timeRun(pointer_plan, threads, iters);
-        const double packed_s = timeRun(packed_plan, threads, iters);
-        if (threads == 1)
-            pointer_ms_t1 = pointer_s * 1e3;
-        const double ratio = pointer_s / packed_s;
-        table.addRow({"pointer", std::to_string(threads),
-                      TextTable::num(pointer_s * 1e3, 2), "1.00x"});
-        table.addRow({"packed", std::to_string(threads),
-                      TextTable::num(packed_s * 1e3, 2),
-                      TextTable::num(ratio, 2) + "x"});
-        bench::jsonRow(std::cout, "micro_format_exec",
-                       {{"backend", "pointer"}}, {},
-                       threads, pointer_s * 1e3);
-        bench::jsonRow(std::cout, "micro_format_exec",
-                       {{"backend", "packed"}},
-                       {{"speedup_vs_pointer", ratio}}, threads,
-                       packed_s * 1e3);
-    }
-
     std::cout << "\n" << table.render() << "\n";
-    std::cout << "packed bind Tensor::clone() calls: " << bind_clones
-              << " (must be 0)\n";
-    std::cout << "pointer t1 baseline: "
-              << TextTable::num(pointer_ms_t1, 2) << " ms\n";
-    return bind_clones == 0 ? 0 : 1;
+    return 0;
 }

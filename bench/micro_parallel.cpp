@@ -107,26 +107,6 @@ runOne(const std::string& accel_name, compiler::Specification spec,
     table.addSeparator();
 }
 
-/** The benchmark's stand-in pair for @p key at scale 0.05: `wi` from
- *  the registry's power-law generator, `p2` banded with
- *  p2p-Gnutella31's shape and nonzeros; B is drawn from A's seed. */
-bench::SpmspmInput
-standIn(const std::string& key)
-{
-    constexpr double kScale = 0.05;
-    constexpr std::uint64_t kSeed = 7;
-    const workloads::DatasetInfo& info = workloads::dataset(key);
-    if (key == "wi")
-        return {workloads::synthesize(info, "A", kSeed, kScale, {"K", "M"}),
-                workloads::synthesize(info, "B", kSeed, kScale, {"K", "N"}),
-                {}};
-    const auto rows = static_cast<ft::Coord>(info.rows * kScale);
-    const auto nnz = static_cast<std::size_t>(info.nnz * kScale);
-    return {workloads::bandedMatrix("A", rows, rows, nnz, kSeed, {"K", "M"}),
-            workloads::bandedMatrix("B", rows, rows, nnz, kSeed, {"K", "N"}),
-            {}};
-}
-
 void
 runAll(const std::function<void(const std::string&,
                                 compiler::Specification)>& one)
@@ -174,7 +154,7 @@ main()
     standins.setHeader({"accel", "dataset", "threads", "wall ms",
                         "speedup", "split (merge@rank/units)"});
     for (const std::string& key : {std::string("wi"), std::string("p2")}) {
-        const bench::SpmspmInput in = standIn(key);
+        const bench::SpmspmInput in = bench::benchmarkStandIn(key);
         compiler::Workload w;
         for (const auto& [name, t] :
              {std::pair<const char*, const ft::Tensor*>{"A", &in.a},

@@ -44,25 +44,21 @@ CompiledModel::estimate(const Workload& workload) const
 
     // Input statistics, with the mapping's declared rank-order applied
     // symbolically (the real pipeline swizzles offline and uncharged —
-    // prepareInputs). A packed input stays eligible for the packed
-    // fast path only while concordant, exactly like the real binding.
+    // prepareInputs).
     std::map<std::string, analytic::SymbolicTensor> stats;
     for (const std::string& name : es.inputTensors()) {
         analytic::SymbolicTensor st;
         if (const auto pk = workload.packed(name)) {
-            st = analytic::SymbolicTensor::fromHints(
-                name, pk->ranks(), pk->occupancyHints(),
-                /*packed=*/true);
+            st = analytic::SymbolicTensor::fromHints(name, pk->ranks(),
+                                                     pk->occupancyHints());
         } else {
             const ft::Tensor& t = workload.tensor(name);
             st = analytic::SymbolicTensor::fromHints(
                 name, t.ranks(), t.occupancyHints());
         }
         const auto& order = spec_.mapping.rankOrder(name);
-        if (!order.empty() && st.rankIds() != order) {
+        if (!order.empty() && st.rankIds() != order)
             st = analytic::swizzle(st, order);
-            st.packed = false; // discordant packed inputs unpack
-        }
         stats.emplace(name, std::move(st));
     }
 

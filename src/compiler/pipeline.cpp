@@ -5,11 +5,11 @@
 
 #include "energy/energy.hpp"
 #include "exec/executor.hpp"
-#include "fibertree/transform.hpp"
 #include "format/format.hpp"
 #include "model/model.hpp"
 #include "model/perf.hpp"
 #include "storage/packed.hpp"
+#include "storage/transform.hpp"
 #include "trace/fanout.hpp"
 #include "trace/spill.hpp"
 #include "util/failpoint.hpp"
@@ -424,32 +424,32 @@ CompiledModel::validateWorkload(const Workload& w) const
     }
 }
 
+std::shared_ptr<const storage::PackedTensor>
+CompiledModel::preparedInput(const Workload& w, const std::string& name) const
+{
+    std::shared_ptr<const storage::PackedTensor> pk = w.packed(name);
+    if (pk == nullptr) {
+        pk = std::make_shared<const storage::PackedTensor>(
+            storage::PackedTensor::fromTensor(
+                w.tensor(name), spec_.formats.getLenient(name)));
+    }
+    // Apply the declared rank-order offline (§3.2.2: input swizzles
+    // are preprocessing and cost nothing).
+    const auto& order = spec_.mapping.rankOrder(name);
+    if (!order.empty() && pk->rankIds() != order) {
+        pk = std::make_shared<const storage::PackedTensor>(
+            storage::swizzle(*pk, order));
+    }
+    return pk;
+}
+
 void
 CompiledModel::prepareInputs(WorkloadState& st, const Workload& w) const
 {
     if (st.prepared)
         return;
-    // Apply the declared rank-order offline (§3.2.2: input swizzles
-    // are preprocessing and cost nothing). Concordant inputs are used
-    // in place — no copy of any kind. Discordant *packed* inputs take
-    // the legacy path: unpacked once here, then swizzled like any
-    // pointer tensor.
-    for (const std::string& name : spec_.einsums.inputTensors()) {
-        const auto& order = spec_.mapping.rankOrder(name);
-        if (order.empty())
-            continue;
-        if (const auto pk = w.packed(name)) {
-            if (pk->rankIds() != order) {
-                st.swizzledInputs.insert_or_assign(
-                    name, ft::swizzle(pk->toTensor(), order));
-            }
-            continue;
-        }
-        const ft::Tensor& t = w.tensor(name);
-        if (t.rankIds() != order)
-            st.swizzledInputs.insert_or_assign(name,
-                                               ft::swizzle(t, order));
-    }
+    for (const std::string& name : spec_.einsums.inputTensors())
+        st.inputs.insert_or_assign(name, preparedInput(w, name));
     st.prepared = true;
 }
 
@@ -485,36 +485,6 @@ CompiledModel::run(const Workload& workload,
     return runOn(ephemeral, workload, opts);
 }
 
-ir::TensorRefMap
-CompiledModel::inputRefs(const WorkloadState& st, const Workload& w) const
-{
-    ir::TensorRefMap refs;
-    for (const std::string& name : spec_.einsums.inputTensors()) {
-        const auto sit = st.swizzledInputs.find(name);
-        if (sit != st.swizzledInputs.end()) {
-            refs.emplace(name, &sit->second);
-            continue;
-        }
-        if (w.packed(name) != nullptr)
-            continue; // bound through packedRefs instead
-        refs.emplace(name, &w.tensor(name));
-    }
-    return refs;
-}
-
-ir::PackedRefMap
-CompiledModel::packedRefs(const WorkloadState& st, const Workload& w) const
-{
-    ir::PackedRefMap refs;
-    for (const std::string& name : spec_.einsums.inputTensors()) {
-        if (st.swizzledInputs.count(name) != 0)
-            continue; // discordant: already unpacked + swizzled
-        if (auto pk = w.packed(name))
-            refs.emplace(name, std::move(pk));
-    }
-    return refs;
-}
-
 SimulationResult
 CompiledModel::runOn(WorkloadState& st, const Workload& w,
                      const RunOptions& opts) const
@@ -522,18 +492,12 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
     const einsum::EinsumSpec& es = spec_.einsums;
     prepareInputs(st, w);
 
-    // Live-tensor view for plan instantiation: workload inputs (in
-    // their mapping rank-order) plus intermediates as they appear.
-    // Packed inputs bind through their own map (zero fibertree
-    // construction when concordant).
-    ir::TensorRefMap refs;
-    ir::PackedRefMap prefs;
-    if (!st.plansComplete) {
-        refs = inputRefs(st, w);
-        prefs = packedRefs(st, w);
-        for (const auto& [name, tensor] : st.intermediates)
-            refs.emplace(name, &tensor);
-    }
+    // The stores plan instantiation binds: the prepared inputs plus
+    // each intermediate, packed at the boundary of the Einsum that
+    // produced it.
+    ir::PackedRefMap tensors;
+    if (!st.plansComplete)
+        tensors = st.inputs;
 
     SimulationResult out;
     out.blocks = blocks_;
@@ -590,10 +554,8 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
 
         if (st.plans.size() <= i) {
             TEAAL_FAILPOINT("compiler.pipeline.instantiate");
-            st.plans.push_back(ir::instantiatePlan(
-                recipes_[i], es, refs, produced,
-                /*share_unprepared=*/true, prefs,
-                &st.unpackedInputs));
+            st.plans.push_back(
+                ir::instantiatePlan(recipes_[i], es, tensors, produced));
             logDebug("einsum ", i, ": ", st.plans[i].toString());
         }
         const ir::EinsumPlan& plan = st.plans[i];
@@ -642,26 +604,18 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
         out.records.push_back(std::move(record));
 
         produced.push_back(expr.output.name);
-        const bool bind_later =
-            !st.plansComplete && i + 1 < es.expressions.size();
-        if (bind_later && opts.cacheState) {
-            // Later plans bind this intermediate; the cached state
-            // owns its copy so cached plans never alias a tensor
-            // returned to the caller.
-            auto [iit, fresh] = st.intermediates.insert_or_assign(
-                expr.output.name, result.clone());
-            refs.insert_or_assign(expr.output.name, &iit->second);
-            (void)fresh;
+        if (!st.plansComplete && i + 1 < es.expressions.size()) {
+            // Later plans bind this intermediate: pack it once. A plan
+            // keeps its own packed store, so cached plans never alias
+            // the tensor returned to the caller.
+            tensors.insert_or_assign(
+                expr.output.name,
+                std::make_shared<const storage::PackedTensor>(
+                    storage::PackedTensor::fromTensor(
+                        result,
+                        spec_.formats.getLenient(expr.output.name))));
         }
-        auto [oit, inserted] = out.tensors.insert_or_assign(
-            expr.output.name, std::move(result));
-        (void)inserted;
-        if (bind_later && !opts.cacheState) {
-            // Ephemeral state: plans die with this call, so they can
-            // bind the result tensor in place (map nodes are
-            // address-stable) — no defensive deep copy.
-            refs.insert_or_assign(expr.output.name, &oit->second);
-        }
+        out.tensors.insert_or_assign(expr.output.name, std::move(result));
     }
     st.plansComplete = true;
 
@@ -698,15 +652,11 @@ CompiledModel::plans(const Workload& workload)
         } else {
             prepareInputs(*st, workload);
             const einsum::EinsumSpec& es = spec_.einsums;
-            const ir::TensorRefMap refs = inputRefs(*st, workload);
-            const ir::PackedRefMap prefs = packedRefs(*st, workload);
             std::vector<std::string> produced;
             for (std::size_t i = st->plans.size();
                  i < es.expressions.size(); ++i) {
                 st->plans.push_back(ir::instantiatePlan(
-                    recipes_[i], es, refs, produced,
-                    /*share_unprepared=*/true, prefs,
-                    &st->unpackedInputs));
+                    recipes_[i], es, st->inputs, produced));
             }
             st->plansComplete = true;
         }
@@ -718,16 +668,10 @@ double
 CompiledModel::algorithmicMinBytes(const Workload& workload,
                                    const SimulationResult& result) const
 {
-    double bits = 0;
-    auto add = [&](const std::string& name, const ft::Tensor& t) {
-        bits += static_cast<double>(
-            fmt::tensorBits(spec_.formats.getLenient(name), t));
-    };
-    // A prepared state for this workload already holds any swizzled
-    // inputs; reuse them instead of re-materializing per call (const
-    // lookup — no LRU reordering). Uncached (cacheState=false) runs
-    // leave no state, so discordant inputs cost one throwaway
-    // swizzle here — negligible next to the simulation itself.
+    // A prepared state for this workload already holds every input as
+    // a packed store in its mapping rank-order; reuse it (const lookup
+    // — no LRU reordering). Without one, each input is prepared here
+    // on packed buffers, as a run would prepare it.
     std::shared_ptr<WorkloadState> st;
     {
         std::lock_guard<std::mutex> lk(*cacheMutex_);
@@ -738,48 +682,29 @@ CompiledModel::algorithmicMinBytes(const Workload& workload,
             }
         }
     }
-    // Reading prepared/swizzledInputs must hold the state's run mutex:
-    // a concurrent first run() on the same workload may be populating
-    // them (prepareInputs runs under runMutex).
+    // Reading the state's inputs must hold its run mutex: a concurrent
+    // first run() on the same workload may be populating them
+    // (prepareInputs runs under runMutex).
     std::unique_lock<std::mutex> run_lk;
     bool use_state = false;
     if (st != nullptr) {
         run_lk = std::unique_lock<std::mutex>(st->runMutex);
         use_state = st->prepared;
     }
+    double bits = 0;
     for (const std::string& name : spec_.einsums.inputTensors()) {
         if (!workload.has(name))
             continue;
-        if (use_state) {
-            const auto sit = st->swizzledInputs.find(name);
-            if (sit != st->swizzledInputs.end()) {
-                add(name, sit->second);
-                continue;
-            }
-        }
-        const auto& order = spec_.mapping.rankOrder(name);
-        if (const auto pk = workload.packed(name)) {
-            if (!order.empty() && pk->rankIds() != order) {
-                add(name, ft::swizzle(pk->toTensor(), order));
-            } else {
-                // Concordant packed input: bits straight off the
-                // packed buffers (identical to the formula on the
-                // unpacked tree).
-                bits += static_cast<double>(storage::packedTensorBits(
-                    spec_.formats.getLenient(name), *pk));
-            }
-            continue;
-        }
-        const ft::Tensor& t = workload.tensor(name);
-        if (!order.empty() && t.rankIds() != order) {
-            add(name, ft::swizzle(t, order));
-        } else {
-            add(name, t);
-        }
+        const std::shared_ptr<const storage::PackedTensor> pk =
+            use_state ? st->inputs.at(name) : preparedInput(workload, name);
+        bits += static_cast<double>(storage::packedTensorBits(
+            spec_.formats.getLenient(name), *pk));
     }
     const auto rit = result.tensors.find(spec_.einsums.resultTensor());
-    if (rit != result.tensors.end())
-        add(rit->first, rit->second);
+    if (rit != result.tensors.end()) {
+        bits += static_cast<double>(fmt::tensorBits(
+            spec_.formats.getLenient(rit->first), rit->second));
+    }
     return bits / 8.0;
 }
 

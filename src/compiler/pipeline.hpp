@@ -76,15 +76,16 @@ struct CompileOptions
  * The tensors one simulation runs on. Inputs are borrowed by const
  * reference and never deep-copied; the caller's tensors must stay
  * alive and unmodified for the duration of each run() call that uses
- * them (cached plans share their fiber trees — call touch() after
- * mutating a tensor's contents in place to invalidate stale plans).
+ * them (call touch() after mutating a tensor's contents in place:
+ * cached plans hold packed copies that would be stale).
  *
  * Inputs may alternatively be bound as packed rank stores
- * (storage::PackedTensor): a packed input whose rank order is already
- * concordant and that needs no partitioning executes straight off its
- * packed buffers — no pointer fibertree is ever built for it.
- * Discordant or partitioned packed inputs are unpacked once at plan
- * instantiation (the legacy path).
+ * (storage::PackedTensor). Plans walk packed stores only: a pointer
+ * input is packed once per cached (workload, semiring) state, and a
+ * packed input in its mapping rank-order that needs no partitioning
+ * executes straight off the caller's buffers with no copy. Swizzles
+ * and partitions run on packed buffers; no input is ever unpacked
+ * into a pointer fibertree.
  */
 class Workload
 {
@@ -487,19 +488,15 @@ class CompiledModel
     {
         std::uint64_t fingerprint = 0;
         exec::Semiring semiring = exec::Semiring::arithmetic();
-        /// Inputs whose declared rank-order differs from the workload
-        /// tensor's: swizzled once per workload (offline, uncharged —
-        /// paper §3.2.2).
-        std::map<std::string, ft::Tensor> swizzledInputs;
-        /// Packed inputs that needed the legacy preparation path
-        /// (partitioned): unpacked once per workload, reused across
-        /// Einsums and slots (ir::instantiatePlan's unpack cache).
-        std::map<std::string, ft::Tensor> unpackedInputs;
-        /// Intermediates produced on the instantiating run, kept so
-        /// later plans could be (re)bound without re-executing.
-        std::map<std::string, ft::Tensor> intermediates;
+        /// Every workload input as the packed store plans bind, in its
+        /// mapping rank-order: a packed input in that order as given
+        /// (shared, no copy), a pointer input packed once, and a
+        /// discordant one swizzled once on packed buffers (offline,
+        /// uncharged — paper §3.2.2). Intermediates are not kept here:
+        /// each plan that binds one owns its packed copy.
+        ir::PackedRefMap inputs;
         std::vector<ir::EinsumPlan> plans;
-        bool prepared = false;       // swizzledInputs materialized
+        bool prepared = false; // inputs materialized
         bool plansComplete = false;
         /// Serializes runs sharing this state: concurrent run() calls
         /// on the *same* (workload, semiring) take turns; calls on
@@ -513,12 +510,10 @@ class CompiledModel
      *  discard a state whose instantiating run failed mid-way. */
     void dropState(const std::shared_ptr<WorkloadState>& st) const;
     void prepareInputs(WorkloadState& st, const Workload& w) const;
-    ir::TensorRefMap inputRefs(const WorkloadState& st,
-                               const Workload& w) const;
-    /** Packed workload entries to bind directly (everything packed
-     *  that prepareInputs did not have to unpack-and-swizzle). */
-    ir::PackedRefMap packedRefs(const WorkloadState& st,
-                                const Workload& w) const;
+    /** Input @p name of @p w as a packed store in its mapping
+     *  rank-order (WorkloadState::inputs). */
+    std::shared_ptr<const storage::PackedTensor>
+    preparedInput(const Workload& w, const std::string& name) const;
     void validateWorkload(const Workload& w) const;
     void validateOverrides(const RunOptions& opts) const;
     SimulationResult runOn(WorkloadState& st, const Workload& w,

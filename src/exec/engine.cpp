@@ -299,13 +299,13 @@ Engine::beginRun(bool announce_swizzles)
     states_.clear();
     for (const ir::TensorPlan& tp : plan_.inputs) {
         TensorState st;
+        TEAAL_ASSERT(tp.packed != nullptr, "input '", tp.name,
+                     "' has no packed store to walk");
         st.packed = tp.packed.get();
-        const std::size_t nr = tp.prepared.numRanks();
+        const std::size_t nr = tp.ranks.size();
         st.view.assign(nr, ft::FiberView{});
         st.pending.assign(nr, {kNoRange, kNoRange});
-        st.view[0] = st.packed != nullptr
-                         ? st.packed->rootView()
-                         : ft::FiberView::whole(tp.prepared.root().get());
+        st.view[0] = st.packed->rootView();
         st.validDepth = 1;
         states_.push_back(std::move(st));
         if (tp.swizzled && announce_swizzles) {
@@ -369,7 +369,7 @@ Engine::run()
     // Whole-tensor copy (P1 = P0) bypasses the loop nest.
     if (plan_.wholeTensorCopy) {
         const ir::TensorPlan& src = plan_.inputs[0];
-        ft::Tensor out = src.prepared.clone();
+        ft::Tensor out = src.packed->toTensor();
         out.setName(plan_.output.name);
         bus_.tensorCopy(src.name, plan_.output.name, out.nnz());
         bus_.flush();
@@ -443,7 +443,7 @@ Engine::applyPreLookups(std::size_t loop, std::uint64_t pe)
             skip = true;
             break;
         }
-        readAndDescend(ar.input, level, view, *found, target, pe);
+        readAndDescend(ar.input, level, *found, target, pe);
     }
     return skip;
 }
@@ -684,18 +684,10 @@ Engine::entryWeight(std::size_t loop) const
         const int level = drivers[d].action->level;
         double child = 1.0;
         if (static_cast<std::size_t>(level) + 1 < st.view.size()) {
-            if (st.packed != nullptr) {
-                child = static_cast<double>(
-                    st.packed
-                        ->childView(static_cast<std::size_t>(level),
-                                    s.pos[d])
-                        .size());
-            } else {
-                const ft::Payload& p = s.views[d].payloadAt(s.pos[d]);
-                child = p.isFiber() && p.fiber() != nullptr
-                            ? static_cast<double>(p.fiber()->size())
-                            : 1.0;
-            }
+            child = static_cast<double>(
+                st.packed
+                    ->childView(static_cast<std::size_t>(level), s.pos[d])
+                    .size());
         }
         w += child * factor;
     }
@@ -1035,9 +1027,7 @@ Engine::atCoordinateEnter(std::size_t loop, ft::Coord c,
         const int level = drivers[d].action->level;
         if (level + 1 < static_cast<int>(st.view.size()))
             save_view(input, level + 1);
-        readAndDescend(input, level,
-                       st.view[static_cast<std::size_t>(level)],
-                       driver_pos[d], c, pe);
+        readAndDescend(input, level, driver_pos[d], c, pe);
     }
 
     // -------------------------------------------------- apply slices
@@ -1088,7 +1078,7 @@ Engine::atCoordinateEnter(std::size_t loop, ft::Coord c,
         save_state(input);
         if (level + 1 < static_cast<int>(st.view.size()))
             save_view(input, level + 1);
-        readAndDescend(input, level, view, *found, target, pe);
+        readAndDescend(input, level, *found, target, pe);
     }
 
     if (!skip) {
@@ -1127,29 +1117,21 @@ Engine::atCoordinateExit(std::size_t loop)
 }
 
 void
-Engine::readAndDescend(int input, int level, const ft::FiberView& view,
-                       std::size_t pos, ft::Coord reported_c,
-                       std::uint64_t pe)
+Engine::readAndDescend(int input, int level, std::size_t pos,
+                       ft::Coord reported_c, std::uint64_t pe)
 {
     const TensorState& st = states_[static_cast<std::size_t>(input)];
     const std::string& name =
         plan_.inputs[static_cast<std::size_t>(input)].name;
-    if (st.packed != nullptr) {
-        bus_.tensorAccessPacked(
-            input, name, static_cast<std::size_t>(level), reported_c,
-            st.packed->payloadKey(static_cast<std::size_t>(level), pos),
-            st.packed, pos, pe);
-        descendPacked(input, level, pos);
-        return;
-    }
-    const ft::Payload& payload = view.payloadAt(pos);
-    bus_.tensorAccess(input, name, static_cast<std::size_t>(level),
-                      reported_c, &payload, pe);
-    descend(input, level, payload);
+    bus_.tensorAccess(
+        input, name, static_cast<std::size_t>(level), reported_c,
+        st.packed->payloadKey(static_cast<std::size_t>(level), pos),
+        st.packed, pos, pe);
+    descend(input, level, pos);
 }
 
 void
-Engine::descendPacked(int input, int level, std::size_t pos)
+Engine::descend(int input, int level, std::size_t pos)
 {
     TensorState& st = states_[static_cast<std::size_t>(input)];
     const std::size_t nr = st.view.size();
@@ -1161,27 +1143,6 @@ Engine::descendPacked(int input, int level, std::size_t pos)
     }
     ft::FiberView view =
         st.packed->childView(static_cast<std::size_t>(level), pos);
-    const auto& pending = st.pending[static_cast<std::size_t>(level) + 1];
-    if (pending.first != kNoRange)
-        view = view.range(pending.first, pending.second);
-    st.view[static_cast<std::size_t>(level) + 1] = view;
-    st.validDepth = level + 2;
-    st.leafValid = false;
-}
-
-void
-Engine::descend(int input, int level, const ft::Payload& payload)
-{
-    TensorState& st = states_[static_cast<std::size_t>(input)];
-    const std::size_t nr = st.view.size();
-    if (static_cast<std::size_t>(level) + 1 == nr) {
-        st.leaf = payload.isValue() ? payload.value() : 0.0;
-        st.leafValid = true;
-        st.validDepth = level + 1;
-        return;
-    }
-    const ft::FiberPtr& child = payload.fiber();
-    ft::FiberView view = ft::FiberView::whole(child.get());
     const auto& pending = st.pending[static_cast<std::size_t>(level) + 1];
     if (pending.first != kNoRange)
         view = view.range(pending.first, pending.second);

@@ -508,9 +508,8 @@ class Engine
   private:
     struct TensorState
     {
-        /// Packed backend (null for pointer inputs): views are slices
-        /// of this tensor's packed rank buffers and descend goes
-        /// through its segment arrays instead of ft::Payload.
+        /// The input's packed rank store: views are slices of its
+        /// buffers and descend goes through its segment arrays.
         const storage::PackedTensor* packed = nullptr;
         /// view[l] is the fiber window at prepared level l; valid for
         /// l < validDepth.
@@ -697,21 +696,16 @@ class Engine
     void leafCompute(std::uint64_t pe);
 
     /**
-     * Backend-dispatching payload read: reports the tensor access of
-     * element @p pos of @p view (at @p reported_c) to the trace bus
-     * and descends — through ft::Payload for pointer inputs, through
-     * the packed segment arrays for packed ones. Both backends emit
-     * the identical event sequence. Callers record their undo state
-     * first.
+     * Payload read: reports the tensor access of element @p pos of
+     * @p input's level @p level (at @p reported_c) to the trace bus and
+     * descends. Callers record their undo state first.
      */
-    void readAndDescend(int input, int level, const ft::FiberView& view,
-                        std::size_t pos, ft::Coord reported_c,
-                        std::uint64_t pe);
+    void readAndDescend(int input, int level, std::size_t pos,
+                        ft::Coord reported_c, std::uint64_t pe);
 
-    void descend(int input, int level, const ft::Payload& payload);
-    /** Packed counterpart of descend(): child view via segment arrays
-     *  (interior) or the flat value array (leaf). */
-    void descendPacked(int input, int level, std::size_t pos);
+    /** Descend below element @p pos: the child view via the segment
+     *  arrays (interior) or the flat value array (leaf). */
+    void descend(int input, int level, std::size_t pos);
     void descendOutput(std::size_t level, ft::Coord c, std::uint64_t pe);
 
     ft::Coord evalExpr(const ir::LevelAction& a,

@@ -46,48 +46,6 @@ gatherFlat(const Fiber& fiber, std::size_t level, std::vector<Coord>& point,
     }
 }
 
-/**
- * Stable sort of the leaf indices in @p order by target coordinate
- * column @p col: one counting-sort pass when the column's coordinate
- * span is within a small multiple of the leaf count, else a stable
- * comparison sort (a flattened rank can span far more coordinates
- * than it holds).
- */
-void
-stableSortByColumn(std::vector<std::size_t>& order,
-                   std::vector<std::size_t>& scratch,
-                   const FlatLeaves& leaves, std::size_t col)
-{
-    const std::size_t n = order.size();
-    const auto key = [&leaves, col](std::size_t leaf) {
-        return leaves.row(leaf)[col];
-    };
-    Coord lo = key(order[0]);
-    Coord hi = lo;
-    for (const std::size_t leaf : order) {
-        lo = std::min(lo, key(leaf));
-        hi = std::max(hi, key(leaf));
-    }
-    const std::uint64_t span = static_cast<std::uint64_t>(hi) -
-                               static_cast<std::uint64_t>(lo) + 1;
-    if (span > 4 * static_cast<std::uint64_t>(n) + 1024) {
-        std::stable_sort(order.begin(), order.end(),
-                         [&key](std::size_t a, std::size_t b) {
-                             return key(a) < key(b);
-                         });
-        return;
-    }
-    std::vector<std::size_t> start(static_cast<std::size_t>(span) + 1, 0);
-    for (const std::size_t leaf : order)
-        ++start[static_cast<std::size_t>(key(leaf) - lo) + 1];
-    for (std::size_t k = 1; k < start.size(); ++k)
-        start[k] += start[k - 1];
-    scratch.resize(n);
-    for (const std::size_t leaf : order)
-        scratch[start[static_cast<std::size_t>(key(leaf) - lo)]++] = leaf;
-    order.swap(scratch);
-}
-
 /** Build @p t from @p leaves visited in @p order (ascending rows)
  *  using append-only construction. */
 void
@@ -146,6 +104,81 @@ replaceFibersAtLevel(FiberPtr& fiber, std::size_t target_level,
 
 } // namespace
 
+std::vector<std::size_t>
+swizzleOrder(std::span<const Coord> rows,
+             const std::vector<std::size_t>& perm)
+{
+    const std::size_t depth = perm.size();
+    const std::size_t n = depth == 0 ? 0 : rows.size() / depth;
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = i;
+    // Sort by target row, least significant column first (LSD radix).
+    // The rows arrive in source order, which already breaks ties
+    // correctly on the longest target suffix whose ranks keep their
+    // source relative order, so only the columns before that suffix
+    // need a pass: one for a plain transpose, none for the identity.
+    // Source order also sorts the rows by the longest target prefix
+    // that keeps the source's leading ranks; those columns collapse
+    // into one pass over a group key, the rank of the row's prefix.
+    std::size_t suffix = depth - 1;
+    while (suffix > 0 && perm[suffix - 1] < perm[suffix])
+        --suffix;
+    std::size_t prefix = 0;
+    while (prefix < depth && perm[prefix] == prefix)
+        ++prefix;
+    if (n <= 1 || suffix <= prefix)
+        return order;
+
+    std::vector<std::size_t> scratch;
+    // One stable pass by @p key: a counting sort when the key's span is
+    // within a small multiple of the row count, else a stable
+    // comparison sort (a flattened rank can span far more coordinates
+    // than it holds).
+    const auto pass = [&order, &scratch, n](const auto& key) {
+        Coord lo = key(order[0]);
+        Coord hi = lo;
+        for (const std::size_t row : order) {
+            lo = std::min(lo, key(row));
+            hi = std::max(hi, key(row));
+        }
+        const std::uint64_t span = static_cast<std::uint64_t>(hi) -
+                                   static_cast<std::uint64_t>(lo) + 1;
+        if (span > 4 * static_cast<std::uint64_t>(n) + 1024) {
+            std::stable_sort(order.begin(), order.end(),
+                             [&key](std::size_t a, std::size_t b) {
+                                 return key(a) < key(b);
+                             });
+            return;
+        }
+        std::vector<std::size_t> start(static_cast<std::size_t>(span) + 1,
+                                       0);
+        for (const std::size_t row : order)
+            ++start[static_cast<std::size_t>(key(row) - lo) + 1];
+        for (std::size_t k = 1; k < start.size(); ++k)
+            start[k] += start[k - 1];
+        scratch.resize(n);
+        for (const std::size_t row : order)
+            scratch[start[static_cast<std::size_t>(key(row) - lo)]++] = row;
+        order.swap(scratch);
+    };
+    for (std::size_t col = suffix; col-- > prefix;) {
+        pass([rows, depth, col](std::size_t row) {
+            return rows[row * depth + col];
+        });
+    }
+    if (prefix > 0) {
+        std::vector<Coord> group(n, 0);
+        for (std::size_t i = 1; i < n; ++i) {
+            const Coord* cur = &rows[i * depth];
+            group[i] = group[i - 1] +
+                       (std::equal(cur, cur + prefix, cur - depth) ? 0 : 1);
+        }
+        pass([&group](std::size_t row) { return group[row]; });
+    }
+    return order;
+}
+
 Tensor
 swizzle(const Tensor& t, const std::vector<std::string>& new_order)
 {
@@ -179,24 +212,8 @@ swizzle(const Tensor& t, const std::vector<std::string>& new_order)
         std::vector<Coord> point(leaves.depth, 0);
         gatherFlat(*t.root(), 0, point, perm, leaves);
     }
-    // Sort the leaves by their target rows, least significant column
-    // first (LSD radix). Gathering visited them in source order, which
-    // already breaks ties correctly on the longest target suffix whose
-    // ranks keep their source relative order, so only the columns
-    // before that suffix need a pass — one for a plain transpose, none
-    // for the identity.
-    std::vector<std::size_t> order(leaves.values.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::size_t suffix = perm.empty() ? 0 : perm.size() - 1;
-    while (suffix > 0 && perm[suffix - 1] < perm[suffix])
-        --suffix;
-    if (order.size() > 1) {
-        std::vector<std::size_t> scratch;
-        for (std::size_t col = suffix; col-- > 0;)
-            stableSortByColumn(order, scratch, leaves, col);
-    }
-
+    const std::vector<std::size_t> order =
+        swizzleOrder(leaves.coords, perm);
     Tensor out(t.name(), new_ranks);
     buildFromSortedRows(out, leaves, order);
     return out;

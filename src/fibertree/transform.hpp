@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,19 @@ namespace teaal::ft
  * permutation of the tensor's rank ids (paper Figure 4).
  */
 Tensor swizzle(const Tensor& t, const std::vector<std::string>& new_order);
+
+/**
+ * The leaf order a swizzle builds its result in. @p rows holds one
+ * row per leaf, gathered in source (concordant) order, with the
+ * leaf's coordinates already permuted into the target rank order:
+ * target column j is source level @p perm[j]. Returns the row indices
+ * sorted lexicographically by target row, ties kept in source order
+ * (a stable LSD radix over the columns source order does not already
+ * sort). Shared by the pointer and packed swizzles
+ * (storage/transform.hpp), so both order leaves identically.
+ */
+std::vector<std::size_t> swizzleOrder(std::span<const Coord> rows,
+                                      const std::vector<std::size_t>& perm);
 
 /**
  * Flatten adjacent ranks @p upper_id (directly above) and @p lower_id

@@ -7,15 +7,16 @@
  *                    groups, probe ranks, spacetime, and the output's
  *                    declared storage order; surface specification
  *                    inconsistencies before any data exists.
- *   instantiatePlan  bind a recipe to real tensors: prepare
- *                    (partition/flatten/swizzle) each input, derive
- *                    rank shapes and dense extents, and select
- *                    co-iteration strategies from occupancy hints.
+ *   instantiatePlan  bind a recipe to packed rank stores: prepare
+ *                    (partition/flatten/swizzle) each input on packed
+ *                    buffers, derive rank shapes and dense extents,
+ *                    and select co-iteration strategies from
+ *                    occupancy hints.
  *
  * instantiatePlan runs the recipe traversal (instantiateWith) on the
- * trace tier's tensors; the analytic tier runs the same traversal on
- * tensor statistics (ir/instantiate.hpp). buildPlan composes the two
- * stages for white-box tests and tools; the pipeline
+ * trace tier's packed stores; the analytic tier runs the same
+ * traversal on tensor statistics (ir/instantiate.hpp). buildPlan
+ * composes the two stages for white-box tests and tools; the pipeline
  * (compiler::CompiledModel) caches recipes at compile time and
  * instantiated plans per workload.
  */
@@ -28,8 +29,8 @@
 #include "ir/instantiate.hpp"
 #include "ir/plan.hpp"
 
-#include "fibertree/transform.hpp"
 #include "storage/packed.hpp"
+#include "storage/transform.hpp"
 #include "util/diagnostic.hpp"
 #include "util/error.hpp"
 #include "util/string_utils.hpp"
@@ -152,9 +153,7 @@ rankIdsOf(const std::vector<ft::RankInfo>& ranks)
  * What a partitioning group does to a tensor with ranks @p ranks:
  * transforms it (flatten/split applied in place), dynamically follows
  * it (occupancy non-leader: Slice actions, no transform), or leaves it
- * alone. The single source of truth for group applicability — the
- * packed fast-path eligibility scan and the preparation loop both
- * dispatch on it, so they cannot diverge.
+ * alone: the single source of truth for group applicability.
  */
 enum class GroupEffect
 {
@@ -241,6 +240,22 @@ packedWalkName(PackedWalk w)
     return "?";
 }
 
+std::vector<std::string>
+TensorPlan::rankIds() const
+{
+    return rankIdsOf(ranks);
+}
+
+int
+TensorPlan::rankLevel(const std::string& id) const
+{
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+        if (ranks[i].id == id)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
 std::string
 EinsumPlan::toString() const
 {
@@ -255,15 +270,14 @@ EinsumPlan::toString() const
             oss << "(range)";
         if (l.coiter != CoiterStrategy::TwoFinger)
             oss << "(" << coiterStrategyName(l.coiter) << ")";
-        if (l.packedWalk != PackedWalk::None)
+        // Coordinate-array walks are the default for packed drivers.
+        if (l.packedWalk != PackedWalk::None &&
+            l.packedWalk != PackedWalk::Coords)
             oss << "(" << packedWalkName(l.packedWalk) << ")";
     }
     oss << "\n";
     for (const TensorPlan& tp : inputs) {
-        oss << "  " << tp.name << " [" << join(tp.prepared.rankIds(), ", ")
-            << "]";
-        if (tp.packed != nullptr)
-            oss << " packed";
+        oss << "  " << tp.name << " [" << join(tp.rankIds(), ", ") << "]";
         if (tp.swizzled)
             oss << (tp.swizzleOnline ? " online-swizzle" : " swizzled");
         oss << ":";
@@ -635,10 +649,9 @@ instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         tp.name = ref.name;
         tp.exprInput = static_cast<int>(slot);
 
-        // Assign an action to every level of @p ranks_in, given the
-        // dynamic-follower groups of this tensor. Shared between the
-        // packed fast path (original rank order, no transforms) and
-        // the preparation path (post-transform rank order).
+        // Assign an action to every level of @p ranks_in (the
+        // post-transform rank order), given the dynamic-follower groups
+        // of this tensor.
         auto compute_pending =
             [&](const std::vector<ft::RankInfo>& ranks_in,
                 const std::vector<const RecipeGroup*>& follower_of)
@@ -746,109 +759,69 @@ instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 return required;
             };
 
-        std::vector<PendingAction> pending;
-        bool bound = false;
+        // Dynamic-follower groups for this tensor.
+        std::vector<const RecipeGroup*> follower_of;
 
-        // ---- packed fast path: bind the packed rank store directly
-        // when no partitioning transform touches this tensor and its
-        // rank order is already concordant — zero fibertree
-        // construction, the engine walks the packed buffers.
-        if (const std::vector<ft::RankInfo>* pk = in->packedRanks()) {
-            bool transforms = false;
-            std::vector<const RecipeGroup*> pk_followers;
-            for (const RecipeGroup& g : groups) {
-                switch (groupEffect(g, *pk, ref.name)) {
-                  case GroupEffect::Transform:
-                    transforms = true;
-                    break;
-                  case GroupEffect::Follow:
-                    pk_followers.push_back(&g);
-                    break;
-                  case GroupEffect::None:
-                    break;
+        // Apply partitioning groups in order.
+        for (const RecipeGroup& g : groups) {
+            switch (groupEffect(g, in->ranks(), ref.name)) {
+              case GroupEffect::Transform:
+                if (g.hasFlatten) {
+                    const auto& src_ranks = g.sourceRanks;
+                    const auto ids = rankIdsOf(in->ranks());
+                    const auto target = adjacentOrder(ids, src_ranks);
+                    if (target != ids)
+                        in->swizzle(target);
+                    // Flatten pairwise left-to-right.
+                    std::string upper = src_ranks[0];
+                    for (std::size_t i = 1; i < src_ranks.size(); ++i) {
+                        in->flatten(upper, src_ranks[i]);
+                        upper += src_ranks[i];
+                    }
+                    TEAAL_ASSERT(upper == g.base, "flatten naming");
                 }
-            }
-            if (!transforms) {
-                pending = compute_pending(*pk, pk_followers);
-                bound = required_of(pending) == rankIdsOf(*pk);
-                if (bound)
-                    in->bindPacked();
-                else
-                    pending.clear();
+                applySplits(*in, g);
+                break;
+              case GroupEffect::Follow:
+                follower_of.push_back(&g);
+                break;
+              case GroupEffect::None:
+                // Flatten groups with only some constituents use
+                // lookups at the flattened rank (handled below).
+                break;
             }
         }
 
-        // ---- preparation (packed inputs that need it are unpacked
-        // by the trace tier, memoized per workload).
-        if (!bound) {
-            // Dynamic-follower groups for this tensor.
-            std::vector<const RecipeGroup*> follower_of;
-
-            // Apply partitioning groups in order (same applicability
-            // predicate the packed eligibility scan used).
-            for (const RecipeGroup& g : groups) {
-                switch (groupEffect(g, in->ranks(), ref.name)) {
-                  case GroupEffect::Transform:
-                    if (g.hasFlatten) {
-                        const auto& src_ranks = g.sourceRanks;
-                        const auto ids = rankIdsOf(in->ranks());
-                        const auto target = adjacentOrder(ids, src_ranks);
-                        if (target != ids)
-                            in->swizzle(target);
-                        // Flatten pairwise left-to-right.
-                        std::string upper = src_ranks[0];
-                        for (std::size_t i = 1; i < src_ranks.size();
-                             ++i) {
-                            in->flatten(upper, src_ranks[i]);
-                            upper += src_ranks[i];
-                        }
-                        TEAAL_ASSERT(upper == g.base, "flatten naming");
-                    }
-                    applySplits(*in, g);
-                    break;
-                  case GroupEffect::Follow:
-                    follower_of.push_back(&g);
-                    break;
-                  case GroupEffect::None:
-                    // Flatten groups with only some constituents use
-                    // lookups at the flattened rank (handled below).
+        const std::vector<PendingAction> pending =
+            compute_pending(in->ranks(), follower_of);
+        const std::vector<std::string> required = required_of(pending);
+        const std::vector<std::string> old_ids = rankIdsOf(in->ranks());
+        if (required != old_ids) {
+            // Estimate merger "ways" before destroying the old order:
+            // occupancy of the shallowest rank moving deeper.
+            std::size_t ways = 2;
+            const std::vector<double> occupancy = in->hints();
+            for (std::size_t lvl = 0; lvl < old_ids.size(); ++lvl) {
+                const auto npos =
+                    std::find(required.begin(), required.end(),
+                              old_ids[lvl]);
+                if (static_cast<std::size_t>(npos - required.begin()) >
+                    lvl) {
+                    ways = std::max<std::size_t>(
+                        2, static_cast<std::size_t>(occupancy[lvl]) + 1);
                     break;
                 }
             }
-
-            pending = compute_pending(in->ranks(), follower_of);
-            const std::vector<std::string> required =
-                required_of(pending);
-            const std::vector<std::string> old_ids = rankIdsOf(in->ranks());
-            if (required != old_ids) {
-                // Estimate merger "ways" before destroying the old
-                // order: occupancy of the shallowest rank moving deeper.
-                std::size_t ways = 2;
-                const std::vector<double> occupancy = in->hints();
-                for (std::size_t lvl = 0; lvl < old_ids.size(); ++lvl) {
-                    const auto npos =
-                        std::find(required.begin(), required.end(),
-                                  old_ids[lvl]);
-                    if (static_cast<std::size_t>(npos - required.begin()) >
-                        lvl) {
-                        ways = std::max<std::size_t>(
-                            2, static_cast<std::size_t>(occupancy[lvl]) +
-                                   1);
-                        break;
-                    }
-                }
-                tp.swizzled = true;
-                tp.swizzleOnline =
-                    std::find(intermediates.begin(), intermediates.end(),
-                              ref.name) != intermediates.end();
-                tp.swizzleElements = in->elements();
-                tp.swizzleWays = ways;
-                in->swizzle(required);
-            }
+            tp.swizzled = true;
+            tp.swizzleOnline =
+                std::find(intermediates.begin(), intermediates.end(),
+                          ref.name) != intermediates.end();
+            tp.swizzleElements = in->elements();
+            tp.swizzleWays = ways;
+            in->swizzle(required);
         }
 
-        // One O(nnz) traversal per input; strategy selection and the
-        // shard work weights read it.
+        // Strategy selection and the shard work weights read these.
         tp.occupancy = in->hints();
         in->finish(tp);
 
@@ -858,7 +831,7 @@ instantiateWith(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
             a.mode = pa.mode;
             a.loopIndex = pa.loopIndex;
             a.expr = pa.expr;
-            const int lvl = tp.prepared.rankLevel(pa.rankId);
+            const int lvl = tp.rankLevel(pa.rankId);
             TEAAL_ASSERT(lvl >= 0, "rank '", pa.rankId,
                          "' lost during preparation of ", ref.name);
             a.level = lvl;
@@ -1015,29 +988,18 @@ namespace
 {
 
 /**
- * One trace-tier input being prepared: starts as a borrowed fibertree
- * or packed store and becomes owned at its first transform, so inputs
- * that need no preparation are never deep-copied. A packed store is
- * unpacked (once per memo) only when it must be prepared.
+ * One trace-tier input being prepared: a packed rank store, borrowed
+ * until its first transform and owned from then on, so an input that
+ * needs no preparation binds the caller's store with no copy. Every
+ * transform runs on packed buffers (storage/transform.hpp).
  */
-class TraceInput : public PlanInput
+class PackedInput : public PlanInput
 {
   public:
-    TraceInput(std::string name, const ft::Tensor* tensor,
-               const std::shared_ptr<const storage::PackedTensor>* packed,
-               std::map<std::string, ft::Tensor>* unpacked, bool share)
-        : name_(std::move(name)), src_(tensor), packed_(packed),
-          unpacked_(unpacked), share_(share)
+    explicit PackedInput(std::shared_ptr<const storage::PackedTensor> src)
+        : src_(std::move(src))
     {
     }
-
-    const std::vector<ft::RankInfo>*
-    packedRanks() const override
-    {
-        return packed_ != nullptr ? &(*packed_)->ranks() : nullptr;
-    }
-
-    void bindPacked() override { bindPacked_ = true; }
 
     const std::vector<ft::RankInfo>&
     ranks() override
@@ -1048,13 +1010,14 @@ class TraceInput : public PlanInput
     void
     swizzle(const std::vector<std::string>& order) override
     {
-        replace(ft::swizzle(get(), order));
+        work_ = storage::swizzle(get(), order);
+        owned_ = true;
     }
 
     void
     flatten(const std::string& upper, const std::string& lower) override
     {
-        replace(ft::flattenRanks(get(), upper, lower));
+        work_ = storage::flattenRanks(take(), upper, lower);
     }
 
     void
@@ -1062,7 +1025,7 @@ class TraceInput : public PlanInput
                  const std::string& upper,
                  const std::string& lower) override
     {
-        replace(ft::splitRankByShape(get(), rank, tile, upper, lower));
+        work_ = storage::splitRankByShape(take(), rank, tile, upper, lower);
     }
 
     void
@@ -1070,127 +1033,83 @@ class TraceInput : public PlanInput
                      const std::string& upper,
                      const std::string& lower) override
     {
-        replace(ft::splitRankByOccupancy(get(), rank, chunk, upper, lower));
+        work_ = storage::splitRankByOccupancy(take(), rank, chunk, upper,
+                                              lower);
     }
 
     std::size_t elements() override { return get().nnz(); }
 
-    /** A bound packed store reports hints off its buffer lengths —
-     *  bit-identical to the unpacked tree's, so strategy selection
-     *  (and therefore every modeled count) is backend-independent. */
-    std::vector<double>
-    hints() override
-    {
-        return bindPacked_ ? (*packed_)->occupancyHints()
-                           : get().occupancyHints();
-    }
+    std::vector<double> hints() override { return get().occupancyHints(); }
 
     void
     finish(TensorPlan& tp) override
     {
-        if (bindPacked_) {
-            tp.packed = *packed_;
-            // Rank-skeleton placeholder: the model reads rank metadata
-            // off `prepared`; no fiber data exists.
-            tp.prepared = ft::Tensor(tp.name, (*packed_)->ranks());
-        } else if (owned_) {
-            tp.prepared = std::move(work_);
-        } else if (share_) {
-            // A plain Tensor copy shares the fiber tree (fibers are
-            // shared_ptrs); execution never mutates input trees.
-            tp.prepared = get();
-        } else {
-            tp.prepared = get().clone();
-        }
+        tp.ranks = get().ranks();
+        tp.packed = owned_ ? std::make_shared<const storage::PackedTensor>(
+                                 std::move(work_))
+                           : src_;
     }
 
   private:
-    const ft::Tensor&
-    get()
+    const storage::PackedTensor&
+    get() const
+    {
+        return owned_ ? work_ : *src_;
+    }
+
+    /** The store to transform next: the owned one moves (its untouched
+     *  levels carry over), a borrowed one is copied. */
+    storage::PackedTensor
+    take()
     {
         if (owned_)
-            return work_;
-        if (src_ == nullptr) {
-            auto it = unpacked_->find(name_);
-            if (it == unpacked_->end())
-                it = unpacked_->emplace(name_, (*packed_)->toTensor()).first;
-            src_ = &it->second;
-        }
+            return std::move(work_);
+        owned_ = true;
         return *src_;
     }
 
-    void
-    replace(ft::Tensor t)
-    {
-        work_ = std::move(t);
-        owned_ = true;
-    }
-
-    std::string name_;
-    const ft::Tensor* src_;
-    const std::shared_ptr<const storage::PackedTensor>* packed_;
-    std::map<std::string, ft::Tensor>* unpacked_;
-    bool share_;
-    bool bindPacked_ = false;
-    ft::Tensor work_;
+    std::shared_ptr<const storage::PackedTensor> src_;
+    storage::PackedTensor work_;
     bool owned_ = false;
 };
 
-/** The trace tier's tensors: live fibertrees and packed stores. */
-class TraceTensors : public PlanTensors
+/** The trace tier's tensors: packed rank stores by name. */
+class PackedTensors : public PlanTensors
 {
   public:
-    TraceTensors(const TensorRefMap& tensors, const PackedRefMap& packed,
-                 bool share, std::map<std::string, ft::Tensor>* unpacked)
-        : tensors_(tensors), packed_(packed), share_(share),
-          unpacked_(unpacked != nullptr ? unpacked : &ownUnpacked_)
+    explicit PackedTensors(const PackedRefMap& tensors) : tensors_(tensors)
     {
     }
 
     const std::vector<ft::RankInfo>*
     ranksOf(const std::string& name) const override
     {
-        if (const auto it = tensors_.find(name); it != tensors_.end())
-            return &it->second->ranks();
-        if (const auto it = packed_.find(name); it != packed_.end())
-            return &it->second->ranks();
-        return nullptr;
+        const auto it = tensors_.find(name);
+        return it != tensors_.end() ? &it->second->ranks() : nullptr;
     }
 
     std::unique_ptr<PlanInput>
     open(const std::string& name, const einsum::Expression& expr) override
     {
-        const auto tit = tensors_.find(name);
-        const auto pit = packed_.find(name);
-        if (tit == tensors_.end() && pit == packed_.end())
+        const auto it = tensors_.find(name);
+        if (it == tensors_.end())
             specError("einsum '", expr.text, "': tensor '", name,
                       "' has no data");
-        return std::make_unique<TraceInput>(
-            name, tit != tensors_.end() ? tit->second : nullptr,
-            pit != packed_.end() ? &pit->second : nullptr, unpacked_,
-            share_);
+        return std::make_unique<PackedInput>(it->second);
     }
 
   private:
-    const TensorRefMap& tensors_;
-    const PackedRefMap& packed_;
-    bool share_;
-    /// Unpacked packed stores: the caller's memo when it passes one
-    /// (one unpack per workload), else this call's own.
-    std::map<std::string, ft::Tensor> ownUnpacked_;
-    std::map<std::string, ft::Tensor>* unpacked_;
+    const PackedRefMap& tensors_;
 };
 
 } // namespace
 
 EinsumPlan
 instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
-                const TensorRefMap& tensors,
-                const std::vector<std::string>& intermediates,
-                bool share_unprepared, const PackedRefMap& packed,
-                std::map<std::string, ft::Tensor>* unpack_cache)
+                const PackedRefMap& tensors,
+                const std::vector<std::string>& intermediates)
 {
-    TraceTensors source(tensors, packed, share_unprepared, unpack_cache);
+    PackedTensors source(tensors);
     EinsumPlan plan = instantiateWith(recipe, spec, intermediates, source);
     plan.shard = analyzeSharding(plan);
     return plan;
@@ -1432,11 +1351,13 @@ buildPlan(const einsum::Expression& expr, const einsum::EinsumSpec& spec,
           const std::map<std::string, ft::Tensor>& tensors,
           const std::vector<std::string>& intermediates)
 {
-    TensorRefMap refs;
-    for (const auto& [name, tensor] : tensors)
-        refs.emplace(name, &tensor);
-    return instantiatePlan(analyzeEinsum(expr, spec, map), spec, refs,
-                           intermediates, /*share_unprepared=*/false);
+    PackedRefMap packed;
+    for (const auto& [name, tensor] : tensors) {
+        packed.emplace(name, std::make_shared<const storage::PackedTensor>(
+                                 storage::PackedTensor::fromTensor(tensor)));
+    }
+    return instantiatePlan(analyzeEinsum(expr, spec, map), spec, packed,
+                           intermediates);
 }
 
 } // namespace teaal::ir

@@ -11,10 +11,11 @@
  * the output plan. The tiers differ only in what a tensor is, which
  * PlanTensors and PlanInput hide:
  *
- *   ir::instantiatePlan (trace tier)  fibertrees and packed stores.
- *       An input is borrowed until its first transform, a concordant
- *       unpartitioned packed store binds directly, and a packed store
- *       needing preparation is unpacked once through a memo.
+ *   ir::instantiatePlan (trace tier)  packed rank stores. An input
+ *       is borrowed until its first transform, so a concordant
+ *       unpartitioned store binds with no copy; every transform runs
+ *       on packed buffers (storage/transform.hpp), and no pointer
+ *       fiber is built.
  *   model::analytic::symbolicInstantiate (analytic tier)
  *       SymbolicTensor statistics, transformed in closed form
  *       (model/analytic/stats.hpp), with expected element counts.
@@ -35,12 +36,6 @@ class PlanInput
 {
   public:
     virtual ~PlanInput() = default;
-
-    /** Ranks of a packed store the input could bind as-is, or null. */
-    virtual const std::vector<ft::RankInfo>* packedRanks() const = 0;
-
-    /** Bind that store as-is (the packed fast path). */
-    virtual void bindPacked() = 0;
 
     /** Rank metadata after the transforms applied so far. */
     virtual const std::vector<ft::RankInfo>& ranks() = 0;
@@ -64,8 +59,8 @@ class PlanInput
      *  co-iteration strategies and size the swizzle's merger. */
     virtual std::vector<double> hints() = 0;
 
-    /** Move the prepared input into @p tp (TensorPlan::prepared, and
-     *  TensorPlan::packed when bound as-is). */
+    /** Move the prepared input into @p tp (TensorPlan::ranks, and
+     *  the trace tier's TensorPlan::packed). */
     virtual void finish(TensorPlan& tp) = 0;
 };
 

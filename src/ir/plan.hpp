@@ -113,28 +113,21 @@ struct TensorPlan
     /// Slot in Expression::inputs.
     int exprInput = -1;
 
-    /// The materialized, concordantly-ordered fibertree. When the
-    /// source tensor was already concordant and the caller allowed
-    /// sharing (instantiatePlan's share_unprepared), this is a shallow
-    /// copy whose fibers are shared with the caller's tensor (fibers
-    /// are shared_ptrs); execution never mutates input trees, so the
-    /// share is safe and costs no deep copy. When `packed` is set this
-    /// is an empty rank-skeleton placeholder (the model reads rank
-    /// metadata off it; no fiber data exists).
-    ft::Tensor prepared;
+    /// Ranks of the prepared input, in its concordant order.
+    std::vector<ft::RankInfo> ranks;
 
-    /// Bound packed rank store (storage/packed.hpp): set when the
-    /// workload supplied this input packed, no preparation (partition/
-    /// flatten/swizzle) applies, and the packed rank order is already
-    /// concordant. The engine then walks the packed buffers directly —
-    /// no pointer fiber is ever built or cloned for this input.
+    /// The prepared packed rank store the engine walks (storage/
+    /// packed.hpp; null in the analytic tier's plans). A concordant
+    /// input that needs no partitioning is the caller's store itself,
+    /// shared with no copy; any other is the plan's own store,
+    /// prepared on packed buffers (storage/transform.hpp).
     std::shared_ptr<const storage::PackedTensor> packed;
 
     /// Actions in execution order (sorted by loopIndex, then level).
     std::vector<LevelAction> actions;
 
     /// Per-level occupancy hints of the prepared input (elements per
-    /// fiber, ft::Tensor::occupancyHints), measured once at
+    /// fiber, storage::PackedTensor::occupancyHints), measured once at
     /// instantiation.
     std::vector<double> occupancy;
 
@@ -144,6 +137,12 @@ struct TensorPlan
     bool swizzleOnline = false;
     std::size_t swizzleElements = 0;
     std::size_t swizzleWays = 1;
+
+    /** Rank ids top-to-bottom. */
+    std::vector<std::string> rankIds() const;
+
+    /** Level of rank @p id, or -1 if the input lacks it. */
+    int rankLevel(const std::string& id) const;
 };
 
 /** One rank of the loop nest. */
@@ -438,9 +437,6 @@ struct EinsumRecipe
 ShardPlan analyzeSharding(const EinsumRecipe& recipe);
 ShardPlan analyzeSharding(const EinsumPlan& plan);
 
-/** Live tensors by name, borrowed from the caller. */
-using TensorRefMap = std::map<std::string, const ft::Tensor*>;
-
 /**
  * Live packed tensors by name. Borrowed entries use a non-owning
  * shared_ptr (empty control block); owned entries keep the packed
@@ -460,47 +456,32 @@ EinsumRecipe analyzeEinsum(const einsum::Expression& expr,
                            const mapping::MappingSpec& map);
 
 /**
- * Stage 2 — instantiate: bind @p recipe to real tensors, producing the
- * executable plan (prepared fibertrees, dense extents, co-iteration
- * strategies from occupancy hints). The traversal is the one the
- * analytic tier runs on tensor statistics (ir/instantiate.hpp).
+ * Stage 2 — instantiate: bind @p recipe to packed rank stores,
+ * producing the executable plan (prepared inputs, dense extents,
+ * co-iteration strategies from occupancy hints). The traversal is the
+ * one the analytic tier runs on tensor statistics (ir/instantiate.hpp).
+ * No pointer fiber is built: an input needing no preparation binds as
+ * given, and every other input is swizzled, flattened and partitioned
+ * on packed buffers into a store the plan owns.
  *
  * @param tensors  Live tensors by name (workload inputs in their
  *                 mapping rank-order plus intermediates built by
- *                 earlier Einsums). Borrowed for the duration of the
- *                 call only.
+ *                 earlier Einsums). The plan shares the stores it
+ *                 binds as-is.
  * @param intermediates Names of tensors produced by earlier Einsums
  *                 (their swizzles are online and charged).
- * @param share_unprepared When true, an input needing no preparation
- *                 is shallow-copied (fiber trees shared) instead of
- *                 deep-cloned — the compile-once/run-many path.
- * @param packed   Inputs supplied as packed rank stores. A packed
- *                 input needing no preparation whose rank order is
- *                 already concordant binds directly (TensorPlan::
- *                 packed — zero fibertree construction); otherwise it
- *                 is unpacked and prepared through the legacy path. A
- *                 name present here must not also be in @p tensors.
- * @param unpack_cache Optional caller-owned memo of unpacked packed
- *                 inputs, keyed by name: a packed tensor taking the
- *                 legacy path is materialized once into the cache and
- *                 reused by later slots and Einsums (the pipeline
- *                 passes its per-workload state). Null falls back to
- *                 a memo local to this call.
  */
 EinsumPlan instantiatePlan(const EinsumRecipe& recipe,
                            const einsum::EinsumSpec& spec,
-                           const TensorRefMap& tensors,
-                           const std::vector<std::string>& intermediates,
-                           bool share_unprepared = false,
-                           const PackedRefMap& packed = {},
-                           std::map<std::string, ft::Tensor>* unpack_cache =
-                               nullptr);
+                           const PackedRefMap& tensors,
+                           const std::vector<std::string>& intermediates);
 
 /**
  * Build the plan for @p expr: analyzeEinsum + instantiatePlan in one
- * call, with every prepared tensor owned (no aliasing). Kept for
- * white-box tests and tools; pipeline callers go through
- * `compiler::CompiledModel`, which caches the two stages separately.
+ * call, over packed copies of @p tensors (default, all-compressed
+ * formats) that the plan owns. Kept for white-box tests and tools;
+ * pipeline callers go through `compiler::CompiledModel`, which caches
+ * the two stages separately.
  *
  * @param spec     The cascade (for declarations).
  * @param map      The mapping specification.

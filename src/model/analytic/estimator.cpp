@@ -33,16 +33,6 @@ class SymbolicInput : public ir::PlanInput
     {
     }
 
-    const std::vector<ft::RankInfo>*
-    packedRanks() const override
-    {
-        return t_.packed ? &t_.ranks : nullptr;
-    }
-
-    /// The skeleton binds no store: a packed input's statistics are
-    /// already its prepared statistics.
-    void bindPacked() override {}
-
     const std::vector<ft::RankInfo>& ranks() override { return t_.ranks; }
 
     void
@@ -81,11 +71,11 @@ class SymbolicInput : public ir::PlanInput
 
     std::vector<double> hints() override { return t_.occupancyHints(); }
 
-    /** The plan gets a rank skeleton; the walk keeps the statistics. */
+    /** The plan gets the ranks; the walk keeps the statistics. */
     void
     finish(ir::TensorPlan& tp) override
     {
-        tp.prepared = ft::Tensor(tp.name, t_.ranks);
+        tp.ranks = t_.ranks;
         prepared_.push_back(std::move(t_));
     }
 

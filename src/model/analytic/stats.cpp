@@ -22,12 +22,11 @@ expectedDistinct(double draws, double universe)
 
 SymbolicTensor
 SymbolicTensor::fromHints(std::string name, std::vector<ft::RankInfo> ranks,
-                          const std::vector<double>& hints, bool packed)
+                          const std::vector<double>& hints)
 {
     SymbolicTensor t;
     t.name = std::move(name);
     t.ranks = std::move(ranks);
-    t.packed = packed;
     double running = 1.0;
     for (std::size_t l = 0; l < t.ranks.size(); ++l) {
         running *= l < hints.size() ? hints[l] : 0.0;

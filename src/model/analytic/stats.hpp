@@ -46,9 +46,6 @@ struct SymbolicTensor
     /// Expected span of legal coordinates inside one fiber at each
     /// level. Starts at the rank shape; splits narrow it.
     std::vector<double> windows;
-    /// Backed by a packed rank store (eligible for the engine's
-    /// packed fast path, which skips the concordance swizzle).
-    bool packed = false;
     /// Names of tensors whose nonzero support contains this one's
     /// (e.g. a take() output is a subset of the copied operand).
     /// Used to drop double-counted density factors in intersections.
@@ -62,8 +59,7 @@ struct SymbolicTensor
      */
     static SymbolicTensor fromHints(std::string name,
                                     std::vector<ft::RankInfo> ranks,
-                                    const std::vector<double>& hints,
-                                    bool packed = false);
+                                    const std::vector<double>& hints);
 
     double nnz() const { return counts.empty() ? 0.0 : counts.back(); }
 

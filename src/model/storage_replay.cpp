@@ -84,34 +84,9 @@ StorageReplay::chargeDram(const std::string& tensor, double bytes,
 
 double
 StorageReplay::subtreeBytes(const ModelTables::UnitInfo& unit,
-                            const ft::Payload* payload, std::size_t level,
-                            const std::vector<std::string>& rank_ids)
-{
-    const void* key = payload;
-    const auto it = subtreeBytesCache_.find(key);
-    if (it != subtreeBytesCache_.end())
-        return it->second;
-    double bytes =
-        static_cast<double>(fmt::subtreeBits(*unit.format, rank_ids,
-                                             *payload, level + 1)) /
-        8.0;
-    // Interleaved (array-of-structs / linked-list) layouts are chased
-    // element by element: each leaf pays a 64B DRAM transaction.
-    if (unit.interleaved && payload->isFiber() && payload->fiber()) {
-        bytes = std::max(bytes,
-                         kInterleavedTransactionBytes *
-                             static_cast<double>(
-                                 payload->fiber()->leafCount()));
-    }
-    subtreeBytesCache_[key] = bytes;
-    return bytes;
-}
-
-double
-StorageReplay::packedSubtreeBytes(const ModelTables::UnitInfo& unit,
-                                  const storage::PackedTensor* packed,
-                                  std::size_t level, std::size_t pos,
-                                  const void* key)
+                            const storage::PackedTensor* packed,
+                            std::size_t level, std::size_t pos,
+                            const void* key)
 {
     const auto it = subtreeBytesCache_.find(key);
     if (it != subtreeBytesCache_.end())
@@ -151,8 +126,7 @@ StorageReplay::loopEnter(std::size_t loop)
 
 void
 StorageReplay::tensorAccess(int input, std::size_t level, const void* key,
-                            const ft::Payload* payload, const void* packed,
-                            std::size_t pos)
+                            const void* packed, std::size_t pos)
 {
     if (input < 0)
         return;
@@ -165,19 +139,9 @@ StorageReplay::tensorAccess(int input, std::size_t level, const void* key,
     UnitState& state = units_[u];
     double bytes = r.payloadBytes;
     if (info.eager && info.boundLevel == static_cast<int>(level)) {
-        if (payload != nullptr) {
-            const ir::TensorPlan& tp = t_.plan->inputs[i];
-            bytes = subtreeBytes(info, payload, level,
-                                 tp.prepared.rankIds());
-        } else if (packed != nullptr) {
-            bytes = packedSubtreeBytes(
-                info, static_cast<const storage::PackedTensor*>(packed),
-                level, pos, key);
-        }
-        // Neither set (a packed access replayed through the bare
-        // streaming interface): fall back to the per-payload width —
-        // batch delivery, which the pipeline always uses, carries the
-        // packed context and charges the exact subtree.
+        bytes = subtreeBytes(
+            info, static_cast<const storage::PackedTensor*>(packed), level,
+            pos, key);
     }
     bool hit;
     if (info.isCache)

@@ -55,8 +55,7 @@ class StorageReplay : public trace::Observer
             loopEnter(e.loop);
             break;
           case Event::Kind::TensorAccess:
-            tensorAccess(e.input, e.level, e.ptr, e.payload(), e.packed,
-                         e.a);
+            tensorAccess(e.input, e.level, e.ptr, e.packed, e.a);
             break;
           case Event::Kind::OutputWrite:
             outputWrite(e.key, e.flagA, e.flagB);
@@ -76,11 +75,10 @@ class StorageReplay : public trace::Observer
     void loopEnter(std::size_t loop);
 
     /** A unit-routed, non-absorbed payload read: buffet/cache access
-     *  with fills charged to DRAM. Exactly one of @p payload /
-     *  @p packed is set for eager subtree sizing. */
+     *  with fills charged to DRAM. @p packed (the input's
+     *  storage::PackedTensor) and @p pos size eager subtree fills. */
     void tensorAccess(int input, std::size_t level, const void* key,
-                      const ft::Payload* payload, const void* packed,
-                      std::size_t pos);
+                      const void* packed, std::size_t pos);
 
     /** Output leaf write: buffet partial accounting or streaming
      *  read-modify-write, decided by the first-write bit @p first
@@ -115,12 +113,9 @@ class StorageReplay : public trace::Observer
                       bool partial = false);
 
     double subtreeBytes(const ModelTables::UnitInfo& unit,
-                        const ft::Payload* payload, std::size_t level,
-                        const std::vector<std::string>& rank_ids);
-    double packedSubtreeBytes(const ModelTables::UnitInfo& unit,
-                              const storage::PackedTensor* packed,
-                              std::size_t level, std::size_t pos,
-                              const void* key);
+                        const storage::PackedTensor* packed,
+                        std::size_t level, std::size_t pos,
+                        const void* key);
 
     const ModelTables& t_;
 

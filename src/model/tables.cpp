@@ -237,7 +237,7 @@ ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
                 if (!sb.rank.empty()) {
                     unit.boundLevel = resolveRankLevel(
                         plan.inputs[static_cast<std::size_t>(unit.input)]
-                            .prepared.ranks(),
+                            .ranks,
                         sb.rank);
                 }
                 if (unit.boundLevel < 0)
@@ -270,12 +270,12 @@ ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
     for (std::size_t i = 0; i < plan.inputs.size(); ++i) {
         const ir::TensorPlan& tp = plan.inputs[i];
         const fmt::TensorFormat& tf = formats.getLenient(tp.name);
-        const std::size_t nr = tp.prepared.numRanks();
+        const std::size_t nr = tp.ranks.size();
         t.routes[i].resize(nr);
         for (std::size_t lvl = 0; lvl < nr; ++lvl) {
             LevelRoute& r = t.routes[i][lvl];
             const fmt::RankFormat& rf =
-                tf.rankFormat(tp.prepared.rank(lvl).id);
+                tf.rankFormat(tp.ranks[lvl].id);
             r.coordBytes = rf.coordBits() / 8.0;
             r.payloadBytes = rf.payloadBits(lvl + 1 == nr) / 8.0;
             int best = -1;

@@ -43,46 +43,57 @@ PackedTensor::occupancyHints() const
     return ft::occupancyHintsFromCounts(counts, ranks_.size());
 }
 
-void
-PackedTensor::buildAux()
+int
+PackedTensor::rankLevel(const std::string& id) const
 {
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-        PackedLevel& L = levels_[l];
-        L.bits.clear();
-        L.bitBase.clear();
-        L.bitRank.clear();
-        if (L.type != fmt::RankFormat::Type::B)
+    for (std::size_t i = 0; i < ranks_.size(); ++i) {
+        if (ranks_[i].id == id)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+void
+PackedTensor::buildAux(std::size_t level)
+{
+    PackedLevel& L = levels_[level];
+    L.bits.clear();
+    L.bitBase.clear();
+    L.bitRank.clear();
+    if (L.type != fmt::RankFormat::Type::B)
+        return;
+    // The segment and coordinate arrays may be bound to a mapped file:
+    // read them through the const (either-mode) accessors.
+    const Buf<std::uint64_t>& seg = L.seg;
+    const Buf<ft::Coord>& crd = L.crd;
+    const std::size_t nf = L.fiberCount();
+    L.bitBase.resize(nf + 1, 0);
+    std::uint64_t total = 0;
+    for (std::size_t f = 0; f < nf; ++f) {
+        L.bitBase[f] = total;
+        total += static_cast<std::uint64_t>(
+            fiberSpan(crd, seg[f], seg[f + 1]));
+    }
+    L.bitBase[nf] = total;
+    L.bits.assign((total + 63) / 64, 0);
+    for (std::size_t f = 0; f < nf; ++f) {
+        const std::uint64_t lo = seg[f];
+        const std::uint64_t hi = seg[f + 1];
+        if (lo >= hi)
             continue;
-        const std::size_t nf = L.fiberCount();
-        L.bitBase.resize(nf + 1, 0);
-        std::uint64_t total = 0;
-        for (std::size_t f = 0; f < nf; ++f) {
-            L.bitBase[f] = total;
-            total += static_cast<std::uint64_t>(
-                fiberSpan(L.crd, L.seg[f], L.seg[f + 1]));
+        const ft::Coord first = crd[lo];
+        for (std::uint64_t p = lo; p < hi; ++p) {
+            const std::uint64_t idx =
+                L.bitBase[f] + static_cast<std::uint64_t>(crd[p] - first);
+            L.bits[idx >> 6] |= 1ULL << (idx & 63);
         }
-        L.bitBase[nf] = total;
-        L.bits.assign((total + 63) / 64, 0);
-        for (std::size_t f = 0; f < nf; ++f) {
-            const std::uint64_t lo = L.seg[f];
-            const std::uint64_t hi = L.seg[f + 1];
-            if (lo >= hi)
-                continue;
-            const ft::Coord first = L.crd[lo];
-            for (std::uint64_t p = lo; p < hi; ++p) {
-                const std::uint64_t idx =
-                    L.bitBase[f] +
-                    static_cast<std::uint64_t>(L.crd[p] - first);
-                L.bits[idx >> 6] |= 1ULL << (idx & 63);
-            }
-        }
-        // Rank directory: bitRank[w] = set bits before word w.
-        L.bitRank.assign(L.bits.size() + 1, 0);
-        for (std::size_t w = 0; w < L.bits.size(); ++w) {
-            L.bitRank[w + 1] =
-                L.bitRank[w] +
-                static_cast<std::uint64_t>(std::popcount(L.bits[w]));
-        }
+    }
+    // Rank directory: bitRank[w] = set bits before word w.
+    L.bitRank.assign(L.bits.size() + 1, 0);
+    for (std::size_t w = 0; w < L.bits.size(); ++w) {
+        L.bitRank[w + 1] =
+            L.bitRank[w] +
+            static_cast<std::uint64_t>(std::popcount(L.bits[w]));
     }
 }
 
@@ -102,7 +113,7 @@ PackedTensor::fromTensor(const ft::Tensor& t, const fmt::TensorFormat& format)
 
     // Depth-first concordant walk, copying the exact skeleton: every
     // element of every fiber (zero leaves and empty children too), so
-    // packed walks visit exactly what pointer walks visit.
+    // the packed walk visits exactly what the fibertree holds.
     std::function<void(const ft::Fiber&, std::size_t)> walk =
         [&](const ft::Fiber& fiber, std::size_t level) {
             PackedLevel& L = out.levels_[level];
@@ -130,7 +141,8 @@ PackedTensor::fromTensor(const ft::Tensor& t, const fmt::TensorFormat& format)
         walk(*t.root(), 0);
     // Seal level 0 (one root fiber).
     out.levels_[0].seg.push_back(out.levels_[0].crd.size());
-    out.buildAux();
+    for (std::size_t l = 0; l < nr; ++l)
+        out.buildAux(l);
     return out;
 }
 
@@ -180,15 +192,15 @@ PackedTensor::leafCountBelow(std::size_t level, std::size_t pos) const
 std::uint64_t
 PackedTensor::residentBytes() const
 {
-    if (backing_ != nullptr)
-        return mappedBytes_;
-    std::uint64_t bytes = vals_.size() * sizeof(ft::Value);
+    // Buffers bound to the mapping are charged as the file; a
+    // transform of a mapped tensor adds owned levels beside it.
+    const auto owned = [](const auto& buf) -> std::uint64_t {
+        return buf.external() ? 0 : buf.size() * sizeof(buf[0]);
+    };
+    std::uint64_t bytes = mappedBytes_ + owned(vals_);
     for (const PackedLevel& L : levels_) {
-        bytes += L.seg.size() * sizeof(std::uint64_t);
-        bytes += L.crd.size() * sizeof(ft::Coord);
-        bytes += L.bits.size() * sizeof(std::uint64_t);
-        bytes += L.bitBase.size() * sizeof(std::uint64_t);
-        bytes += L.bitRank.size() * sizeof(std::uint64_t);
+        bytes += owned(L.seg) + owned(L.crd) + owned(L.bits) +
+                 owned(L.bitBase) + owned(L.bitRank);
     }
     return bytes;
 }
@@ -307,9 +319,10 @@ PackedBuilder::finish() &&
     finished_ = true;
     // Seal: seg arrays currently hold fiber *starts*; append the final
     // sentinel per level (level 0's single root fiber included).
-    for (std::size_t l = 0; l < t_.levels_.size(); ++l)
+    for (std::size_t l = 0; l < t_.levels_.size(); ++l) {
         t_.levels_[l].seg.push_back(t_.levels_[l].crd.size());
-    t_.buildAux();
+        t_.buildAux(l);
+    }
     return std::move(t_);
 }
 

@@ -19,10 +19,13 @@
  *      rank directory, giving O(1) membership + position probes.
  *
  * The skeleton always records the *exact* fibertree structure
- * (per-fiber occupancy, empty fibers included), so packed execution
+ * (per-fiber occupancy, empty fibers included), so a packed store
  * walks the same elements, emits the same trace events, and produces
- * the same counters as the pointer-fibertree walk — the packed and
- * pointer backends are interchangeable behind `ft::FiberView`.
+ * the same counters as the fibertree it was packed from. It is the
+ * only input representation plans bind: pointer inputs are packed
+ * once, and swizzles, partitions and flattens run on the packed
+ * buffers (storage/transform.hpp). Engine outputs stay pointer
+ * fibertrees.
  */
 #pragma once
 
@@ -156,9 +159,9 @@ struct PackedLevel
 
 /**
  * A fibertree materialized into packed rank stores. Immutable after
- * construction; views handed to the engine point into the buffers, so
- * a PackedTensor must outlive any plan bound to it (the pipeline holds
- * plans' packed inputs by shared_ptr).
+ * construction (the transforms build new ones); views handed to the
+ * engine point into the buffers, so a PackedTensor must outlive any
+ * plan bound to it (plans hold their packed inputs by shared_ptr).
  */
 class PackedTensor
 {
@@ -187,6 +190,9 @@ class PackedTensor
     }
     const std::vector<ft::RankInfo>& ranks() const { return ranks_; }
     std::vector<std::string> rankIds() const;
+
+    /** Level of rank @p id, or -1 if the tensor lacks it. */
+    int rankLevel(const std::string& id) const;
 
     /** Stored leaf count (== leaf coordinate-array length). */
     std::size_t nnz() const { return vals_.size(); }
@@ -239,9 +245,8 @@ class PackedTensor
 
     /**
      * Stable identity key for the payload of element (@p level,
-     * @p pos) — the packed analog of a pointer-walk's &Payload, used
-     * by the reuse models (distinct logical payloads get distinct,
-     * run-stable addresses).
+     * @p pos), used by the reuse models (distinct logical payloads
+     * get distinct, run-stable addresses).
      */
     const void*
     payloadKey(std::size_t level, std::size_t pos) const
@@ -284,10 +289,12 @@ class PackedTensor
 
   private:
     friend class PackedBuilder;
-    friend struct StoreAccess; ///< storage/store.cpp (de)serializer
+    friend struct StoreAccess;     ///< storage/store.cpp (de)serializer
+    friend struct TransformAccess; ///< storage/transform.cpp
 
-    /** Build the B-format bit pools + rank directories. */
-    void buildAux();
+    /** Build the B-format bit pool + rank directory of @p level (a
+     *  no-op for other rank types). */
+    void buildAux(std::size_t level);
 
     /** View of fiber @p fiber at @p level (position-space window). */
     ft::FiberView

@@ -97,7 +97,7 @@ Observer::onEventBatch(const EventBatch& batch)
             break;
           case Event::Kind::TensorAccess:
             onTensorAccess(e.input, *e.name, e.level, e.coord, e.ptr,
-                           e.payload(), e.pe);
+                           e.pe);
             break;
           case Event::Kind::OutputWrite:
             onOutputWrite(*e.name, e.level, e.coord, e.key, e.flagA,

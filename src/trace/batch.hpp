@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "fibertree/payload.hpp"
 #include "fibertree/types.hpp"
 #include "trace/observer.hpp"
 
@@ -85,21 +84,12 @@ struct alignas(64) Event
     union
     {
         std::size_t c = 0; // CoIterate: drivers
-        /// TensorAccess: the source storage::PackedTensor of a packed
-        /// input (opaque here — trace stays below the storage layer),
-        /// with the element position in `a`; null for pointer inputs.
+        /// TensorAccess: the input's source storage::PackedTensor
+        /// (opaque here — trace stays below the storage layer), with
+        /// the element position in `a`.
         const void* packed;
         const std::string* name2; // TensorCopy destination
     };
-
-    /** TensorAccess on a pointer input: the payload read, which is
-     *  also its identity key; null for packed inputs. */
-    const ft::Payload*
-    payload() const
-    {
-        return packed == nullptr ? static_cast<const ft::Payload*>(ptr)
-                                 : nullptr;
-    }
 };
 
 static_assert(sizeof(Event) == 64, "a trace record is one cache line");
@@ -432,28 +422,10 @@ class BatchBus
         e.pe = pe;
     }
 
-    /** TensorAccess on a pointer input: the payload's address is the
-     *  access's identity key. */
+    /** TensorAccess: @p packed/@p pos identify the element in its
+     *  input's storage::PackedTensor; @p key is its identity. */
     void
-    tensorAccess(int input, const std::string& tensor, std::size_t level,
-                 ft::Coord c, const ft::Payload* payload, std::uint64_t pe)
-    {
-        if (routedAccess(input, level))
-            return;
-        Event& e = push(Event::Kind::TensorAccess);
-        e.input = input;
-        e.name = &tensor;
-        e.level = static_cast<std::uint32_t>(level);
-        e.coord = c;
-        e.ptr = payload;
-        e.packed = nullptr;
-        e.pe = pe;
-    }
-
-    /** TensorAccess on a packed input: @p packed/@p pos identify the
-     *  element in its storage::PackedTensor (no ft::Payload exists). */
-    void
-    tensorAccessPacked(int input, const std::string& tensor,
+    tensorAccess(int input, const std::string& tensor,
                        std::size_t level, ft::Coord c, const void* key,
                        const void* packed, std::size_t pos,
                        std::uint64_t pe)

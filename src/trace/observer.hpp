@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "fibertree/payload.hpp"
 #include "fibertree/types.hpp"
 
 namespace teaal::trace
@@ -82,28 +81,21 @@ class Observer
     }
 
     /**
-     * A payload of input @p input was read (descend into @p payload at
-     * @p level, coordinate @p c). @p key is a stable identity usable
-     * for reuse modeling.
-     *
-     * @p payload is null when the input is bound as a packed rank
-     * store (storage/packed.hpp) — no ft::Payload object exists
-     * there; the access's full context (source tensor + position)
-     * travels on the batch Event (`packed`/`a`), which batch-aware
-     * observers consume. Streaming observers must treat payload as
-     * nullable.
+     * A payload of input @p input was read (descend at @p level,
+     * coordinate @p c). @p key is a stable identity usable for reuse
+     * modeling. The element's full context (its source
+     * storage::PackedTensor and position) travels on the batch Event
+     * (`packed`/`a`), which batch-aware observers consume.
      */
     virtual void
     onTensorAccess(int input, const std::string& tensor, std::size_t level,
-                   ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe)
+                   ft::Coord c, const void* key, std::uint64_t pe)
     {
         (void)input;
         (void)tensor;
         (void)level;
         (void)c;
         (void)key;
-        (void)payload;
         (void)pe;
     }
 

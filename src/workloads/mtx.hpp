@@ -37,8 +37,8 @@ ft::Tensor parseMatrixMarket(const std::string& text,
  * per-element fibertree insert, no pointer fiber ever built. The
  * first rank is rows, the second columns (the file's coordinate
  * order); callers wanting a discordant (e.g. column-major) rank order
- * keep the legacy path: readMatrixMarket + ft::swizzle (or
- * PackedTensor::fromTensor of the swizzled tree).
+ * swizzle the store (storage::swizzle), or bind it as is and let the
+ * pipeline apply the mapping's rank-order.
  *
  * @param format Rank formats for the packed store (footprints,
  *               bitmap/implicit walk auxiliaries); defaults to

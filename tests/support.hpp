@@ -105,10 +105,9 @@ class StreamRecorder : public trace::Observer
     void
     onTensorAccess(int input, const std::string& tensor,
                    std::size_t level, ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe) override
+                   std::uint64_t pe) override
     {
         (void)key;
-        (void)payload;
         add("A", input, level, c, pe);
         log.back() += ":" + tensor;
     }

@@ -333,18 +333,16 @@ skeletonPlans(const compiler::CompiledModel& cm, const Workload& w)
     for (const std::string& name : es.inputTensors()) {
         an::SymbolicTensor st;
         if (const auto pk = w.packed(name)) {
-            st = an::SymbolicTensor::fromHints(
-                name, pk->ranks(), pk->occupancyHints(), /*packed=*/true);
+            st = an::SymbolicTensor::fromHints(name, pk->ranks(),
+                                               pk->occupancyHints());
         } else {
             const ft::Tensor& t = w.tensor(name);
             st = an::SymbolicTensor::fromHints(name, t.ranks(),
                                                t.occupancyHints());
         }
         const auto& order = s.mapping.rankOrder(name);
-        if (!order.empty() && st.rankIds() != order) {
+        if (!order.empty() && st.rankIds() != order)
             st = an::swizzle(st, order);
-            st.packed = false;
-        }
         stats.emplace(name, std::move(st));
     }
 
@@ -416,7 +414,7 @@ expectSameSkeleton(const ir::EinsumPlan& sym, const ir::EinsumPlan& real)
         const ir::TensorPlan& a = sym.inputs[t];
         const ir::TensorPlan& b = real.inputs[t];
         SCOPED_TRACE("input " + b.name);
-        EXPECT_EQ(a.prepared.rankIds(), b.prepared.rankIds());
+        EXPECT_EQ(a.rankIds(), b.rankIds());
         EXPECT_EQ(a.swizzled, b.swizzled);
         ASSERT_EQ(a.actions.size(), b.actions.size());
         for (std::size_t k = 0; k < b.actions.size(); ++k) {

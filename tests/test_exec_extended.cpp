@@ -441,7 +441,7 @@ class CountingObserver : public trace::Observer
     }
     void
     onTensorAccess(int, const std::string&, std::size_t, ft::Coord,
-                   const void*, const ft::Payload*, std::uint64_t) override
+                   const void*, std::uint64_t) override
     {
         ++perEventCalls;
     }
@@ -524,7 +524,7 @@ struct SummingObserver : trace::Observer
     }
     void
     onTensorAccess(int, const std::string&, std::size_t, ft::Coord,
-                   const void*, const ft::Payload*, std::uint64_t) override
+                   const void*, std::uint64_t) override
     {
         ++accesses;
     }

@@ -58,7 +58,7 @@ TEST(IrBuilder, PlainMatmulDefaultLoopOrder)
     const TensorPlan& a = plan.inputs[0];
     EXPECT_TRUE(a.swizzled);
     EXPECT_FALSE(a.swizzleOnline); // input, offline preprocessing
-    EXPECT_EQ(a.prepared.rankIds(),
+    EXPECT_EQ(a.rankIds(),
               (std::vector<std::string>{"M", "K"}));
     // Output produced directly in declared order.
     EXPECT_FALSE(plan.output.needsReorder);
@@ -98,14 +98,14 @@ TEST(IrBuilder, OuterSpaceMultiplyPhasePlan)
 
     // A is the flattened+partitioned leader, fully co-iterated.
     const TensorPlan& a = plan.inputs[0];
-    EXPECT_EQ(a.prepared.rankIds(),
+    EXPECT_EQ(a.rankIds(),
               (std::vector<std::string>{"KM2", "KM1", "KM0"}));
     EXPECT_NE(actionFor(a, LevelAction::Mode::CoIterate, 0), nullptr);
     EXPECT_NE(actionFor(a, LevelAction::Mode::CoIterate, 2), nullptr);
 
     // B keeps [K, N]: K is looked up by the unpacked k at KM0.
     const TensorPlan& b = plan.inputs[1];
-    EXPECT_EQ(b.prepared.rankIds(),
+    EXPECT_EQ(b.rankIds(),
               (std::vector<std::string>{"K", "N"}));
     const LevelAction* lookup =
         actionFor(b, LevelAction::Mode::Lookup, 0);
@@ -156,7 +156,7 @@ TEST(IrBuilder, GammaMergePhaseInfersOnlineSwizzle)
     ASSERT_NE(t, nullptr);
     EXPECT_TRUE(t->swizzled);
     EXPECT_TRUE(t->swizzleOnline);
-    EXPECT_EQ(t->prepared.rankIds(),
+    EXPECT_EQ(t->rankIds(),
               (std::vector<std::string>{"M", "N", "K"}));
     // T follows A's occupancy boundaries: Slice at M1/K1.
     EXPECT_NE(actionFor(*t, LevelAction::Mode::Slice, 0), nullptr);
@@ -283,7 +283,7 @@ TEST(IrBuilder, SigmaFlattenOfDerivedRank)
     const auto plan =
         buildPlan(es.expressions[0], es, ms, tensors, {});
     // The leader T materializes [K1, MK01, MK00].
-    EXPECT_EQ(plan.inputs[0].prepared.rankIds(),
+    EXPECT_EQ(plan.inputs[0].rankIds(),
               (std::vector<std::string>{"K1", "MK01", "MK00"}));
     // MK00 binds m and k (the base variable of the derived K0).
     const LoopRank& mk00 = plan.loops[2];

@@ -5,8 +5,9 @@
  * results, counters, traffic, and delivered trace streams (batch
  * boundaries included) to the same workload bound as pointer
  * fibertrees — per Table 1 accelerator, at threads = 1 and 4. Plus
- * the zero-copy/zero-fiber-construction guarantees of the packed
- * concordant bind path, the discordant/partitioned fallbacks, and the
+ * the zero-copy guarantee of the concordant packed bind, the
+ * zero-fiber-construction guarantee of every bind (discordant and
+ * partitioned inputs are prepared on packed buffers), and the
  * unknown-format-config compile diagnostic.
  */
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
 #include "storage/packed.hpp"
+#include "storage/store.hpp"
+#include "storage/transform.hpp"
 #include "support.hpp"
 #include "util/diagnostic.hpp"
 #include "workloads/datasets.hpp"
@@ -191,8 +194,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ------------------------------------------------------------------
-// A concordant spec with no partitioning: the packed fast path binds
-// directly, walks packed buffers, and never builds an input fiber.
+// A concordant spec with no partitioning: packed inputs bind as
+// given, the walk reads their buffers, and no input fiber is built.
 // ------------------------------------------------------------------
 
 const char* kConcordantSpmSpm = R"(
@@ -242,9 +245,8 @@ buildPackedInputs(std::uint64_t seed)
 TEST(PackedBinding, ConcordantInputsBindWithoutClonesOrFibers)
 {
     // Bind two packed workloads of very different nnz and measure the
-    // pointer-fiber constructions each bind performs: the deltas must
-    // be equal (a fixed handful of empty rank-skeleton roots) — i.e.
-    // zero per-element fiber construction — and clone-free.
+    // pointer-fiber constructions each bind performs: none, and no
+    // clone either — the plans bind the workload's stores.
     auto model =
         compiler::compile(compiler::Specification::parse(kConcordantSpmSpm));
     const PackedPair in = buildPackedInputs(21);
@@ -278,8 +280,8 @@ TEST(PackedBinding, ConcordantInputsBindWithoutClonesOrFibers)
     const std::uint64_t fibers_big = bind_delta(big, clones_big);
     EXPECT_EQ(clones_small, 0u);
     EXPECT_EQ(clones_big, 0u);
-    EXPECT_EQ(fibers_small, fibers_big);
-    EXPECT_LE(fibers_small, 8u);
+    EXPECT_EQ(fibers_small, 0u);
+    EXPECT_EQ(fibers_big, 0u);
 
     // The packed run matches the pointer run bit for bit.
     Workload w;
@@ -383,11 +385,12 @@ TEST(PackedBinding, MixedPointerAndPackedInputs)
     EXPECT_EQ(pointer_rec.log, mixed_rec.log);
 }
 
-TEST(PackedBinding, DiscordantPackedFallsBackToLegacyPath)
+TEST(PackedBinding, DiscordantPackedSwizzlesOnPackedBuffers)
 {
     // The packed tensor arrives in [K, M] order but the mapping wants
-    // A as [M, K]: prepareInputs unpacks + swizzles once (the legacy
-    // path), and results still match the pointer binding.
+    // A as [M, K]: prepareInputs swizzles it once on packed buffers,
+    // no pointer fiber is built, and results still match the pointer
+    // binding.
     auto model =
         compiler::compile(compiler::Specification::parse(kConcordantSpmSpm));
     const ft::Tensor a_km =
@@ -400,9 +403,106 @@ TEST(PackedBinding, DiscordantPackedFallsBackToLegacyPath)
     Workload pointer_w;
     pointer_w.add("A", a_km).add("B", b);
 
+    const std::uint64_t fibers_before = ft::Fiber::constructionCount();
+    const auto& plans = model.plans(packed_w);
+    EXPECT_EQ(ft::Fiber::constructionCount() - fibers_before, 0u);
+    EXPECT_EQ(plans[0].inputs[0].rankIds(),
+              (std::vector<std::string>{"M", "K"}));
+
     const SimulationResult packed = model.run(packed_w);
     const SimulationResult base = model.run(pointer_w);
     expectSameResults(base, packed);
+}
+
+/** Every input of @p model's cascade prepared as the pipeline does
+ *  (packed, in the mapping's rank-order), plus every intermediate of
+ *  @p run packed. */
+ir::PackedRefMap
+packedCascadeTensors(const CompiledModel& model, const Workload& w,
+                     const SimulationResult& run)
+{
+    ir::PackedRefMap out;
+    const compiler::Specification& spec = model.spec();
+    for (const std::string& name : spec.einsums.inputTensors()) {
+        auto pk = w.packed(name);
+        if (pk == nullptr) {
+            pk = std::make_shared<const storage::PackedTensor>(
+                storage::PackedTensor::fromTensor(
+                    w.tensor(name), spec.formats.getLenient(name)));
+        }
+        const auto& order = spec.mapping.rankOrder(name);
+        if (!order.empty() && pk->rankIds() != order) {
+            pk = std::make_shared<const storage::PackedTensor>(
+                storage::swizzle(*pk, order));
+        }
+        out.emplace(name, std::move(pk));
+    }
+    for (const auto& [name, t] : run.tensors) {
+        out.emplace(name, std::make_shared<const storage::PackedTensor>(
+                              storage::PackedTensor::fromTensor(
+                                  t, spec.formats.getLenient(name))));
+    }
+    return out;
+}
+
+TEST(PackedBinding, InstantiationBuildsNoFibers)
+{
+    // Binding any input — pointer, packed or mapped, discordant with
+    // its mapping rank-order (Gamma's A) or partitioned (all four) —
+    // builds no pointer fiber: preparation runs on packed buffers.
+    const TestMatrices m = makeMatrices(41);
+    test::TempDir dir;
+    const std::vector<std::pair<std::string, compiler::Specification>>
+        specs{{"gamma", accel::gamma(smallGamma())},
+              {"extensor", accel::extensor(smallExTensor())},
+              {"outerspace", accel::outerSpace(smallOuterSpace())},
+              {"sigma", accel::sigma(smallSigma())}};
+    for (const auto& [name, spec] : specs) {
+        SCOPED_TRACE(name);
+        auto model = compiler::compile(spec);
+        const auto pa = std::make_shared<const storage::PackedTensor>(
+            storage::PackedTensor::fromTensor(
+                m.a, model.spec().formats.getLenient("A")));
+        const auto pb = std::make_shared<const storage::PackedTensor>(
+            storage::PackedTensor::fromTensor(
+                m.b, model.spec().formats.getLenient("B")));
+        storage::writeStore(dir.path(name + "_A.tpk"), *pa);
+        storage::writeStore(dir.path(name + "_B.tpk"), *pb);
+
+        Workload pointer_w;
+        pointer_w.add("A", m.a).add("B", m.b);
+        Workload packed_w;
+        packed_w.add("A", pa).add("B", pb);
+        Workload mapped_w;
+        mapped_w.add("A", storage::mapStore(dir.path(name + "_A.tpk")))
+            .add("B", storage::mapStore(dir.path(name + "_B.tpk")));
+
+        for (const Workload* w : {&pointer_w, &packed_w, &mapped_w}) {
+            const SimulationResult run = model.run(*w);
+            const ir::PackedRefMap tensors =
+                packedCascadeTensors(model, *w, run);
+            const einsum::EinsumSpec& es = model.spec().einsums;
+            std::vector<std::string> produced;
+            const std::uint64_t before = ft::Fiber::constructionCount();
+            for (std::size_t i = 0; i < es.expressions.size(); ++i) {
+                (void)ir::instantiatePlan(model.recipes()[i], es, tensors,
+                                          produced);
+                produced.push_back(es.expressions[i].output.name);
+            }
+            EXPECT_EQ(ft::Fiber::constructionCount() - before, 0u);
+        }
+
+        // Through the pipeline: a single-Einsum cascade instantiates
+        // without executing anything, so plans() builds no fiber.
+        if (model.spec().einsums.expressions.size() == 1) {
+            for (const Workload* w : {&pointer_w, &packed_w, &mapped_w}) {
+                model.clearCache();
+                const std::uint64_t before = ft::Fiber::constructionCount();
+                (void)model.plans(*w);
+                EXPECT_EQ(ft::Fiber::constructionCount() - before, 0u);
+            }
+        }
+    }
 }
 
 TEST(PackedBinding, WorkloadAccessors)

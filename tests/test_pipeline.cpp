@@ -15,6 +15,7 @@
 #include "accelerators/accelerators.hpp"
 #include "baselines/baselines.hpp"
 #include "compiler/pipeline.hpp"
+#include "storage/packed.hpp"
 #include "support.hpp"
 #include "util/diagnostic.hpp"
 #include "workloads/datasets.hpp"
@@ -138,7 +139,9 @@ TEST(Pipeline, CachedRunIsCloneFree)
 
 /// Workload inputs that need no preparation (already concordant, no
 /// partitioning) are never deep-copied — not even on the
-/// instantiating run.
+/// instantiating run. A pointer input is packed once per cached state
+/// (every later run binds that same store); a packed input binds with
+/// no copy at all.
 TEST(Pipeline, ConcordantInputsAreNeverDeepCopied)
 {
     const char* text = "einsum:\n"
@@ -163,6 +166,21 @@ TEST(Pipeline, ConcordantInputsAreNeverDeepCopied)
     const SimulationResult result = model.run(w);
     EXPECT_EQ(ft::Tensor::cloneCount() - before, 0u);
     EXPECT_GT(result.result(model.spec()).nnz(), 0u);
+    const storage::PackedTensor* packed_once =
+        model.plans(w)[0].inputs[0].packed.get();
+    ASSERT_NE(packed_once, nullptr);
+    (void)model.run(w);
+    EXPECT_EQ(model.plans(w)[0].inputs[0].packed.get(), packed_once);
+
+    const auto pa = std::make_shared<const storage::PackedTensor>(
+        storage::PackedTensor::fromTensor(a));
+    const auto pb = std::make_shared<const storage::PackedTensor>(
+        storage::PackedTensor::fromTensor(b));
+    Workload packed_w;
+    packed_w.add("A", pa).add("B", pb);
+    const auto& plans = model.plans(packed_w);
+    EXPECT_EQ(plans[0].inputs[0].packed, pa);
+    EXPECT_EQ(plans[0].inputs[1].packed, pb);
 }
 
 /// The plans() accessor exposes one instantiated plan per Einsum
