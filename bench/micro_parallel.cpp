@@ -2,14 +2,17 @@
  * @file
  * Parallel sharded execution microbench: wall time and speedup of
  * CompiledModel::run at 1/2/4/8 worker threads on all four Table 1
- * accelerators — Gamma and ExTensor (disjoint sharding), OuterSpace
- * (disjoint, linear-combine cascade), and SIGMA (reduction sharding
- * of the contraction-outermost Z nest) — plus the serial-overhead
+ * accelerators — Gamma (disjoint sharding), ExTensor (output-keyed
+ * below its contraction tiles), OuterSpace (disjoint, linear-combine
+ * cascade), and SIGMA (output-keyed slices of the
+ * contraction-outermost Z nest) — plus the serial-overhead
  * check — threads=1 must stay within noise of the classic serial
  * path, because it *is* the classic serial path.
  *
  * Every row names the split each Einsum's walk used at that thread
- * count (SimulationResult::splits: merge@rank/units). A second table
+ * count (SimulationResult::splits: merge@rank/units) and what the pool
+ * did with it: the initial slice count, the capture segments the
+ * coordinator replayed, and the slices it ran live. A second table
  * runs the end-to-end benchmark's stand-ins the same way: scale 0.05,
  * `wi` and `p2` with B drawn from A's seed, inputs packed to store
  * files and mapped, traces spilled in 1 MiB segments.
@@ -37,7 +40,10 @@ namespace
 using namespace teaal;
 namespace fs = std::filesystem;
 
-/** "T=disjoint@M0/415 Z=..." for every Einsum of @p r. */
+/** "T=disjoint@M0/415 slices=64 segments=30 live=34 Z=..." for every
+ *  Einsum of @p r: the split, then what the pool did with it (initial
+ *  slices, capture segments the coordinator replayed, slices it ran
+ *  live). */
 std::string
 splitsOf(const compiler::SimulationResult& r)
 {
@@ -47,8 +53,12 @@ splitsOf(const compiler::SimulationResult& r)
         if (!out.empty())
             out += " ";
         out += r.records[i].output + "=" + exec::mergeName(s.merge);
-        if (s.merge != exec::SplitPoint::Merge::Serial)
-            out += "@" + s.rank + "/" + std::to_string(s.units);
+        if (s.merge != exec::SplitPoint::Merge::Serial) {
+            out += "@" + s.rank + "/" + std::to_string(s.units) +
+                   " slices=" + std::to_string(s.slices) +
+                   " segments=" + std::to_string(s.segments) +
+                   " live=" + std::to_string(s.live);
+        }
     }
     return out;
 }
@@ -176,8 +186,9 @@ main()
     std::cout << "\nnote: the split each run used depends only on the "
                  "plan and data (and a constant unit floor), so counters "
                  "and replayed traces are byte-identical at every thread "
-                 "count (output values too, up to fp summation grouping "
-                 "under SIGMA's reduce merge); speedup depends on host "
+                 "count (output values too, except under the reduce "
+                 "merge of a walk with no output coordinate to key "
+                 "on); speedup depends on host "
                  "cores (the order-dependent storage replay stays "
                  "single-threaded by design — it is the Amdahl floor).\n";
     return 0;

@@ -560,7 +560,9 @@ Engine::walkCore(std::size_t loop, Sink&& sink)
         } else {
             views[d] = st.view[static_cast<std::size_t>(level)];
         }
-        pos[d] = views[d].empty() ? 0 : views[d].lo;
+        // A window that matched nothing keeps its position (lo == hi,
+        // possibly > 0): the merges must not start before it.
+        pos[d] = views[d].lo;
     }
 
     auto& scans = scratch.scans;
@@ -710,6 +712,16 @@ Engine::enumerateTop(TopWalk& tw, std::size_t depth)
         tw.top = enumerateLoop(tw, 0, TopWalk::kRoot, 0);
     undoPreLookups(0);
     bus_.setMuted(false);
+
+    const std::size_t n = tw.entries.size();
+    if (n > 0)
+        tw.runs.push_back(0);
+    for (std::size_t u = 1; depth > 0 && u < n; ++u) {
+        if (tw.owner[u] != tw.owner[u - 1] ||
+            tw.ownerLevel[u] != tw.ownerLevel[u - 1])
+            tw.runs.push_back(u);
+    }
+    tw.runs.push_back(n);
 }
 
 TopWalk::Summary
@@ -730,6 +742,10 @@ Engine::enumerateLoop(TopWalk& tw, std::size_t loop, std::size_t parent,
         const TopWalk::Entry e{c, range_end, nextPe(lr, c, ordinal, pe)};
         if (loop == tw.depth) {
             tw.entries.push_back(e);
+            tw.key.push_back(lr.unpackStrides.empty()
+                                 ? c
+                                 : (c / lr.unpackStrides[0]) %
+                                       lr.unpackShapes[0]);
             for (std::size_t d = 0; d < nd; ++d) {
                 tw.pos.push_back(s.pos[d]);
                 tw.present.push_back(s.present[d] ? 1 : 0);
@@ -771,6 +787,7 @@ Engine::enumerateLoop(TopWalk& tw, std::size_t loop, std::size_t parent,
             node.barren = true;
             node.units = 1;
             tw.entries.push_back(e);
+            tw.key.push_back(0);
             tw.pos.insert(tw.pos.end(), tw.drivers, 0);
             tw.present.insert(tw.present.end(), tw.drivers, 0);
             tw.weight.push_back(1.0);
@@ -878,8 +895,7 @@ Engine::executeUnit(const TopWalk& tw, std::size_t u)
             closeNode();
         for (std::size_t l = keep; l <= owner_level; ++l)
             openNode(tw, l, chain_[l], u);
-        placeholder = tw.levels[owner_level].nodes[chain_[owner_level]]
-                          .barren;
+        placeholder = tw.placeholder(u);
     }
     if (!placeholder) {
         const std::size_t nd = tw.drivers;
@@ -920,6 +936,15 @@ Engine::finishShard()
 {
     closeUnits();
     bus_.flush();
+}
+
+void
+Engine::captureInto(trace::TraceLog& log)
+{
+    bus_.capture(log);
+    // The bus restarted its event count: re-arm the cancel poll so the
+    // first walk boundary of this log checks.
+    nextCancelPoll_ = 0;
 }
 
 void

@@ -198,7 +198,13 @@ struct OutputNodes
  * produced nothing (lookup miss, pre-lookup miss, empty walk) still
  * owns one placeholder ("barren") unit so its events are scheduled.
  * The merged stream is therefore byte-identical to a serial run's no
- * matter where slice boundaries (or steals) fall.
+ * matter where slice boundaries (or steals) fall, and no matter which
+ * engine runs a unit, as long as each engine's units ascend and the
+ * captures replay in unit order.
+ *
+ * Each unit also carries its key — the split loop's leading-variable
+ * coordinate — and the units are grouped into runs under one owner
+ * (see @ref runs): what an output-keyed split slices and segments by.
  */
 struct TopWalk
 {
@@ -272,6 +278,17 @@ struct TopWalk
     std::vector<std::size_t> ownerLevel;
     std::vector<std::size_t> owner;
 
+    /// Per entry: the value the split loop binds its leading variable
+    /// to (the coordinate itself, or a flattened rank's outermost
+    /// constituent). Non-decreasing within a run. 0 for placeholders.
+    std::vector<ft::Coord> key;
+
+    /// Runs of consecutive units with one owner — the units of one
+    /// level depth-1 node (the parent node), or one barren node's
+    /// placeholder: run i is [runs[i], runs[i+1]). At depth 0 every
+    /// unit is under the root, one run. Empty walks have no run.
+    std::vector<std::size_t> runs;
+
     /// Loop 0's pre-lookups missed: the serial run executes nothing
     /// and emits no loop-0 summary.
     bool topSkipped = false;
@@ -285,6 +302,13 @@ struct TopWalk
     /// semiring add. Otherwise every unit owns a disjoint set of
     /// output points.
     bool collides = false;
+
+    /** Unit @p u is a barren node's placeholder (it has no key). */
+    bool
+    placeholder(std::size_t u) const
+    {
+        return depth > 0 && levels[ownerLevel[u]].nodes[owner[u]].barren;
+    }
 };
 
 /** Operator redefinition for Einsum evaluation. */
@@ -432,6 +456,21 @@ class Engine
 
     /** closeUnits() and flush the bus: the tail of a shard body. */
     void finishShard();
+
+    /**
+     * Capture-mode engines: seal the current log (stamp its logical
+     * length), the tail of one capture segment. The engine keeps its
+     * open prefix nodes and partial output, so its next units may go
+     * to another log via captureInto().
+     */
+    void sealCapture() { bus_.flush(); }
+
+    /**
+     * Capture-mode engines: record from here on into @p log, which
+     * then stands alone like a fresh shard's (see
+     * trace::BatchBus::capture). The previous log must be sealed.
+     */
+    void captureInto(trace::TraceLog& log);
 
     /**
      * Reduction sharding: leaf output writes that are fresh *in this

@@ -1,14 +1,15 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fibertree/transform.hpp"
@@ -27,7 +28,8 @@ namespace
 /**
  * Initial slice-count cap. The plan's recorded walk is split into
  * min(units, kMaxShards) contiguous slices at work-weighted
- * boundaries. 64 slices keep dynamic scheduling balanced on any
+ * boundaries (an output-keyed walk into min(keys, kMaxShards) key
+ * ranges). 64 slices keep dynamic scheduling balanced on any
  * realistic worker count while per-slice engine setup stays
  * negligible.
  */
@@ -57,21 +59,21 @@ constexpr std::size_t kMinUnits = 16;
 constexpr std::size_t kSliceCap = 2 * kMaxShards;
 
 /**
- * Split [0, n) into @p shards contiguous slices at the weighted
- * quantiles of tw.weight (each slice non-empty). Falls back to equal
- * unit counts when no weights were recorded.
+ * Split [0, n) into @p shards contiguous ranges at the weighted
+ * quantiles of @p weight (each range non-empty). Falls back to equal
+ * counts when no weights were recorded.
  */
 std::vector<std::size_t>
-weightedBounds(const TopWalk& tw, std::size_t shards)
+weightedBounds(const std::vector<double>& weight, std::size_t n,
+               std::size_t shards)
 {
-    const std::size_t n = tw.entries.size();
     std::vector<std::size_t> bounds(shards + 1, 0);
     bounds[shards] = n;
     if (shards <= 1)
         return bounds;
     double total = 0.0;
-    if (tw.weight.size() == n) {
-        for (const double w : tw.weight)
+    if (weight.size() == n) {
+        for (const double w : weight)
             total += w;
     }
     if (!(total > 0.0)) {
@@ -82,7 +84,7 @@ weightedBounds(const TopWalk& tw, std::size_t shards)
     std::size_t s = 1;
     double acc = 0.0;
     for (std::size_t i = 0; i < n && s < shards; ++i) {
-        acc += tw.weight[i];
+        acc += weight[i];
         while (s < shards &&
                acc >= total * static_cast<double>(s) /
                           static_cast<double>(shards)) {
@@ -95,6 +97,51 @@ weightedBounds(const TopWalk& tw, std::size_t shards)
     for (; s < shards; ++s)
         bounds[s] = std::max(bounds[s - 1] + 1, n - (shards - s));
     return bounds;
+}
+
+/**
+ * The slice of every unit of an output-keyed walk. The distinct keys
+ * of its real units, ascending, are cut into min(keys, kMaxShards)
+ * ranges at the quantiles of their summed unit weights, so all units
+ * of one key share a slice. A barren node's placeholder has no key;
+ * it goes to slice 0. Sets @p slices to the slice count (at least 1).
+ */
+std::vector<std::size_t>
+keyedSlices(const TopWalk& tw, std::size_t& slices)
+{
+    const std::size_t n = tw.entries.size();
+    std::vector<std::pair<ft::Coord, double>> units;
+    units.reserve(n);
+    for (std::size_t u = 0; u < n; ++u) {
+        if (!tw.placeholder(u))
+            units.emplace_back(tw.key[u], tw.weight[u]);
+    }
+    std::sort(units.begin(), units.end());
+    std::vector<ft::Coord> keys;
+    std::vector<double> weight;
+    for (const auto& [key, w] : units) {
+        if (keys.empty() || keys.back() != key) {
+            keys.push_back(key);
+            weight.push_back(0.0);
+        }
+        weight.back() += w;
+    }
+    slices = std::max<std::size_t>(1, std::min(keys.size(), kMaxShards));
+    const std::vector<std::size_t> bounds =
+        weightedBounds(weight, keys.size(), slices);
+    // First key of slices 1.., ascending.
+    std::vector<ft::Coord> cuts;
+    for (std::size_t s = 1; s < slices; ++s)
+        cuts.push_back(keys[bounds[s]]);
+    std::vector<std::size_t> slice_of(n, 0);
+    for (std::size_t u = 0; u < n; ++u) {
+        if (!tw.placeholder(u)) {
+            slice_of[u] = static_cast<std::size_t>(
+                std::upper_bound(cuts.begin(), cuts.end(), tw.key[u]) -
+                cuts.begin());
+        }
+    }
+    return slice_of;
 }
 
 /** Cross-slice state the in-order replay fixup threads through every
@@ -136,8 +183,8 @@ struct FixupState
  *    no-adds case, so replayed flush points stay serial-identical.
  *    Marked writes are normalized to the serial form: a=0, and the
  *    bit stays set exactly on the run's first write of the leaf.
- *    (Disjoint slices own disjoint leaves, so there a slice's first
- *    write is the run's and the bit needs no fixup.)
+ *    (Disjoint and keyed slices own disjoint leaves, so there a
+ *    slice's first write is the run's and the bit needs no fixup.)
  *
  * Chunks are rewritten in place: a write cursor trails the read
  * cursor, so drops cost nothing and a kept record costs at most one
@@ -219,6 +266,725 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
     return restored;
 }
 
+/** One slice's or segment's captured trace: the in-memory log and,
+ *  with ExecOptions::spill, the file it drains to. */
+struct Capture
+{
+    trace::TraceLog log;
+    /// Created for every capture; touches disk only if the log
+    /// actually crosses the segment threshold.
+    std::unique_ptr<trace::SpillWriter> spillw;
+};
+
+/**
+ * One sharded run of an enumerated walk: the two schedulers
+ * (contiguous unit slices, output-keyed slices), the live path, and
+ * what they share — worker launch and drain, in-order capture replay,
+ * the merge of the partial outputs, and the coordinator's tail.
+ */
+class ShardRun
+{
+  public:
+    ShardRun(const ir::EinsumPlan& plan, Engine& coord, Semiring sr,
+             const ExecOptions& opts, const TopWalk& tw, unsigned threads,
+             SplitPoint& split)
+        : plan_(plan), coord_(coord), sr_(sr), opts_(opts),
+          hooks_(opts.modelHooks), tw_(tw), threads_(threads),
+          split_(split)
+    {
+    }
+
+    /** Every unit on the coordinator's delivery bus: no worker,
+     *  capture, spill or replay. */
+    ft::Tensor live();
+
+    /** Contiguous unit slices, merged disjoint or by semiring add. */
+    ft::Tensor contiguous(bool reduce);
+
+    /** Output-keyed slices, each replayed as per-run segments. */
+    ft::Tensor keyed(const std::vector<std::size_t>& slice_of,
+                     std::size_t slices);
+
+    const ExecutionStats& stats() const { return stats_; }
+
+  private:
+    /** Slices of a collision-free partition reorder their own partial
+     *  output into the declared order; set before any slice runs. */
+    void setReorderInSlices(bool on);
+
+    ft::Tensor
+    reorder(ft::Tensor&& t) const
+    {
+        return reorderInSlices_
+                   ? ft::swizzle(t, plan_.output.declaredOrder)
+                   : std::move(t);
+    }
+
+    /** A capture for one slice or segment, drawing chunks from the
+     *  run's pool. */
+    std::unique_ptr<Capture> newCapture();
+
+    /** Fixup and replay @p cap on the coordinator's bus: its spilled
+     *  frames (a prefix of the stream, in write order), then the
+     *  resident tail. */
+    void replay(Capture& cap);
+
+    /** Fold one partial output into the merged result. */
+    void absorb(ft::Tensor&& part);
+
+    /** Run @p drain on @p workers pool slots (or ad-hoc threads). */
+    void launch(unsigned workers, std::function<void(unsigned)> drain);
+
+    /** Stop claims, wait for every worker, rethrow the first error. */
+    void join();
+
+    /** Record the in-flight exception and abort the run. */
+    void recordError();
+
+    /** The coordinator's tail: its own partial, the loop-0 summary,
+     *  and the output's declared-order finish. */
+    ft::Tensor finish();
+
+    const ir::EinsumPlan& plan_;
+    Engine& coord_;
+    Semiring sr_;
+    const ExecOptions& opts_;
+    const ModelHooks& hooks_;
+    const TopWalk& tw_;
+    unsigned threads_;
+    SplitPoint& split_;
+
+    bool reduce_ = false;
+    bool reorderInSlices_ = false;
+    trace::ChunkPool chunkPool_;
+    FixupState fixup_;
+    ft::AbsorbContext actx_;
+    ft::Tensor merged_;
+    bool firstMerge_ = true;
+    std::size_t leaves_ = 0;    // merged nnz, when reordered in slices
+    std::size_t fixupAdds_ = 0; // reduce adds the replay restored
+    ExecutionStats stats_;
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool abort_ = false;
+    std::exception_ptr firstError_;
+    util::ThreadPool::Ticket ticket_;
+    std::vector<std::thread> adhoc_;
+};
+
+ft::Tensor
+ShardRun::live()
+{
+    split_.slices = 1;
+    split_.live = 1;
+    for (std::size_t u = 0; u < tw_.entries.size(); ++u)
+        coord_.executeUnit(tw_, u);
+    coord_.closeUnits();
+    if (!tw_.topSkipped)
+        coord_.emitTopSummary(tw_);
+    stats_ = coord_.stats();
+    return coord_.finishOutput(coord_.takeOutput());
+}
+
+void
+ShardRun::setReorderInSlices(bool on)
+{
+    reorderInSlices_ = on && !plan_.output.productionOrder.empty() &&
+                       plan_.output.needsReorder;
+    actx_.einsum = plan_.output.name;
+    actx_.rankIds = plan_.output.productionOrder.empty()
+                        ? std::vector<std::string>{"_S"}
+                        : (reorderInSlices_ ? plan_.output.declaredOrder
+                                            : plan_.output.productionOrder);
+}
+
+std::unique_ptr<Capture>
+ShardRun::newCapture()
+{
+    auto cap = std::make_unique<Capture>();
+    cap->log.pool = &chunkPool_;
+    if (opts_.spill != nullptr) {
+        cap->spillw = opts_.spill->makeWriter();
+        cap->log.spill = cap->spillw.get();
+    }
+    return cap;
+}
+
+void
+ShardRun::replay(Capture& cap)
+{
+    trace::DatapathSink& sink = *hooks_.coordinatorSink;
+    if (cap.spillw != nullptr && cap.spillw->frames() > 0) {
+        // The residual in-memory tail, which the capture bus's counter
+        // reset left frame-relative, follows as a stand-alone log.
+        cap.spillw->seal();
+        trace::SpillReader reader(cap.spillw->path());
+        trace::TraceLog frame;
+        while (reader.next(frame)) {
+            fixupAdds_ += fixupReplayLog(frame, fixup_, reduce_, sink);
+            coord_.replayTrace(frame);
+        }
+        cap.spillw->discard();
+    }
+    fixupAdds_ += fixupReplayLog(cap.log, fixup_, reduce_, sink);
+    coord_.replayTrace(cap.log);
+    cap.log.clear();
+}
+
+void
+ShardRun::absorb(ft::Tensor&& part)
+{
+    if (firstMerge_) {
+        merged_ = std::move(part);
+        firstMerge_ = false;
+        return;
+    }
+    if (part.root() == nullptr)
+        return;
+    TEAAL_ASSERT(merged_.root() != nullptr,
+                 "shard output missing a root fiber");
+    if (reduce_) {
+        merged_.root()->absorbReduce(std::move(*part.root()), sr_.add,
+                                     &actx_);
+    } else {
+        merged_.root()->absorbDisjoint(std::move(*part.root()), &actx_);
+    }
+}
+
+void
+ShardRun::launch(unsigned workers, std::function<void(unsigned)> drain)
+{
+    if (opts_.pool != nullptr) {
+        ticket_ = opts_.pool->launch(workers, std::move(drain));
+        return;
+    }
+    adhoc_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        adhoc_.emplace_back(drain, w);
+}
+
+void
+ShardRun::recordError()
+{
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        if (firstError_ == nullptr)
+            firstError_ = std::current_exception();
+        abort_ = true;
+    }
+    cv_.notify_all();
+}
+
+void
+ShardRun::join()
+{
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        abort_ = true;
+    }
+    cv_.notify_all();
+    if (opts_.pool != nullptr) {
+        // wait() rethrows anything a drain job threw outside its own
+        // catch (e.g. an allocation failure while claiming); fold it
+        // into the run's first error rather than letting it preempt
+        // an earlier, more specific one.
+        try {
+            ticket_.wait();
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(mutex_);
+            if (firstError_ == nullptr)
+                firstError_ = std::current_exception();
+        }
+    } else {
+        for (std::thread& t : adhoc_)
+            t.join();
+    }
+    coord_.setInsertFilter(nullptr);
+    if (firstError_ != nullptr)
+        std::rethrow_exception(firstError_);
+}
+
+ft::Tensor
+ShardRun::finish()
+{
+    // The coordinator's live slices accumulated into the delivery
+    // engine's own output partial and stats; the reduce adds restored
+    // during replay were counted by the serial run but invisible to
+    // the slice engines.
+    coord_.closeUnits();
+    stats_ += coord_.stats();
+    ft::Tensor own = reorder(coord_.takeOutput());
+    if (reorderInSlices_)
+        leaves_ += own.nnz();
+    absorb(std::move(own));
+    stats_.computeAdds += fixupAdds_;
+
+    if (!tw_.topSkipped)
+        coord_.emitTopSummary(tw_);
+    if (!reorderInSlices_)
+        return coord_.finishOutput(std::move(merged_));
+    // Every interior node of the production-order output was announced
+    // exactly once, so the announcements per level are its element
+    // counts by depth; the leaves are disjoint across slices.
+    std::vector<std::size_t> counts(plan_.output.productionOrder.size(), 0);
+    const std::vector<std::size_t>& nodes = fixup_.nodes.perLevel;
+    for (std::size_t l = 0; l + 1 < counts.size() && l < nodes.size(); ++l)
+        counts[l] = nodes[l];
+    counts.back() = leaves_;
+    return coord_.finishReordered(std::move(merged_), leaves_, counts);
+}
+
+ft::Tensor
+ShardRun::contiguous(bool reduce)
+{
+    reduce_ = reduce;
+    setReorderInSlices(!reduce);
+    const std::size_t n = tw_.entries.size();
+    const std::size_t init_shards =
+        std::min(n, reduce ? kReduceShards : kMaxShards);
+    split_.slices = init_shards;
+    const std::vector<std::size_t> bounds =
+        weightedBounds(tw_.weight, n, init_shards);
+    const std::size_t sink_cap = std::min(n, kSliceCap);
+    const std::vector<trace::DatapathSink*> shard_sinks =
+        hooks_.makeShardSinks(sink_cap);
+
+    /**
+     * One contiguous, exclusively-owned unit range [lo, hi). The unit
+     * cursor advances under the mutex so an idle thread can steal the
+     * unexecuted upper half of any in-flight slice (the victim simply
+     * observes its hi shrink at its next claim). Slices stay sorted by
+     * lo and are replayed in that order — which is serial unit order,
+     * so results, counters, and replayed streams are byte-identical no
+     * matter where steals land.
+     */
+    struct Slice
+    {
+        std::size_t lo = 0;
+        std::size_t hi = 0;
+        std::size_t cursor = 0;
+        std::size_t sink = 0;
+        bool running = false;
+        bool done = false;
+        bool live = false; // coordinator executed it on the delivery bus
+        std::unique_ptr<Capture> cap;
+        ft::Tensor out;
+        std::size_t leaves = 0; // out's nnz, when reordered in the slice
+        ExecutionStats stats;
+    };
+
+    std::vector<std::unique_ptr<Slice>> slices;
+    slices.reserve(sink_cap);
+    for (std::size_t s = 0; s < init_shards; ++s) {
+        auto sl = std::make_unique<Slice>();
+        sl->lo = bounds[s];
+        sl->hi = bounds[s + 1];
+        sl->cursor = bounds[s];
+        sl->sink = s;
+        sl->cap = newCapture();
+        slices.push_back(std::move(sl));
+    }
+
+    std::size_t replay_idx = 0; // next slice the coordinator finalizes
+    std::size_t sink_next = init_shards;
+    unsigned joined = 0; // workers that entered drain()
+
+    // Workers only claim within a window ahead of the replay cursor,
+    // bounding how much captured (not yet replayed) trace can pile up.
+    const std::size_t window =
+        std::max<std::size_t>(8, 4 * static_cast<std::size_t>(threads_));
+
+    // Claim work under the lock: the first unclaimed slice in the
+    // window, else steal — split the largest unexecuted remainder of
+    // an in-flight slice and claim its upper half.
+    auto claim_work = [&]() -> Slice* {
+        const std::size_t limit =
+            std::min(slices.size(), replay_idx + window);
+        for (std::size_t i = replay_idx; i < limit; ++i) {
+            Slice* s = slices[i].get();
+            if (!s->running && !s->done) {
+                s->running = true;
+                return s;
+            }
+        }
+        // Reduce-merge partials fold per slice, so the partition IS
+        // the fp summation grouping: it must stay a pure function of
+        // plan and data. Never split reduce slices — idle workers
+        // fall back to waiting for unclaimed whole slices.
+        if (reduce_)
+            return nullptr;
+        if (slices.size() >= kSliceCap || sink_next >= sink_cap)
+            return nullptr;
+        std::size_t best = limit;
+        std::size_t best_rem = 1; // a split needs >= 2 remaining units
+        for (std::size_t i = replay_idx; i < limit; ++i) {
+            Slice* s = slices[i].get();
+            if (s->done)
+                continue;
+            const std::size_t rem = s->hi - s->cursor;
+            if (rem > best_rem) {
+                best_rem = rem;
+                best = i;
+            }
+        }
+        if (best == limit)
+            return nullptr;
+        Slice* victim = slices[best].get();
+        const std::size_t mid =
+            victim->cursor + (victim->hi - victim->cursor + 1) / 2;
+        auto stolen = std::make_unique<Slice>();
+        stolen->lo = mid;
+        stolen->hi = victim->hi;
+        stolen->cursor = mid;
+        stolen->sink = sink_next++;
+        stolen->running = true;
+        stolen->cap = newCapture();
+        victim->hi = mid;
+        Slice* p = stolen.get();
+        slices.insert(slices.begin() +
+                          static_cast<std::ptrdiff_t>(best) + 1,
+                      std::move(stolen));
+        return p;
+    };
+
+    // Execute one claimed slice on a fresh capture engine, advancing
+    // the shared cursor unit by unit so thieves can shrink hi.
+    auto work_slice = [&](Slice* s) {
+        try {
+            TEAAL_FAILPOINT("exec.executor.slice");
+            Engine eng(plan_, s->cap->log, sr_, opts_);
+            eng.setTraceFilter(hooks_.classifier, shard_sinks[s->sink]);
+            if (reduce_)
+                eng.setReduceCapture(true);
+            eng.beginShard();
+            for (;;) {
+                std::size_t u;
+                {
+                    std::lock_guard<std::mutex> lk(mutex_);
+                    if (abort_ || s->cursor >= s->hi)
+                        break;
+                    u = s->cursor++;
+                }
+                eng.executeUnit(tw_, u);
+            }
+            eng.finishShard();
+            s->out = reorder(eng.takeOutput());
+            if (reorderInSlices_)
+                s->leaves = s->out.nnz();
+            s->stats = eng.stats();
+        } catch (...) {
+            recordError();
+        }
+        {
+            std::lock_guard<std::mutex> lk(mutex_);
+            s->done = true;
+        }
+        cv_.notify_all();
+    };
+
+    const auto drain = [&](unsigned) {
+        {
+            std::lock_guard<std::mutex> lk(mutex_);
+            ++joined;
+        }
+        for (;;) {
+            Slice* s = nullptr;
+            {
+                std::unique_lock<std::mutex> lk(mutex_);
+                if (abort_ || replay_idx >= slices.size())
+                    return;
+                s = claim_work();
+                if (s == nullptr) {
+                    cv_.wait_for(lk, std::chrono::milliseconds(1));
+                    continue;
+                }
+            }
+            work_slice(s);
+        }
+    };
+
+    const auto workers = static_cast<unsigned>(
+        std::min<std::size_t>(threads_ - 1, n));
+    launch(workers, drain);
+    coord_.setInsertFilter(&fixup_.nodes);
+
+    // The coordinator walks slices strictly in begin order:
+    // live-executing (disjoint walks) or capture-executing every slice
+    // no worker got to first, and replaying worker captures otherwise
+    // (after the in-order fixup pass).
+    try {
+        for (;;) {
+            Slice* s = nullptr;
+            bool execute_here = false;
+            {
+                std::unique_lock<std::mutex> lk(mutex_);
+                if (abort_ || replay_idx >= slices.size())
+                    break;
+                s = slices[replay_idx].get();
+                if (!s->running && !s->done) {
+                    s->running = true;
+                    // Live execution skips capture, spill and replay.
+                    // Until the whole pool has joined, the coordinator
+                    // captures like a worker instead: a pool slow to
+                    // wake (or busy with other runs) then leaves the
+                    // run on the capture path, not mostly live, and the
+                    // first slice is always captured.
+                    s->live = !reduce_ && joined == workers;
+                    execute_here = true;
+                } else if (!s->done) {
+                    cv_.wait(lk, [&] { return s->done || abort_; });
+                    if (abort_)
+                        break;
+                }
+            }
+            if (execute_here && s->live) {
+                ++split_.live;
+                for (;;) {
+                    std::size_t u;
+                    {
+                        std::lock_guard<std::mutex> lk(mutex_);
+                        if (abort_ || s->cursor >= s->hi)
+                            break;
+                        u = s->cursor++;
+                    }
+                    coord_.executeUnit(tw_, u);
+                }
+                {
+                    std::lock_guard<std::mutex> lk(mutex_);
+                    s->done = true;
+                }
+                cv_.notify_all();
+            } else if (execute_here) {
+                work_slice(s);
+            }
+            if (!s->live) {
+                {
+                    std::unique_lock<std::mutex> lk(mutex_);
+                    if (!s->done)
+                        cv_.wait(lk,
+                                 [&] { return s->done || abort_; });
+                    if (abort_)
+                        break;
+                }
+                ++split_.segments;
+                replay(*s->cap);
+                s->cap.reset();
+                stats_ += s->stats;
+                leaves_ += s->leaves;
+                absorb(std::move(s->out));
+                s->out = ft::Tensor();
+            }
+            {
+                std::lock_guard<std::mutex> lk(mutex_);
+                ++replay_idx;
+            }
+            cv_.notify_all();
+        }
+    } catch (...) {
+        recordError();
+    }
+    // Always drain the workers before unwinding: they reference this
+    // frame's state (slices, the cursors).
+    join();
+    return finish();
+}
+
+ft::Tensor
+ShardRun::keyed(const std::vector<std::size_t>& slice_of,
+                std::size_t slices)
+{
+    setReorderInSlices(true);
+    split_.slices = slices;
+    const std::vector<trace::DatapathSink*> shard_sinks =
+        hooks_.makeShardSinks(slices);
+
+    /**
+     * One run of a slice's units under one owner: [lo, hi) of its
+     * run, in unit order. Segments are replayed in index order, which
+     * is serial unit order; a slice's segments ascend, and they run
+     * one at a time, in order, on the slice's engine.
+     */
+    struct Segment
+    {
+        std::size_t slice = 0;
+        std::size_t lo = 0;
+        std::size_t hi = 0;
+        bool claimed = false;
+        bool done = false;
+        std::unique_ptr<Capture> cap;
+    };
+    /** One key range: an engine that persists across its segments,
+     *  so each output point accumulates in serial order. */
+    struct KeyedSlice
+    {
+        std::unique_ptr<Engine> eng;
+        std::size_t last = 0; // index of its last segment
+        bool busy = false;    // a thread is running one of its segments
+        ft::Tensor out;
+        std::size_t leaves = 0;
+        ExecutionStats stats;
+    };
+
+    std::vector<Segment> segs;
+    for (std::size_t r = 0; r + 1 < tw_.runs.size(); ++r) {
+        const std::size_t end = tw_.runs[r + 1];
+        for (std::size_t u = tw_.runs[r]; u < end;) {
+            const std::size_t s = slice_of[u];
+            std::size_t v = u + 1;
+            while (v < end && slice_of[v] == s)
+                ++v;
+            TEAAL_ASSERT(v == end || slice_of[v] > s,
+                         "output-keyed run's keys descend at unit ", v);
+            segs.push_back({s, u, v, false, false, nullptr});
+            u = v;
+        }
+    }
+    std::vector<KeyedSlice> kslices(slices);
+    for (std::size_t i = 0; i < segs.size(); ++i)
+        kslices[segs[i].slice].last = i;
+
+    std::size_t replay_idx = 0; // next segment the coordinator replays
+    // Workers claim segments within a window ahead of the replay
+    // cursor, bounding the captured (not yet replayed) trace. A
+    // segment is a slice's share of one run, so the window spans
+    // several runs' worth of slices.
+    const std::size_t window =
+        std::max<std::size_t>(32, 16 * static_cast<std::size_t>(threads_));
+
+    // Under the lock: the first unclaimed segment in the window whose
+    // slice is idle. A slice's earliest unclaimed segment is always
+    // the first of its segments the scan meets, so its segments are
+    // claimed in order.
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    auto claim = [&]() -> std::size_t {
+        const std::size_t limit = std::min(segs.size(), replay_idx + window);
+        for (std::size_t i = replay_idx; i < limit; ++i) {
+            Segment& g = segs[i];
+            if (!g.claimed && !kslices[g.slice].busy) {
+                g.claimed = true;
+                kslices[g.slice].busy = true;
+                return i;
+            }
+        }
+        return kNone;
+    };
+
+    auto run_segment = [&](std::size_t i) {
+        Segment& g = segs[i];
+        KeyedSlice& ks = kslices[g.slice];
+        try {
+            TEAAL_FAILPOINT("exec.executor.slice");
+            g.cap = newCapture();
+            if (ks.eng == nullptr) {
+                ks.eng = std::make_unique<Engine>(plan_, g.cap->log, sr_,
+                                                  opts_);
+                ks.eng->setTraceFilter(hooks_.classifier,
+                                       shard_sinks[g.slice]);
+                ks.eng->beginShard();
+            } else {
+                ks.eng->captureInto(g.cap->log);
+            }
+            for (std::size_t u = g.lo; u < g.hi; ++u)
+                ks.eng->executeUnit(tw_, u);
+            if (i == ks.last) {
+                ks.eng->finishShard();
+                ks.out = reorder(ks.eng->takeOutput());
+                if (reorderInSlices_)
+                    ks.leaves = ks.out.nnz();
+                ks.stats = ks.eng->stats();
+                ks.eng.reset();
+            } else {
+                ks.eng->sealCapture();
+            }
+        } catch (...) {
+            recordError();
+        }
+        {
+            std::lock_guard<std::mutex> lk(mutex_);
+            g.done = true;
+            ks.busy = false;
+        }
+        cv_.notify_all();
+    };
+
+    const auto drain = [&](unsigned) {
+        for (;;) {
+            std::size_t i = kNone;
+            {
+                std::unique_lock<std::mutex> lk(mutex_);
+                if (abort_ || replay_idx >= segs.size())
+                    return;
+                i = claim();
+                if (i == kNone) {
+                    cv_.wait_for(lk, std::chrono::milliseconds(1));
+                    continue;
+                }
+            }
+            run_segment(i);
+        }
+    };
+
+    const auto workers = static_cast<unsigned>(
+        std::min<std::size_t>(threads_ - 1, slices));
+    launch(workers, drain);
+    coord_.setInsertFilter(&fixup_.nodes);
+
+    // The coordinator replays segments strictly in order. While the
+    // one at the cursor is not done, it claims work like a worker —
+    // that segment itself when no worker has (its slice is then idle:
+    // the slice's earlier segments are replayed), else any claimable
+    // one in the window — and sleeps only until the next segment
+    // completes when nothing is claimable.
+    try {
+        for (std::size_t i = 0; i < segs.size();) {
+            std::size_t mine = kNone;
+            {
+                std::unique_lock<std::mutex> lk(mutex_);
+                if (abort_)
+                    break;
+                const Segment& g = segs[i];
+                if (!g.done) {
+                    const bool unclaimed = !g.claimed;
+                    mine = claim();
+                    TEAAL_ASSERT(!unclaimed || mine == i,
+                                 "keyed slice busy past the replay cursor");
+                    if (mine == kNone) {
+                        cv_.wait(lk);
+                        continue;
+                    }
+                }
+            }
+            if (mine != kNone) {
+                run_segment(mine);
+                continue;
+            }
+            {
+                std::lock_guard<std::mutex> lk(mutex_);
+                if (abort_)
+                    break;
+            }
+            ++split_.segments;
+            replay(*segs[i].cap);
+            segs[i].cap.reset();
+            {
+                std::lock_guard<std::mutex> lk(mutex_);
+                replay_idx = ++i;
+            }
+            cv_.notify_all();
+        }
+    } catch (...) {
+        recordError();
+    }
+    join();
+    for (KeyedSlice& ks : kslices) {
+        stats_ += ks.stats;
+        leaves_ += ks.leaves;
+        absorb(std::move(ks.out));
+    }
+    return finish();
+}
+
 } // namespace
 
 const char*
@@ -228,6 +994,7 @@ mergeName(SplitPoint::Merge m)
       case SplitPoint::Merge::Serial: return "serial";
       case SplitPoint::Merge::Live: return "live";
       case SplitPoint::Merge::Disjoint: return "disjoint";
+      case SplitPoint::Merge::Keyed: return "keyed";
       case SplitPoint::Merge::Reduce: return "reduce";
     }
     return "?";
@@ -256,26 +1023,59 @@ Executor::run()
     return out;
 }
 
-void
+bool
 Executor::enumerateSplit(TopWalk& tw)
 {
     const ir::ShardPlan& sp = plan_.shard;
+    const auto splittable = [&sp](std::size_t d) {
+        return d < sp.loops.size() && !sp.loops[d].restrictsProbe;
+    };
     engine_.enumerateTop(tw, sp.depth);
     // Deepen while the walk is too coarse to feed a pool. Stop before
     // a take's probe loop, and before a loop that would make a
     // collision-free walk collide: its disjoint merge adds nothing up,
     // and a reduce merge there would regroup sums the serial run
     // groups differently.
+    TopWalk below;
+    bool have_below = false; // `below` is loop tw.depth+1's walk
     for (std::size_t d = sp.depth + 1;
-         tw.entries.size() < kMinUnits && d < sp.loops.size() &&
-         !sp.loops[d].restrictsProbe;
-         ++d) {
-        TopWalk deeper;
-        engine_.enumerateTop(deeper, d);
-        if (deeper.collides && !tw.collides)
+         tw.entries.size() < kMinUnits && splittable(d); ++d) {
+        engine_.enumerateTop(below, d);
+        if (below.collides && !tw.collides) {
+            have_below = true;
             break;
-        tw = std::move(deeper);
+        }
+        std::swap(tw, below);
     }
+    // Key the split by output coordinate when the walk collides, or
+    // when it has fewer units than a pool's slice count and collides
+    // one loop deeper.
+    if (!tw.collides) {
+        // Only a loop that restricts a contraction can make a
+        // collision-free walk collide.
+        if (tw.entries.size() >= kMaxShards || !splittable(tw.depth + 1) ||
+            !sp.loops[tw.depth + 1].restrictsContraction)
+            return false;
+        if (!have_below) {
+            engine_.enumerateTop(below, tw.depth + 1);
+            have_below = true;
+        }
+        if (!below.collides)
+            return false;
+    }
+    // The keyed loop: the first at or below the split, and below the
+    // loop that makes a collision-free walk collide, whose leading
+    // variable is an output variable.
+    std::size_t k = tw.collides ? tw.depth : tw.depth + 1;
+    while (splittable(k) && !sp.loops[k].keysOutput)
+        ++k;
+    if (!splittable(k))
+        return false;
+    if (have_below && k == tw.depth + 1)
+        std::swap(tw, below);
+    else if (k != tw.depth)
+        engine_.enumerateTop(tw, k);
+    return true;
 }
 
 ft::Tensor
@@ -287,12 +1087,10 @@ Executor::runSharded(unsigned threads)
     // merge loop would emit it). Datapath records are consumed by
     // per-slice accumulators inside the workers (see ModelHooks);
     // only order-dependent records are captured and replayed.
-    const ModelHooks& hooks = opts_.modelHooks;
-
     engine_.beginRun(/*announce_swizzles=*/false);
     engine_.emitSwizzleAnnouncements();
     TopWalk tw;
-    enumerateSplit(tw);
+    const bool keyed = enumerateSplit(tw);
     // Loop 0's pre-lookups lead the serial stream: emitted here,
     // exactly once, and kept applied for the coordinator's live units.
     const bool top_skipped = engine_.enterTop(/*emit=*/true);
@@ -300,422 +1098,34 @@ Executor::runSharded(unsigned threads)
                  "loop-0 pre-lookups diverged from enumeration");
 
     const std::size_t n = tw.entries.size();
-    // Partials of a collision-free walk own disjoint output points:
-    // they merge without adding anything up, and the coordinator runs
-    // the slices it claims live on the delivery bus.
-    const bool reduce_mode = tw.collides;
     split_.rank = plan_.loops[tw.depth].name;
     split_.depth = tw.depth;
     split_.units = n;
-    split_.merge = n <= 1 ? SplitPoint::Merge::Live
-                          : (reduce_mode ? SplitPoint::Merge::Reduce
-                                         : SplitPoint::Merge::Disjoint);
 
-    if (n <= 1) {
-        // Nothing to spread: run it live, with no worker, capture,
-        // spill or replay.
-        if (n == 1)
-            engine_.executeUnit(tw, 0);
-        engine_.closeUnits();
-        if (!tw.topSkipped)
-            engine_.emitTopSummary(tw);
-        stats_ = engine_.stats();
-        return engine_.finishOutput(engine_.takeOutput());
-    }
-
-    // Each slice of a disjoint walk reorders its own partial output
-    // into the declared order, so the coordinator only merges.
-    const bool reorder_in_slices = !reduce_mode &&
-                                   !plan_.output.productionOrder.empty() &&
-                                   plan_.output.needsReorder;
-    const auto reorder = [&](ft::Tensor&& t) {
-        return reorder_in_slices
-                   ? ft::swizzle(t, plan_.output.declaredOrder)
-                   : std::move(t);
-    };
-
-    const std::size_t init_shards =
-        std::min(n, reduce_mode ? kReduceShards : kMaxShards);
-    const std::vector<std::size_t> bounds =
-        weightedBounds(tw, init_shards);
-    const std::size_t sink_cap = std::min(n, kSliceCap);
-
-    const std::vector<trace::DatapathSink*> shard_sinks =
-        hooks.makeShardSinks(sink_cap);
-
-    /**
-     * One contiguous, exclusively-owned unit range [lo, hi). The unit
-     * cursor advances under the global mutex so an idle thread can
-     * steal the unexecuted upper half of any in-flight slice (the
-     * victim simply observes its hi shrink at its next claim). Slices
-     * stay sorted by lo and are replayed in that order — which is
-     * serial unit order, so results, counters, and replayed streams
-     * are byte-identical no matter where steals land.
-     */
-    struct Slice
-    {
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::size_t cursor = 0;
-        std::size_t sink = 0;
-        bool running = false;
-        bool done = false;
-        bool live = false; // coordinator executed it on the delivery bus
-        trace::TraceLog log;
-        /// Out-of-core capture (ExecOptions::spill): this slice's log
-        /// partition. Created for every capture slice; touches disk
-        /// only if the log actually crosses the segment threshold.
-        std::unique_ptr<trace::SpillWriter> spillw;
-        ft::Tensor out;
-        std::size_t leaves = 0; // out's nnz, when reordered in the slice
-        ExecutionStats stats;
-    };
-
-    trace::ChunkPool chunk_pool; // outlives the slices below
-    const auto arm_spill = [this](Slice& sl) {
-        if (opts_.spill == nullptr)
-            return;
-        sl.spillw = opts_.spill->makeWriter();
-        sl.log.spill = sl.spillw.get();
-    };
-    std::vector<std::unique_ptr<Slice>> slices;
-    slices.reserve(sink_cap);
-    for (std::size_t s = 0; s < init_shards; ++s) {
-        auto sl = std::make_unique<Slice>();
-        sl->lo = bounds[s];
-        sl->hi = bounds[s + 1];
-        sl->cursor = bounds[s];
-        sl->sink = s;
-        sl->log.pool = &chunk_pool;
-        arm_spill(*sl);
-        slices.push_back(std::move(sl));
-    }
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t replay_idx = 0;   // next slice the coordinator finalizes
-    std::size_t sink_next = init_shards;
-    unsigned joined = 0; // workers that entered drain()
-    bool abort = false;
-    std::exception_ptr first_error;
-
-    // Workers only claim within a window ahead of the replay cursor,
-    // bounding how much captured (not yet replayed) trace can pile up.
-    const std::size_t window =
-        std::max<std::size_t>(8, 4 * static_cast<std::size_t>(threads));
-
-    auto record_error = [&]() {
-        {
-            std::lock_guard<std::mutex> lk(mutex);
-            if (first_error == nullptr)
-                first_error = std::current_exception();
-            abort = true;
-        }
-        cv.notify_all();
-    };
-
-    // Claim work under the lock: the first unclaimed slice in the
-    // window, else steal — split the largest unexecuted remainder of
-    // an in-flight slice and claim its upper half.
-    auto claim_work = [&]() -> Slice* {
-        const std::size_t limit =
-            std::min(slices.size(), replay_idx + window);
-        for (std::size_t i = replay_idx; i < limit; ++i) {
-            Slice* s = slices[i].get();
-            if (!s->running && !s->done) {
-                s->running = true;
-                return s;
-            }
-        }
-        // Reduce-merge partials fold per slice, so the partition IS
-        // the fp summation grouping: it must stay a pure function of
-        // plan and data. Never split reduce slices — idle workers
-        // fall back to waiting for unclaimed whole slices.
-        if (reduce_mode)
-            return nullptr;
-        if (slices.size() >= kSliceCap || sink_next >= sink_cap)
-            return nullptr;
-        std::size_t best = limit;
-        std::size_t best_rem = 1; // a split needs >= 2 remaining units
-        for (std::size_t i = replay_idx; i < limit; ++i) {
-            Slice* s = slices[i].get();
-            if (s->done)
-                continue;
-            const std::size_t rem = s->hi - s->cursor;
-            if (rem > best_rem) {
-                best_rem = rem;
-                best = i;
-            }
-        }
-        if (best == limit)
-            return nullptr;
-        Slice* victim = slices[best].get();
-        const std::size_t mid =
-            victim->cursor + (victim->hi - victim->cursor + 1) / 2;
-        auto stolen = std::make_unique<Slice>();
-        stolen->lo = mid;
-        stolen->hi = victim->hi;
-        stolen->cursor = mid;
-        stolen->sink = sink_next++;
-        stolen->running = true;
-        stolen->log.pool = &chunk_pool;
-        arm_spill(*stolen);
-        victim->hi = mid;
-        Slice* p = stolen.get();
-        slices.insert(slices.begin() +
-                          static_cast<std::ptrdiff_t>(best) + 1,
-                      std::move(stolen));
-        return p;
-    };
-
-    // Execute one claimed slice on a fresh capture engine, advancing
-    // the shared cursor unit by unit so thieves can shrink hi.
-    auto work_slice = [&](Slice* s) {
-        try {
-            TEAAL_FAILPOINT("exec.executor.slice");
-            Engine eng(plan_, s->log, sr_, opts_);
-            eng.setTraceFilter(hooks.classifier, shard_sinks[s->sink]);
-            if (reduce_mode)
-                eng.setReduceCapture(true);
-            eng.beginShard();
-            for (;;) {
-                std::size_t u;
-                {
-                    std::lock_guard<std::mutex> lk(mutex);
-                    if (abort || s->cursor >= s->hi)
-                        break;
-                    u = s->cursor++;
-                }
-                eng.executeUnit(tw, u);
-            }
-            eng.finishShard();
-            s->out = reorder(eng.takeOutput());
-            if (reorder_in_slices)
-                s->leaves = s->out.nnz();
-            s->stats = eng.stats();
-        } catch (...) {
-            record_error();
-        }
-        {
-            std::lock_guard<std::mutex> lk(mutex);
-            s->done = true;
-        }
-        cv.notify_all();
-    };
-
-    auto drain = [&](unsigned) {
-        {
-            std::lock_guard<std::mutex> lk(mutex);
-            ++joined;
-        }
-        for (;;) {
-            Slice* s = nullptr;
-            {
-                std::unique_lock<std::mutex> lk(mutex);
-                if (abort || replay_idx >= slices.size())
-                    return;
-                s = claim_work();
-                if (s == nullptr) {
-                    cv.wait_for(lk, std::chrono::milliseconds(1));
-                    continue;
-                }
-            }
-            work_slice(s);
-        }
-    };
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(threads - 1, n));
-    util::ThreadPool::Ticket ticket;
-    std::vector<std::thread> adhoc;
-    if (opts_.pool != nullptr) {
-        ticket = opts_.pool->launch(workers, drain);
+    ShardRun run(plan_, engine_, sr_, opts_, tw, threads, split_);
+    std::size_t slices = 0;
+    const std::vector<std::size_t> slice_of =
+        keyed && n > 1 ? keyedSlices(tw, slices) : std::vector<std::size_t>{};
+    ft::Tensor out;
+    if (n <= 1 || (keyed && slices <= 1)) {
+        // Nothing to spread (one unit, or one key): run it live.
+        split_.merge = SplitPoint::Merge::Live;
+        out = run.live();
+    } else if (keyed) {
+        split_.merge = SplitPoint::Merge::Keyed;
+        out = run.keyed(slice_of, slices);
     } else {
-        adhoc.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            adhoc.emplace_back(drain, w);
+        // Contiguous unit slices. A collision-free walk's partials own
+        // disjoint output points: they merge without adding anything
+        // up, and the coordinator runs the slices it claims live on the
+        // delivery bus. A colliding walk here has no output coordinate
+        // to key on, so its partials reduce-merge.
+        split_.merge = tw.collides ? SplitPoint::Merge::Reduce
+                                   : SplitPoint::Merge::Disjoint;
+        out = run.contiguous(tw.collides);
     }
-
-    FixupState fixup_state;
-    engine_.setInsertFilter(&fixup_state.nodes);
-    ft::AbsorbContext actx;
-    actx.einsum = plan_.output.name;
-    actx.rankIds = plan_.output.productionOrder.empty()
-                       ? std::vector<std::string>{"_S"}
-                       : (reorder_in_slices ? plan_.output.declaredOrder
-                                            : plan_.output.productionOrder);
-    ft::Tensor merged;
-    bool first_merge = true;
-    ExecutionStats agg;
-    std::size_t fixup_adds = 0;
-    std::size_t leaves = 0;
-    auto absorb = [&](ft::Tensor&& part) {
-        if (first_merge) {
-            merged = std::move(part);
-            first_merge = false;
-            return;
-        }
-        if (part.root() == nullptr)
-            return;
-        TEAAL_ASSERT(merged.root() != nullptr,
-                     "shard output missing a root fiber");
-        if (reduce_mode) {
-            merged.root()->absorbReduce(std::move(*part.root()),
-                                        sr_.add, &actx);
-        } else {
-            merged.root()->absorbDisjoint(std::move(*part.root()),
-                                          &actx);
-        }
-    };
-
-    // The coordinator walks slices strictly in begin order:
-    // live-executing (disjoint walks) or capture-executing every slice
-    // no worker got to first, and replaying worker captures otherwise
-    // (after the in-order fixup pass).
-    try {
-        for (;;) {
-            Slice* s = nullptr;
-            bool execute_here = false;
-            {
-                std::unique_lock<std::mutex> lk(mutex);
-                if (abort || replay_idx >= slices.size())
-                    break;
-                s = slices[replay_idx].get();
-                if (!s->running && !s->done) {
-                    s->running = true;
-                    // Live execution skips capture, spill and replay.
-                    // Until the whole pool has joined, the coordinator
-                    // captures like a worker instead: a pool slow to
-                    // wake (or busy with other runs) then leaves the
-                    // run on the capture path, not mostly live, and the
-                    // first slice is always captured.
-                    s->live = !reduce_mode && joined == workers;
-                    execute_here = true;
-                } else if (!s->done) {
-                    cv.wait(lk, [&] { return s->done || abort; });
-                    if (abort)
-                        break;
-                }
-            }
-            if (execute_here && s->live) {
-                for (;;) {
-                    std::size_t u;
-                    {
-                        std::lock_guard<std::mutex> lk(mutex);
-                        if (abort || s->cursor >= s->hi)
-                            break;
-                        u = s->cursor++;
-                    }
-                    engine_.executeUnit(tw, u);
-                }
-                {
-                    std::lock_guard<std::mutex> lk(mutex);
-                    s->done = true;
-                }
-                cv.notify_all();
-            } else if (execute_here) {
-                work_slice(s);
-            }
-            if (!s->live) {
-                {
-                    std::unique_lock<std::mutex> lk(mutex);
-                    if (!s->done)
-                        cv.wait(lk,
-                                [&] { return s->done || abort; });
-                    if (abort)
-                        break;
-                }
-                trace::DatapathSink& fixup_sink = *hooks.coordinatorSink;
-                if (s->spillw != nullptr && s->spillw->frames() > 0) {
-                    // Spilled slice: stream the on-disk frames back
-                    // first (they are a prefix of the slice's stream,
-                    // in write order), then fall through to the
-                    // residual in-memory tail — which the capture
-                    // bus's counter reset left frame-relative, i.e. a
-                    // valid stand-alone log.
-                    s->spillw->seal();
-                    trace::SpillReader reader(s->spillw->path());
-                    trace::TraceLog frame;
-                    while (reader.next(frame)) {
-                        fixup_adds += fixupReplayLog(
-                            frame, fixup_state, reduce_mode,
-                            fixup_sink);
-                        engine_.replayTrace(frame);
-                    }
-                    s->spillw->discard();
-                }
-                fixup_adds += fixupReplayLog(
-                    s->log, fixup_state, reduce_mode, fixup_sink);
-                engine_.replayTrace(s->log);
-                s->log.clear();
-                agg += s->stats;
-                leaves += s->leaves;
-                absorb(std::move(s->out));
-                s->out = ft::Tensor();
-            }
-            {
-                std::lock_guard<std::mutex> lk(mutex);
-                ++replay_idx;
-            }
-            cv.notify_all();
-        }
-    } catch (...) {
-        record_error();
-    }
-
-    // Always drain the workers before unwinding: they reference this
-    // frame's state (tw, slices, mutex).
-    {
-        std::lock_guard<std::mutex> lk(mutex);
-        replay_idx = slices.size();
-    }
-    cv.notify_all();
-    if (opts_.pool != nullptr) {
-        // wait() rethrows anything a drain job threw outside
-        // work_slice's own catch (e.g. an allocation failure in
-        // claim_work); fold it into the run's first error rather than
-        // letting it preempt an earlier, more specific one.
-        try {
-            ticket.wait();
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(mutex);
-            if (first_error == nullptr)
-                first_error = std::current_exception();
-        }
-    } else {
-        for (std::thread& t : adhoc)
-            t.join();
-    }
-    engine_.setInsertFilter(nullptr);
-    if (first_error != nullptr)
-        std::rethrow_exception(first_error);
-
-    // The coordinator's live slices accumulated into the delivery
-    // engine's own output partial and stats; the reduce adds restored
-    // during replay were counted by the serial run but invisible to
-    // the slice engines.
-    engine_.closeUnits();
-    agg += engine_.stats();
-    ft::Tensor own = reorder(engine_.takeOutput());
-    if (reorder_in_slices)
-        leaves += own.nnz();
-    absorb(std::move(own));
-    agg.computeAdds += fixup_adds;
-
-    if (!tw.topSkipped)
-        engine_.emitTopSummary(tw);
-    stats_ = agg;
-    if (!reorder_in_slices)
-        return engine_.finishOutput(std::move(merged));
-    // Every interior node of the production-order output was announced
-    // exactly once, so the announcements per level are its element
-    // counts by depth; the leaves are disjoint across slices.
-    std::vector<std::size_t> counts(plan_.output.productionOrder.size(), 0);
-    const std::vector<std::size_t>& nodes = fixup_state.nodes.perLevel;
-    for (std::size_t l = 0; l + 1 < counts.size() && l < nodes.size(); ++l)
-        counts[l] = nodes[l];
-    counts.back() = leaves;
-    return engine_.finishReordered(std::move(merged), leaves, counts);
+    stats_ = run.stats();
+    return out;
 }
 
 } // namespace teaal::exec

@@ -17,43 +17,65 @@
  * ir::ShardPlan for the rare refusals), the executor splits the walk
  * at one loop across a worker pool. A serial, muted enumeration of
  * the walk down to that loop fixes every unit's coordinates, driver
- * cursors, and PE ids (exec::TopWalk). The split starts at the plan's
- * depth and moves one loop deeper while the walk yields fewer than a
- * constant number of units, so a tiled mapping whose top tiles hold
- * the whole input still feeds the pool; it never moves past a loop
- * that would make a collision-free walk collide, nor to a take's
- * probe loop. Engine clones execute contiguous unit slices against the
- * shared inputs with capture-mode trace buses, owning the events of
- * the prefix nodes above their units positionally; the coordinator
- * replays captures in slice order (reproducing the serial engine's
+ * cursors, PE ids and output key (exec::TopWalk). The split starts at
+ * the plan's depth and moves one loop deeper while the walk yields
+ * fewer than a constant number of units, so a tiled mapping whose top
+ * tiles hold the whole input still feeds the pool; it never moves past
+ * a loop that would make a collision-free walk collide, nor to a
+ * take's probe loop. Engine clones execute slices of the units against
+ * the shared inputs with capture-mode trace buses, owning the events
+ * of the prefix nodes above their units positionally; the coordinator
+ * replays captures in unit order (reproducing the serial engine's
  * event sequence *and* batch boundaries byte-for-byte) and merges the
  * partial outputs:
  *
  *   - a collision-free walk (no loop restricting a contraction
- *     variable branches) merges with Fiber::absorbDisjoint, whose
- *     leaf-collision error is the check. The coordinator runs the
- *     slices it claims live on the delivery bus, and when the output
- *     needs its declared-order reorder, each slice reorders its own
- *     partial, so the coordinator only merges and charges the swizzle;
- *   - a colliding walk merges with Fiber::absorbReduce (semiring add on
- *     leaf collisions), with the captured streams fixed up to the
- *     serial engine's reduce records;
- *   - a walk of one unit runs live on the coordinator, with no worker,
- *     capture, spill or replay.
+ *     variable branches) is cut into contiguous unit slices that merge
+ *     with Fiber::absorbDisjoint, whose leaf-collision error is the
+ *     check. Idle workers steal the unexecuted upper half of the
+ *     largest in-flight slice; the coordinator runs the slices it
+ *     claims live on the delivery bus, and when the output needs its
+ *     declared-order reorder, each slice reorders its own partial, so
+ *     the coordinator only merges and charges the swizzle;
+ *   - a walk that collides, or that has fewer units than a pool's
+ *     slice count and would collide one loop deeper, is split
+ *     output-keyed ("keyed") when a loop at or below the split (below
+ *     the loop that makes it collide) binds an output variable first:
+ *     the walk is enumerated at that loop, and each unit's key is the
+ *     output coordinate it binds. A slice is a range of keys — every
+ *     unit writing one output point has the point's key, so slices
+ *     own disjoint output points — and one engine runs all of a
+ *     slice's units in ascending unit order, across every parent node
+ *     (a node of the prefix level just above the split loop). Each
+ *     output point therefore accumulates in exactly the serial order,
+ *     and the partials merge with Fiber::absorbDisjoint. A slice's
+ *     capture is cut into one segment per run of its units under one
+ *     parent node; workers claim segments in unit order within a
+ *     window of the replay cursor (a slice's segments one at a time,
+ *     on its persistent engine), and the coordinator replays them in
+ *     unit order, spilled or resident alike. A barren node's
+ *     placeholder unit has no key and runs in slice 0. Keyed slices
+ *     are never split by steals;
+ *   - a colliding walk with no output coordinate to key on (a scalar
+ *     output, or an output variable that is no loop's leading
+ *     variable) merges with Fiber::absorbReduce (semiring add on leaf
+ *     collisions), with the captured streams fixed up to the serial
+ *     engine's reduce records;
+ *   - a walk of one unit (or a keyed walk of one key) runs live on
+ *     the coordinator, with no worker, capture, spill or replay.
  *
  * Executor::split() reports the point a run used.
  *
  * Slice boundaries are placed at work-weighted quantiles of the
- * enumerated units (per-rank occupancy estimates), and idle workers
- * steal the unexecuted upper half of the largest in-flight slice
- * rather than going to sleep. The split, the initial slice count and
- * the boundaries depend only on the plan, the data and constants —
- * never on the thread count — so counters and traces are identical
- * for every N, and tensor values are too up to floating-point
- * summation grouping in reduce mode (exactly identical when the
- * semiring add is associative; reduce slices are never split by
- * steals, keeping the grouping deterministic). Only walks that already
- * collide at the plan's starting depth regroup sums.
+ * enumerated units, or of a keyed walk's keys (per-rank occupancy
+ * estimates). The split, the initial slice count and the boundaries
+ * depend only on the plan, the data and constants — never on the
+ * thread count — so counters and traces are identical for every N,
+ * and tensor values are too, except under the reduce merge, where
+ * they may differ from the serial run's by floating-point summation
+ * grouping (exactly identical when the semiring add is associative;
+ * reduce slices are never split by steals, so the grouping is the
+ * same at every N > 1).
  *
  * ExecOptions::modelHooks (set by the pipeline on every run) make
  * every trace bus *split the model*: order-independent datapath
@@ -88,9 +110,13 @@ struct SplitPoint
     {
         Serial,   ///< not sharded (one thread, no model hooks, or an
                   ///< unshardable plan)
-        Live,     ///< one unit (or none): run live on the coordinator
-        Disjoint, ///< collision-free slices, absorbDisjoint
-        Reduce,   ///< colliding slices, absorbReduce plus the fixup
+        Live,     ///< one unit or key (or none): run live on the
+                  ///< coordinator
+        Disjoint, ///< collision-free contiguous slices, absorbDisjoint
+        Keyed,    ///< output-keyed slices replayed per parent-node
+                  ///< segment, absorbDisjoint
+        Reduce,   ///< colliding slices with no output coordinate to
+                  ///< key on: absorbReduce plus the fixup
     };
 
     Merge merge = Merge::Serial;
@@ -99,9 +125,17 @@ struct SplitPoint
     std::size_t depth = 0;
     /// Units the walk yielded at that loop.
     std::size_t units = 0;
+    /// Slices the units were first cut into (before any steal; 1 when
+    /// live, 0 when serial).
+    std::size_t slices = 0;
+    /// Capture segments the coordinator replayed: one per captured
+    /// slice, or per keyed slice and parent node.
+    std::size_t segments = 0;
+    /// Slices the coordinator ran live on the delivery bus.
+    std::size_t live = 0;
 };
 
-/** "serial", "live", "disjoint" or "reduce". */
+/** "serial", "live", "disjoint", "keyed" or "reduce". */
 const char* mergeName(SplitPoint::Merge m);
 
 /** Interprets one EinsumPlan. */
@@ -139,8 +173,8 @@ class Executor
     ft::Tensor runSharded(unsigned threads);
 
     /** Enumerate the walk at the split the run uses (see the file
-     *  comment) into @p tw. */
-    void enumerateSplit(TopWalk& tw);
+     *  comment) into @p tw; true when the split is output-keyed. */
+    bool enumerateSplit(TopWalk& tw);
 
     const ir::EinsumPlan& plan_;
     Semiring sr_;

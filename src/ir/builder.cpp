@@ -1341,6 +1341,11 @@ analyzeSharding(const EinsumPlan& plan)
         for (const std::string& v : group)
             f.restrictsContraction |= !inOutput(out_vars, v);
         f.restrictsProbe = take && f.restrictsContraction;
+        const std::vector<std::string>& binds = plan.loops[l].bindsVars;
+        f.keysOutput =
+            !binds.empty() &&
+            inOutput(out_vars, einsum::varOfRank(baseOfDerived(
+                                   einsum::rankOfVar(binds.front()))));
     }
     return sp;
 }

@@ -238,14 +238,18 @@ struct ShardPlan
      *    `Fiber::absorbDisjoint` (leaf collisions are hard errors —
      *    the debug check of this mode).
      *  - Reduce: the prefix restricts a contraction variable (or the
-     *    output is a scalar), so shards may hold partial outputs that
-     *    overlap; merged with `Fiber::absorbReduce` (semiring-add on
-     *    leaf collisions), and the replayed trace stream is patched so
-     *    the reduce adds land exactly where the serial run put them.
+     *    output is a scalar), so contiguous slices of the units may
+     *    write the same output points. A run then splits output-keyed
+     *    at a loop that binds an output variable first (LoopFacts::
+     *    keysOutput), whose slices own disjoint output points again;
+     *    only a walk with no such loop merges with
+     *    `Fiber::absorbReduce` (semiring-add on leaf collisions), with
+     *    the replayed trace stream patched so the reduce adds land
+     *    exactly where the serial run put them.
      *  - Inner: the outermost rank itself is unshardable (lookup
      *    actions, binds no variable), so the split starts one loop
-     *    down (`depth == 1`); partials merge per Disjoint/Reduce rules
-     *    via `reduceMerge`.
+     *    down (`depth == 1`); partials relate per the Disjoint/Reduce
+     *    rules via `reduceMerge`.
      */
     enum class Mode { Disjoint, Reduce, Inner };
 
@@ -260,8 +264,9 @@ struct ShardPlan
 
     /// True when partial outputs at the starting depth may overlap
     /// (Mode::Reduce, or Mode::Inner over a contraction-restricting
-    /// prefix). A run merges with absorbReduce only when its walk
-    /// actually branches at such a loop.
+    /// prefix). A run keys its split by output coordinate, or merges
+    /// with absorbReduce, only when its walk actually branches at such
+    /// a loop.
     bool reduceMerge = false;
 
     /// The starting split loop rank (loop `depth`'s rank id).
@@ -296,6 +301,14 @@ struct ShardPlan
         /// split reaches it, since idempotent take writes cannot
         /// reduce-merge.
         bool restrictsProbe = false;
+
+        /// The loop binds an output variable first (its leading
+        /// variable: a plain or group-leaf rank's variable, a
+        /// flattened rank's outermost constituent). Each coordinate
+        /// then fixes one output coordinate — the key an output-keyed
+        /// split slices this loop's units by, so that units writing
+        /// the same output point share a slice.
+        bool keysOutput = false;
     };
 
     /// Per loop index (plan overload, shardable plans only).
@@ -419,7 +432,10 @@ struct EinsumRecipe
  * pool needs, one loop deeper, using the per-loop facts recorded in
  * `ShardPlan::loops`. Whether partials overlap is then read off the
  * enumerated walk (exec::TopWalk::collides), not the prefix's
- * variables alone.
+ * variables alone; a walk that collides (or would, one loop below a
+ * split of few units) moves to the first loop below the collision
+ * that keys an output coordinate (`LoopFacts::keysOutput`) and splits
+ * output-keyed there.
  *
  * Plans that still run serially (`shardable == false`, `reason` says
  * why): whole-tensor copies, empty loop nests, single-loop nests

@@ -334,6 +334,22 @@ class BatchBus
     /** Capture mode: record into @p log instead of delivering. */
     explicit BatchBus(TraceLog& log) : log_(&log), threshold_(0) {}
 
+    /**
+     * Capture mode: record into @p log from here on, restarting every
+     * counter the log's bookkeeping is relative to (as a spill frame
+     * cut does), so each log is a valid stand-alone capture. flush()
+     * the previous log first.
+     */
+    void
+    capture(TraceLog& log)
+    {
+        log_ = &log;
+        logChunk_ = nullptr;
+        logged_ = 0;
+        events_ = 0;
+        pendingLogical_ = 0;
+    }
+
     /** Flushes any pending batch; a throwing observer is swallowed
      *  here (the run that produced the events has already failed —
      *  its exception is the one in flight). */

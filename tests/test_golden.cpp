@@ -9,7 +9,10 @@
  * StreamRecorder records. The pinned strings were recorded once; any
  * drift in a modeled count, a result value, or the delivered stream
  * fails here, whichever input backend the run binds. The packed-input
- * run of each configuration must give the same digest.
+ * run of each configuration must give the same digest, and so must
+ * sharded runs at 2 and 4 threads — pointer inputs with resident
+ * captures, and packed inputs with captures spilled in small segments
+ * — result values (`z=`) included.
  */
 #include <gtest/gtest.h>
 
@@ -219,6 +222,31 @@ expectGolden(const std::string& accel, const std::string& kind,
     const compiler::SimulationResult packed = model.run(packed_w, opts);
     EXPECT_EQ(digest(packed, result, packed_rec), pinned)
         << accel << "/" << kind << " (packed inputs)";
+
+    const test::TempDir spill_dir;
+    for (const unsigned threads : {2u, 4u}) {
+        test::StreamRecorder resident_rec;
+        opts.threads = threads;
+        opts.observers = {&resident_rec};
+        const compiler::SimulationResult resident =
+            model.run(pointer_w, opts);
+        EXPECT_EQ(digest(resident, result, resident_rec), pinned)
+            << accel << "/" << kind << " (pointer inputs, " << threads
+            << " threads)";
+
+        test::StreamRecorder spilled_rec;
+        compiler::RunOptions spilled_opts = opts;
+        spilled_opts.observers = {&spilled_rec};
+        spilled_opts.spillDir = spill_dir.str();
+        spilled_opts.spillSegmentBytes = 8 * sizeof(trace::Event);
+        const compiler::SimulationResult spilled =
+            model.run(packed_w, spilled_opts);
+        EXPECT_EQ(digest(spilled, result, spilled_rec), pinned)
+            << accel << "/" << kind << " (packed inputs, spilled, "
+            << threads << " threads)";
+        EXPECT_GT(spilled.spill.frames, 0u)
+            << accel << "/" << kind << " " << threads << " threads";
+    }
 }
 
 TEST(Golden, GammaPowerLaw)

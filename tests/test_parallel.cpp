@@ -3,13 +3,14 @@
  * Tests of parallel sharded execution (RunOptions::threads): the
  * thread-count equivalence guarantee (identical counters, output
  * tensors, and delivered trace streams — including batch boundaries —
- * for every thread count, per Table 1 accelerator spec), reduction
- * and inner-rank sharding (contraction-outermost SIGMA, scalar-output
- * cascades, no-space-rank mappings — all shardable since PR 6), the
- * split each run picks (deeper than the plan's starting loop when
- * that yields too few units, never regrouping a collision-free
- * walk's sums) and slices reordering their own partial outputs, the
- * shard-plan classification, the disjoint and reducing fiber merges,
+ * for every thread count, per Table 1 accelerator spec), sharding of
+ * contraction-outermost and inner-rank walks (SIGMA and ExTensor split
+ * output-keyed, scalar-output cascades by reduction, no-space-rank
+ * mappings disjoint), the split each run picks (deeper than the plan's
+ * starting loop when that yields too few units, never regrouping a
+ * collision-free walk's sums) and slices reordering their own partial
+ * outputs, the shard-plan classification, the disjoint and reducing
+ * fiber merges,
  * concurrent CompiledModel::run from multiple host threads, and the
  * unknown-rank diagnostic for co-iteration overrides.
  */
@@ -239,19 +240,18 @@ TEST(Parallel, OuterSpaceThreads1Vs4)
     expectThreadEquivalence(accel::outerSpace(smallOuterSpace()), 1, 4);
 }
 
-/** SIGMA's Z nest is contraction-outermost (K1): since PR 6 it shards
- *  with private partial outputs and a semiring-add merge (and at this
- *  thin K1 geometry, inner-rank sharding below the top tile loop).
- *  Counters and streams must stay byte-identical at threads=4. */
+/** SIGMA's Z nest is contraction-outermost (K1): it shards with
+ *  output-keyed slices below its chunk loop (each slice owns a range
+ *  of m). Counters and streams must stay byte-identical at
+ *  threads=4. */
 TEST(Parallel, SigmaReductionShardingThreads1Vs4)
 {
     expectThreadEquivalence(accel::sigma(smallSigma()), 1, 4);
 }
 
-/** SIGMA with exact tensor equality: integer values make every
- *  partial-sum grouping exact, so the reduce merge must reproduce
- *  the serial tensor bit-for-bit at 1/2/4 threads, pointer and
- *  packed backends alike. */
+/** SIGMA with integer values at 1/2/4 threads, pointer and packed
+ *  backends alike: the serial tensor bit-for-bit, as from any keyed
+ *  split (integer sums would also hide a regrouped one). */
 TEST(Parallel, SigmaIntegerExactThreads124PointerAndPacked)
 {
     const ft::Tensor a = intMatrix("A", 40, 32, 300, 23, {"K", "M"});
@@ -276,7 +276,9 @@ TEST(Parallel, SigmaIntegerExactThreads124PointerAndPacked)
 
 /** Scalar-output cascade: the final Einsum reduces everything into
  *  Z[] — the degenerate reduction where every shard writes the same
- *  output point. Exact at 1/2/4 threads, pointer and packed. */
+ *  output point, and no output coordinate exists to key a split on,
+ *  so it runs the reduce merge. Exact at 1/2/4 threads, pointer and
+ *  packed. */
 TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
 {
     const ft::Tensor a = intMatrix("A", 40, 32, 300, 31, {"K", "M"});
@@ -292,6 +294,11 @@ TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
     w.add("A", a).add("B", b).add("W", wt);
     expectThreadEquivalenceOn(model, w, 1, 2);
     expectThreadEquivalenceOn(model, w, 1, 4);
+    RunOptions four;
+    four.threads = 4;
+    const SimulationResult r4 = model.run(w, four);
+    ASSERT_EQ(r4.splits.size(), 2u);
+    EXPECT_EQ(r4.splits[1].merge, exec::SplitPoint::Merge::Reduce);
 
     auto packed_model = compiler::compile(
         compiler::Specification::parse(kScalarCascadeYaml));
@@ -311,80 +318,106 @@ TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
 
 /** ExTensor with top tiles larger than the matrices: N2, K2 and M2
  *  have one coordinate each and M1 alone yields too few units, so the
- *  walk is split one loop deeper at N1. K1 below it is a contraction
- *  the collision-free walk must not branch on, so Z keeps the serial
- *  summation order: bit-identical to the serial run and to Gustavson's,
- *  with identical counters and streams. */
+ *  walk is split one loop deeper at N1. With K1 tiles larger than K
+ *  too, K1 never branches, so the walk stays collision-free at N1 and
+ *  splits disjoint there. With 16-wide K1 tiles, K1 branches on the
+ *  contraction below N1's few units, so the split goes output-keyed at
+ *  M0, the first loop below K1 that binds an output variable: every
+ *  slice owns a range of m and runs all of its M0 units in unit order
+ *  across the K1 nodes. Either way Z keeps the serial summation order:
+ *  bit-identical to the serial run and to Gustavson's, with identical
+ *  counters and streams, and the split is the same at 2 and 4
+ *  threads. */
 TEST(Parallel, ExTensorSplitsBelowOneCoordinateTiles)
 {
-    accel::ExTensorConfig cfg = smallExTensor();
-    cfg.tileK1 = 64;
-    cfg.tileM1 = 64;
-    cfg.tileN1 = 64;
-    const auto mats = makeMatrices(23);
-    auto model = compiler::compile(accel::extensor(cfg));
-    Workload w;
-    w.add("A", mats.a).add("B", mats.b);
+    struct Case
+    {
+        ft::Coord tileK1;
+        const char* rank;
+        std::size_t depth;
+        exec::SplitPoint::Merge merge;
+    };
+    for (const Case& c :
+         {Case{64, "N1", 4, exec::SplitPoint::Merge::Disjoint},
+          Case{16, "M0", 6, exec::SplitPoint::Merge::Keyed}}) {
+        SCOPED_TRACE(c.rank);
+        accel::ExTensorConfig cfg = smallExTensor();
+        cfg.tileK1 = c.tileK1;
+        cfg.tileM1 = 64;
+        cfg.tileN1 = 64;
+        const auto mats = makeMatrices(23);
+        auto model = compiler::compile(accel::extensor(cfg));
+        Workload w;
+        w.add("A", mats.a).add("B", mats.b);
 
-    StreamRecorder serial_rec;
-    RunOptions serial;
-    serial.observers.push_back(&serial_rec);
-    const SimulationResult ref = model.run(w, serial);
-    const ft::Tensor& z = ref.result(model.spec());
-    EXPECT_TRUE(z.equals(baselines::gustavsonSpmspm(mats.a, mats.b), 0.0));
-    ASSERT_EQ(ref.splits.size(), 1u);
-    EXPECT_EQ(ref.splits[0].merge, exec::SplitPoint::Merge::Serial);
+        StreamRecorder serial_rec;
+        RunOptions serial;
+        serial.observers.push_back(&serial_rec);
+        const SimulationResult ref = model.run(w, serial);
+        const ft::Tensor& z = ref.result(model.spec());
+        EXPECT_TRUE(
+            z.equals(baselines::gustavsonSpmspm(mats.a, mats.b), 0.0));
+        ASSERT_EQ(ref.splits.size(), 1u);
+        EXPECT_EQ(ref.splits[0].merge, exec::SplitPoint::Merge::Serial);
 
-    for (const unsigned threads : {2u, 4u}) {
-        SCOPED_TRACE(threads);
-        StreamRecorder rec;
-        RunOptions opts;
-        opts.threads = threads;
-        opts.observers.push_back(&rec);
-        const SimulationResult got = model.run(w, opts);
-        expectSameResults(ref, got);
-        EXPECT_EQ(rec.log, serial_rec.log);
-        EXPECT_TRUE(got.result(model.spec()).equals(z, 0.0));
-        ASSERT_EQ(got.splits.size(), 1u);
-        const exec::SplitPoint& split = got.splits[0];
-        EXPECT_EQ(split.rank, "N1");
-        EXPECT_EQ(split.depth, 4u);
-        EXPECT_GE(split.units, 16u);
-        EXPECT_EQ(split.merge, exec::SplitPoint::Merge::Disjoint);
+        std::vector<exec::SplitPoint> splits;
+        for (const unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(threads);
+            StreamRecorder rec;
+            RunOptions opts;
+            opts.threads = threads;
+            opts.observers.push_back(&rec);
+            const SimulationResult got = model.run(w, opts);
+            expectSameResults(ref, got);
+            EXPECT_EQ(rec.log, serial_rec.log);
+            EXPECT_TRUE(got.result(model.spec()).equals(z, 0.0));
+            ASSERT_EQ(got.splits.size(), 1u);
+            const exec::SplitPoint& split = got.splits[0];
+            EXPECT_EQ(split.rank, c.rank);
+            EXPECT_EQ(split.depth, c.depth);
+            EXPECT_GE(split.units, 16u);
+            EXPECT_EQ(split.merge, c.merge);
+            EXPECT_GT(split.slices, 1u);
+            splits.push_back(split);
+        }
+        EXPECT_EQ(splits[0].units, splits[1].units);
+        EXPECT_EQ(splits[0].slices, splits[1].slices);
+        if (c.merge == exec::SplitPoint::Merge::Keyed) {
+            // Keyed slices are never run live, and every slice has a
+            // segment under at least one K1 node.
+            EXPECT_EQ(splits[1].live, 0u);
+            EXPECT_GE(splits[1].segments, splits[1].slices);
+            EXPECT_EQ(splits[0].segments, splits[1].segments);
+        }
     }
 }
 
 /** SIGMA's Z at two geometries. At the small one, three K1 tiles of
  *  about two MK01 chunks each are too few units, and the walk already
- *  branches at those contraction loops, so the split moves below MK01
- *  to MK00. With 2-wide K tiles of one chunk each, MK01 never
- *  branches but the twenty K1 tiles do: the split stays at MK01, and
- *  the walk still collides through K1, which restricts k although its
- *  leaf rank K0 is flattened into MK0. Counters and streams match the
- *  serial run, and since a reduce merge's grouping depends only on
- *  the plan, the data and constants, tensors are byte-identical
- *  between 2 and 4 threads. */
+ *  branches at those contraction loops, so it moves below MK01 to
+ *  MK00. With 2-wide K tiles of one chunk each, MK01 never branches
+ *  but the twenty K1 tiles do, so the walk collides at MK01 through
+ *  K1, which restricts k although its leaf rank K0 is flattened into
+ *  MK0. Either way the split goes output-keyed at MK00, whose leading
+ *  variable m is Z's: slices own ranges of m, each accumulating its
+ *  points in the serial order, so tensors equal the serial run's
+ *  exactly, like counters and streams, and 2 and 4 threads report the
+ *  same split. */
 TEST(Parallel, SigmaSplitsBelowItsChunkLoop)
 {
     accel::SigmaConfig one_chunk_tiles = smallSigma();
     one_chunk_tiles.kTile = 2;
     one_chunk_tiles.stationaryChunk = 4096;
-    struct Case
-    {
-        accel::SigmaConfig cfg;
-        const char* rank;
-        std::size_t depth;
-    };
-    for (const Case& c : {Case{smallSigma(), "MK00", 2},
-                          Case{one_chunk_tiles, "MK01", 1}}) {
-        SCOPED_TRACE(c.rank);
+    for (const accel::SigmaConfig& cfg : {smallSigma(), one_chunk_tiles}) {
+        SCOPED_TRACE(cfg.kTile);
         const auto mats = makeMatrices(23);
-        auto model = compiler::compile(accel::sigma(c.cfg));
+        auto model = compiler::compile(accel::sigma(cfg));
         Workload w;
         w.add("A", mats.a).add("B", mats.b);
         expectThreadEquivalenceOn(model, w, 1, 2);
         expectThreadEquivalenceOn(model, w, 1, 4);
 
+        const SimulationResult r1 = model.run(w);
         RunOptions two;
         two.threads = 2;
         RunOptions four;
@@ -393,13 +426,18 @@ TEST(Parallel, SigmaSplitsBelowItsChunkLoop)
         const SimulationResult r4 = model.run(w, four);
         ASSERT_EQ(r4.splits.size(), 3u);
         const exec::SplitPoint& z4 = r4.splits[2];
-        EXPECT_EQ(z4.rank, c.rank);
-        EXPECT_EQ(z4.depth, c.depth);
-        EXPECT_EQ(z4.merge, exec::SplitPoint::Merge::Reduce);
+        EXPECT_EQ(z4.rank, "MK00");
+        EXPECT_EQ(z4.depth, 2u);
+        EXPECT_EQ(z4.merge, exec::SplitPoint::Merge::Keyed);
+        EXPECT_GT(z4.slices, 1u);
+        EXPECT_EQ(r2.splits[2].merge, z4.merge);
         EXPECT_EQ(r2.splits[2].rank, z4.rank);
         EXPECT_EQ(r2.splits[2].units, z4.units);
-        for (const auto& [name, t] : r4.tensors)
+        EXPECT_EQ(r2.splits[2].slices, z4.slices);
+        for (const auto& [name, t] : r1.tensors) {
             EXPECT_TRUE(t.equals(r2.tensors.at(name), 0.0)) << name;
+            EXPECT_TRUE(t.equals(r4.tensors.at(name), 0.0)) << name;
+        }
     }
 }
 
@@ -444,6 +482,57 @@ TEST(Parallel, OuterSpaceSlicesReorderTheirOwnPartials)
         EXPECT_TRUE(got.tensors.at("T").equals(ref.tensors.at("T"), 0.0));
         expectSameResults(ref, got);
         EXPECT_EQ(rec.log, serial_rec.log);
+    }
+}
+
+/** A union walk over a partition window that matched nothing. M is
+ *  split by A's occupancy into the tiles [0, 10) and [10, ...), so B's
+ *  only row 5 falls in the first: B's window in the second tile is
+ *  empty but keeps its position after row 5 (lo == hi == 1). The merge
+ *  must start at the window, not at the rank's first element, so
+ *  Z[5, 0] is B's 100 once, and each of the five output points is one
+ *  leaf visit, at 1, 2 and 4 threads. */
+TEST(Parallel, EmptyWindowKeepsItsPosition)
+{
+    const char* yaml = R"(
+einsum:
+  declaration:
+    A: [M, N]
+    B: [M, N]
+    Z: [M, N]
+  expressions:
+    - Z[m, n] = A[m, n] + B[m, n]
+mapping:
+  partitioning:
+    Z:
+      M: [uniform_occupancy(A.2)]
+  loop-order:
+    Z: [M1, M0, N]
+)";
+    using Elems = std::vector<std::pair<std::vector<ft::Coord>, ft::Value>>;
+    Elems a;
+    for (const ft::Coord m : {0, 1, 10, 11})
+        a.push_back({{m, 0}, 1.0});
+    const Elems b = {{{5, 0}, 100.0}};
+    Workload w;
+    w.add("A", ft::Tensor::fromCoo("A", {"M", "N"}, {16, 2}, a))
+        .add("B", ft::Tensor::fromCoo("B", {"M", "N"}, {16, 2}, b));
+    auto model = compiler::compile(compiler::Specification::parse(yaml));
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        RunOptions opts;
+        opts.threads = threads;
+        const SimulationResult r = model.run(w, opts);
+        const ft::Tensor& z = r.result(model.spec());
+        EXPECT_EQ(z.nnz(), 5u);
+        const std::vector<ft::Coord> row5 = {5, 0};
+        EXPECT_EQ(z.at(row5), 100.0);
+        for (const ft::Coord m : {0, 1, 10, 11}) {
+            const std::vector<ft::Coord> p = {m, 0};
+            EXPECT_EQ(z.at(p), 1.0) << m;
+        }
+        ASSERT_EQ(r.records.size(), 1u);
+        EXPECT_EQ(r.records[0].execStats.leafVisits, 5u);
     }
 }
 
@@ -500,10 +589,9 @@ TEST(Parallel, ShardPlansPrecomputedAtCompile)
     }
 
     // SIGMA: the take Einsums shard disjoint along K; Z's outermost
-    // rank K1 restricts the contraction variable k, so it shards with
-    // the reduce merge. (The instantiated plan may still fall through
-    // to inner-rank sharding when K1 is too thin — see
-    // SigmaReductionShardingThreads1Vs4.)
+    // rank K1 restricts the contraction variable k, so partials at the
+    // starting depth overlap. (A run then splits output-keyed below
+    // the chunk loop — see SigmaSplitsBelowItsChunkLoop.)
     auto sigma = compiler::compile(accel::sigma(smallSigma()));
     ASSERT_EQ(sigma.shardPlans().size(), 3u);
     for (const ir::ShardPlan& sp : sigma.shardPlans())
@@ -744,17 +832,30 @@ TEST(Parallel, ObserverExceptionPropagatesFromShardedRun)
         }
     };
     const auto mats = makeMatrices(31);
-    auto model = compiler::compile(accel::gamma(smallGamma()));
-    Workload w;
-    w.add("A", mats.a).add("B", mats.b);
-    for (const unsigned threads : {1u, 4u}) {
-        Thrower thrower;
-        RunOptions opts;
-        opts.threads = threads;
-        opts.cacheState = false;
-        opts.observers.push_back(&thrower);
-        EXPECT_THROW(model.run(w, opts), std::runtime_error)
-            << "threads=" << threads;
+    // Gamma splits disjoint; ExTensor with K1 tiles under one N1 tile
+    // splits output-keyed, so the replay that throws leaves keyed
+    // slices mid-run.
+    accel::ExTensorConfig keyed = smallExTensor();
+    keyed.tileM1 = 64;
+    keyed.tileN1 = 64;
+    for (compiler::Specification spec :
+         {accel::gamma(smallGamma()), accel::extensor(keyed)}) {
+        auto model = compiler::compile(std::move(spec));
+        Workload w;
+        w.add("A", mats.a).add("B", mats.b);
+        for (const unsigned threads : {1u, 4u}) {
+            Thrower thrower;
+            RunOptions opts;
+            opts.threads = threads;
+            opts.cacheState = false;
+            opts.observers.push_back(&thrower);
+            EXPECT_THROW(model.run(w, opts), std::runtime_error)
+                << "threads=" << threads;
+        }
+        // The pool drained: the model runs cleanly afterwards.
+        RunOptions four;
+        four.threads = 4;
+        EXPECT_NO_THROW(model.run(w, four));
     }
 }
 

@@ -10,7 +10,8 @@
  * and SpillStats reports what was written. Also the first-write bit
  * that leaf output writes carry through every variant, spill
  * included, a one-unit walk that runs live and spills nothing, and a
- * walk split below a two-level prefix of pre-lookups and barren nodes.
+ * walk split output-keyed below a two-level prefix of pre-lookups and
+ * barren nodes.
  */
 #include <gtest/gtest.h>
 
@@ -70,9 +71,23 @@ expectSameResults(const SimulationResult& x, const SimulationResult& y)
     }
 }
 
+/** A scalar output over the Table 1 inputs: the walk branches on
+ *  contractions only, and no output coordinate exists to key on. */
+const char* kScalarYaml = R"(
+einsum:
+  declaration:
+    A: [K, M]
+    B: [K, N]
+    Z: []
+  expressions:
+    - Z[] = A[k, m] * B[k, n]
+)";
+
 compiler::Specification
 specFor(const std::string& name)
 {
+    if (name == "scalar")
+        return compiler::Specification::parse(kScalarYaml);
     if (name == "gamma") {
         accel::GammaConfig cfg;
         cfg.pes = 4;
@@ -141,9 +156,11 @@ TEST_P(SpillAccelerators, SpilledShardedRunMatchesResidentAndSerial)
     const TempDir tmp;
     StreamRecorder spilled_rec;
     opts.spillDir = tmp.str();
-    // Tiny segments force many frames per slice, exercising every
-    // frame-boundary path (walkEnd cuts, counter restarts, replay).
-    opts.spillSegmentBytes = 4096;
+    // One-record frames cut a frame at every walk boundary of every
+    // capture, even an output-keyed split's short per-node segments,
+    // exercising every frame-boundary path (walkEnd cuts, counter
+    // restarts, replay).
+    opts.spillSegmentBytes = sizeof(trace::Event);
     opts.observers = {&spilled_rec};
     const SimulationResult spilled = model.run(w, opts);
 
@@ -167,6 +184,12 @@ TEST_P(SpillAccelerators, SpilledShardedRunMatchesResidentAndSerial)
 INSTANTIATE_TEST_SUITE_P(Table1, SpillAccelerators,
                          ::testing::Values("gamma", "extensor",
                                            "outerspace", "sigma"),
+                         [](const auto& info) { return info.param; });
+
+/** A scalar output has no coordinate to key a split on: its slices
+ *  run the reduce merge, spilled as well as resident. */
+INSTANTIATE_TEST_SUITE_P(ScalarOutput, SpillAccelerators,
+                         ::testing::Values("scalar"),
                          [](const auto& info) { return info.param; });
 
 /**
@@ -205,8 +228,8 @@ class FirstWriteBit : public ::testing::TestWithParam<std::string>
 };
 
 /** A leaf write carries the first-write bit exactly when its path key
- *  is new in the serial stream, and 4-thread (disjoint and reduce
- *  sharding), packed and spilled runs deliver the same bits. */
+ *  is new in the serial stream, and 4-thread (disjoint, keyed and
+ *  reduce sharding), packed and spilled runs deliver the same bits. */
 TEST_P(FirstWriteBit, MarksNewLeavesInEveryVariant)
 {
     auto model = compiler::compile(specFor(GetParam()));
@@ -228,6 +251,7 @@ TEST_P(FirstWriteBit, MarksNewLeavesInEveryVariant)
     EXPECT_LT(serial.firstWrites, serial.log.size());
 
     const TempDir tmp;
+    std::set<exec::SplitPoint::Merge> merges;
     struct Variant
     {
         const char* name;
@@ -246,31 +270,34 @@ TEST_P(FirstWriteBit, MarksNewLeavesInEveryVariant)
         o.observers = {&rec};
         if (v.spill) {
             o.spillDir = tmp.str();
-            o.spillSegmentBytes = 4096;
+            o.spillSegmentBytes = sizeof(trace::Event);
         }
         const SimulationResult r = model.run(*v.w, o);
         if (v.spill)
             EXPECT_GT(r.spill.frames, 0u);
         EXPECT_EQ(rec.wrongBits, 0u);
         EXPECT_EQ(rec.log, serial.log);
+        for (const exec::SplitPoint& sp : r.splits)
+            merges.insert(sp.merge);
     }
 
-    // The suite covers both merge modes of a sharded Einsum.
-    bool reduce = false;
-    bool disjoint = false;
-    for (const ir::ShardPlan& sp : model.shardPlans()) {
-        reduce = reduce || (sp.shardable && sp.reduceMerge);
-        disjoint = disjoint || (sp.shardable && !sp.reduceMerge);
-    }
-    if (GetParam() == "sigma")
-        EXPECT_TRUE(reduce);
+    // The suite covers every merge of a sharded Einsum: the reduce
+    // merge's fixup rewrites the bit, the others keep the slice's.
     if (GetParam() == "gamma")
-        EXPECT_TRUE(disjoint);
+        EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Disjoint));
+    if (GetParam() == "sigma")
+        EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Keyed));
+    if (GetParam() == "scalar")
+        EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Reduce));
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, FirstWriteBit,
                          ::testing::Values("gamma", "extensor",
                                            "outerspace", "sigma"),
+                         [](const auto& info) { return info.param; });
+
+INSTANTIATE_TEST_SUITE_P(ScalarOutput, FirstWriteBit,
+                         ::testing::Values("scalar"),
                          [](const auto& info) { return info.param; });
 
 TEST(Spill, SerialRunsNeverTouchTheDirectory)
@@ -352,23 +379,28 @@ TEST(Spill, RepeatedSpilledRunsAreDeterministic)
     EXPECT_EQ(first.spill.bytes, second.spill.bytes);
 }
 
-/** A walk that yields one unit — ExTensor with every tile larger than
- *  the matrices, whose first branching loop K1 is a contraction — runs
- *  live on the coordinator: no worker, capture, spill or replay, and
- *  the serial run's stream and results. */
+/** A walk that yields one unit runs live on the coordinator: no
+ *  worker, capture, spill or replay, and the serial run's stream and
+ *  results. Z[] = A[k, m] * B[k, n] on inputs that share one k: K
+ *  yields one unit, and M below it branches on a contraction, but a
+ *  scalar output has no coordinate to key a deeper split on. */
 TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
 {
-    accel::ExTensorConfig cfg;
-    cfg.pes = 4;
-    cfg.tileK1 = 64;
-    cfg.tileK0 = 4;
-    cfg.tileM1 = 64;
-    cfg.tileM0 = 64;
-    cfg.tileN1 = 64;
-    cfg.tileN0 = 64;
-    cfg.llcBytes = 256 * 1024;
-    auto model = compiler::compile(accel::extensor(cfg));
-    const Workload w = workloadFor(47);
+    auto model = compiler::compile(specFor("scalar"));
+    using Elems = std::vector<std::pair<std::vector<ft::Coord>, ft::Value>>;
+    Elems a;
+    Elems b;
+    for (ft::Coord m = 0; m < 6; ++m) {
+        a.push_back({{1, m}, static_cast<ft::Value>(1 + m)});
+        a.push_back({{3, m}, 2});
+    }
+    for (ft::Coord n = 0; n < 5; ++n) {
+        b.push_back({{3, n}, static_cast<ft::Value>(1 + n)});
+        b.push_back({{5, n}, 3});
+    }
+    Workload w;
+    w.add("A", ft::Tensor::fromCoo("A", {"K", "M"}, {8, 6}, a))
+        .add("B", ft::Tensor::fromCoo("B", {"K", "N"}, {8, 5}, b));
 
     StreamRecorder serial_rec;
     RunOptions opts;
@@ -379,7 +411,7 @@ TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
     StreamRecorder rec;
     opts.threads = 4;
     opts.spillDir = tmp.str();
-    opts.spillSegmentBytes = 64;
+    opts.spillSegmentBytes = sizeof(trace::Event);
     opts.observers = {&rec};
     const SimulationResult live = model.run(w, opts);
 
@@ -388,7 +420,8 @@ TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
     ASSERT_EQ(live.splits.size(), 1u);
     EXPECT_EQ(live.splits[0].merge, exec::SplitPoint::Merge::Live);
     EXPECT_EQ(live.splits[0].units, 1u);
-    EXPECT_EQ(live.splits[0].rank, "N1");
+    EXPECT_EQ(live.splits[0].rank, "K");
+    EXPECT_EQ(live.splits[0].segments, 0u);
     EXPECT_EQ(live.spill.files, 0u);
     EXPECT_EQ(live.spill.frames, 0u);
     EXPECT_EQ(live.spill.bytes, 0u);
@@ -402,7 +435,9 @@ TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
  * enters but never walks below), and for some (m, k) B[k] and C[m]
  * share no n (K nodes whose N walk is empty). K branches on the
  * contraction k, so the walk may deepen, and its dozen K units send the
- * split to N, depth 2. Integer values keep the reduce merge exact.
+ * split to N, depth 2, where it goes output-keyed on n. The barren
+ * nodes' placeholder units have no key; they run in slice 0, between
+ * the other slices' segments, and the stream must still be serial.
  */
 const char* kPrefixYaml = R"(
 einsum:
@@ -491,8 +526,11 @@ TEST(Spill, PreLookupsAndBarrenNodesInADepthTwoPrefix)
             EXPECT_EQ(resident.splits[0].rank, "N");
             EXPECT_EQ(resident.splits[0].depth, 2u);
             EXPECT_EQ(resident.splits[0].merge,
-                      exec::SplitPoint::Merge::Reduce);
+                      exec::SplitPoint::Merge::Keyed);
+            EXPECT_GT(resident.splits[0].slices, 1u);
             EXPECT_GT(spilled.spill.frames, 0u);
+            for (const auto& [name, t] : serial.tensors)
+                EXPECT_TRUE(t.equals(resident.tensors.at(name), 0.0));
         } else {
             EXPECT_EQ(serial.records[0].execStats.leafVisits, 0u);
             EXPECT_EQ(resident.splits[0].units, 0u);
