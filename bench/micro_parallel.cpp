@@ -11,8 +11,8 @@
  *
  * Every row names the split each Einsum's walk used at that thread
  * count (SimulationResult::splits: merge@rank/units) and what the pool
- * did with it: the initial slice count, the capture segments the
- * coordinator replayed, and the slices it ran live. A second table
+ * did with it: the slice count, the capture segments the coordinator
+ * replayed, and the slices it ran live. A second table
  * runs the end-to-end benchmark's stand-ins the same way: scale 0.05,
  * `wi` and `p2` with B drawn from A's seed, inputs packed to store
  * files and mapped, traces spilled in 1 MiB segments.
@@ -40,10 +40,9 @@ namespace
 using namespace teaal;
 namespace fs = std::filesystem;
 
-/** "T=disjoint@M0/415 slices=64 segments=30 live=34 Z=..." for every
- *  Einsum of @p r: the split, then what the pool did with it (initial
- *  slices, capture segments the coordinator replayed, slices it ran
- *  live). */
+/** "T=disjoint@M0/415 slices=64 segments=64 live=0 Z=..." for every
+ *  Einsum of @p r: the split, then what the pool did with it (slices,
+ *  capture segments the coordinator replayed, slices it ran live). */
 std::string
 splitsOf(const compiler::SimulationResult& r)
 {

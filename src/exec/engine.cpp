@@ -712,16 +712,6 @@ Engine::enumerateTop(TopWalk& tw, std::size_t depth)
         tw.top = enumerateLoop(tw, 0, TopWalk::kRoot, 0);
     undoPreLookups(0);
     bus_.setMuted(false);
-
-    const std::size_t n = tw.entries.size();
-    if (n > 0)
-        tw.runs.push_back(0);
-    for (std::size_t u = 1; depth > 0 && u < n; ++u) {
-        if (tw.owner[u] != tw.owner[u - 1] ||
-            tw.ownerLevel[u] != tw.ownerLevel[u - 1])
-            tw.runs.push_back(u);
-    }
-    tw.runs.push_back(n);
 }
 
 TopWalk::Summary
@@ -1209,8 +1199,7 @@ Engine::materializeOutputPath(std::uint64_t pe)
         bool inserted = false;
         const std::size_t pos = fiber->getOrInsertPos(c, inserted);
         ft::Payload& p = fiber->payloadAt(pos);
-        if (inserted && (insertFilter_ == nullptr ||
-                         insertFilter_->admit(hash, level))) {
+        if (inserted) {
             bus_.outputWrite(plan_.output.name, level, c, hash, true,
                              false, pe);
         }

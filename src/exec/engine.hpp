@@ -27,7 +27,6 @@
 #include "trace/batch.hpp"
 #include "trace/observer.hpp"
 #include "util/cancel.hpp"
-#include "util/flat_hash.hpp"
 
 namespace teaal::util
 {
@@ -154,33 +153,6 @@ struct ExecOptions
 };
 
 /**
- * The interior output nodes a sharded run has announced, shared by the
- * coordinator's replay fixup and its live engine
- * (Engine::setInsertFilter). Each node's insert reaches the stream
- * once, where the serial engine announced it, so the per-level tallies
- * are the merged production-order output's element counts by depth —
- * what the declared-order swizzle is charged from when the slices
- * reorder their own partial outputs.
- */
-struct OutputNodes
-{
-    util::FlatSet64 keys;
-    std::vector<std::size_t> perLevel;
-
-    /** True iff @p key is new (then counted at @p level). */
-    bool
-    admit(std::uint64_t key, std::size_t level)
-    {
-        if (!keys.insert(key))
-            return false;
-        if (perLevel.size() <= level)
-            perLevel.resize(level + 1, 0);
-        ++perLevel[level];
-        return true;
-    }
-};
-
-/**
  * The recorded walk of a plan split at loop `depth`: one entry per
  * schedulable *unit* of work, carrying everything `atCoordinate` needs
  * to process it on any engine clone (driver positions/presence, the
@@ -198,13 +170,12 @@ struct OutputNodes
  * produced nothing (lookup miss, pre-lookup miss, empty walk) still
  * owns one placeholder ("barren") unit so its events are scheduled.
  * The merged stream is therefore byte-identical to a serial run's no
- * matter where slice boundaries (or steals) fall, and no matter which
- * engine runs a unit, as long as each engine's units ascend and the
- * captures replay in unit order.
+ * matter where slice boundaries fall, and no matter which engine runs
+ * a unit, as long as each engine's units ascend and the captures
+ * replay in unit order.
  *
  * Each unit also carries its key — the split loop's leading-variable
- * coordinate — and the units are grouped into runs under one owner
- * (see @ref runs): what an output-keyed split slices and segments by.
+ * coordinate — which an output-keyed split slices by.
  */
 struct TopWalk
 {
@@ -280,14 +251,10 @@ struct TopWalk
 
     /// Per entry: the value the split loop binds its leading variable
     /// to (the coordinate itself, or a flattened rank's outermost
-    /// constituent). Non-decreasing within a run. 0 for placeholders.
+    /// constituent). Non-decreasing across one parent node's units
+    /// (a node of the prefix level just above the split loop). 0 for
+    /// placeholders.
     std::vector<ft::Coord> key;
-
-    /// Runs of consecutive units with one owner — the units of one
-    /// level depth-1 node (the parent node), or one barren node's
-    /// placeholder: run i is [runs[i], runs[i+1]). At depth 0 every
-    /// unit is under the root, one run. Empty walks have no run.
-    std::vector<std::size_t> runs;
 
     /// Loop 0's pre-lookups missed: the serial run executes nothing
     /// and emits no loop-0 summary.
@@ -441,9 +408,9 @@ class Engine
 
     /**
      * Execute unit @p u of a recorded walk. The units one engine
-     * executes must ascend (a work-stealing slice, or the
-     * coordinator's live slices in order); the partial output
-     * accumulates in this engine, retrieved once via takeOutput().
+     * executes must ascend (a slice's, or the whole walk's on the
+     * coordinator); the partial output accumulates in this engine,
+     * retrieved once via takeOutput().
      * The unit's prefix nodes are opened on demand, unmuted exactly
      * where @p u is a node's first unit, and the walk summary of
      * every node whose last unit @p u is is emitted here.
@@ -459,16 +426,11 @@ class Engine
 
     /**
      * Capture-mode engines: seal the current log (stamp its logical
-     * length), the tail of one capture segment. The engine keeps its
-     * open prefix nodes and partial output, so its next units may go
-     * to another log via captureInto().
-     */
-    void sealCapture() { bus_.flush(); }
-
-    /**
-     * Capture-mode engines: record from here on into @p log, which
-     * then stands alone like a fresh shard's (see
-     * trace::BatchBus::capture). The previous log must be sealed.
+     * length) and record from here on into @p log, which then stands
+     * alone like a fresh shard's (see trace::BatchBus::capture). The
+     * engine keeps its open prefix nodes and partial output, so its
+     * units may span several logs; after the call the sealed log is
+     * no longer touched and may be freed.
      */
     void captureInto(trace::TraceLog& log);
 
@@ -482,23 +444,6 @@ class Engine
      * writes.
      */
     void setReduceCapture(bool on) { markReduce_ = on; }
-
-    /**
-     * Shared output-node insert dedup (parallel path). Every shard
-     * materializes output paths lazily from scratch, so an output
-     * node shared between shards (split loop deeper than the
-     * output's top rank) would announce its creation once per shard;
-     * the serial engine announces it exactly once. With a filter set,
-     * a non-leaf insert event is emitted only when @p nodes admits its
-     * path key — the coordinator shares one set between live
-     * execution and capture replay (single-threaded, in stream
-     * order).
-     */
-    void
-    setInsertFilter(OutputNodes* nodes)
-    {
-        insertFilter_ = nodes;
-    }
 
     /**
      * Route datapath-class records on this engine's trace bus to
@@ -799,8 +744,6 @@ class Engine
     std::vector<ft::Fiber*> outFiberAt_;
     std::vector<std::uint64_t> outHashAt_;
     bool outPathValid_ = false;
-    /// Parallel-path insert dedup (null for serial runs).
-    OutputNodes* insertFilter_ = nullptr;
 
     ft::Fiber* leafFiber_ = nullptr;
     std::size_t leafPos_ = 0;

@@ -26,7 +26,7 @@ namespace
 {
 
 /**
- * Initial slice-count cap. The plan's recorded walk is split into
+ * Slice-count cap. The plan's recorded walk is split into
  * min(units, kMaxShards) contiguous slices at work-weighted
  * boundaries (an output-keyed walk into min(keys, kMaxShards) key
  * ranges). 64 slices keep dynamic scheduling balanced on any
@@ -36,10 +36,10 @@ namespace
 constexpr std::size_t kMaxShards = 64;
 
 /**
- * Initial slice count of a colliding walk. Its slices are never split
- * by steals (their partition is the summation grouping), and each
- * one's partial output costs the coordinator a semiring-add merge, so
- * it takes half as many slices as a disjoint walk.
+ * Slice count of a colliding walk with no output coordinate to key
+ * on. Its partition is the summation grouping, and each slice's
+ * partial output costs the coordinator a semiring-add merge, so it
+ * takes half as many slices as a disjoint walk.
  */
 constexpr std::size_t kReduceShards = 32;
 
@@ -50,13 +50,6 @@ constexpr std::size_t kReduceShards = 32;
  * grouping — never depends on the thread count.
  */
 constexpr std::size_t kMinUnits = 16;
-
-/**
- * Hard cap on total slices including work-stealing splits. A split
- * halves a straggler, so a handful suffice; the cap only bounds the
- * bookkeeping (and the model's per-slice sink pool).
- */
-constexpr std::size_t kSliceCap = 2 * kMaxShards;
 
 /**
  * Split [0, n) into @p shards contiguous ranges at the weighted
@@ -97,6 +90,23 @@ weightedBounds(const std::vector<double>& weight, std::size_t n,
     for (; s < shards; ++s)
         bounds[s] = std::max(bounds[s - 1] + 1, n - (shards - s));
     return bounds;
+}
+
+/** The slice of every unit when [0, n) is cut into @p slices
+ *  contiguous ranges by weightedBounds. */
+std::vector<std::size_t>
+contiguousSlices(const std::vector<double>& weight, std::size_t n,
+                 std::size_t slices)
+{
+    const std::vector<std::size_t> bounds = weightedBounds(weight, n, slices);
+    std::vector<std::size_t> slice_of(n);
+    for (std::size_t s = 0; s < slices; ++s) {
+        std::fill(slice_of.begin() + static_cast<std::ptrdiff_t>(bounds[s]),
+                  slice_of.begin() +
+                      static_cast<std::ptrdiff_t>(bounds[s + 1]),
+                  s);
+    }
+    return slice_of;
 }
 
 /**
@@ -144,13 +154,37 @@ keyedSlices(const TopWalk& tw, std::size_t& slices)
     return slice_of;
 }
 
+/**
+ * The interior output nodes a sharded run's replay has announced. Each
+ * node's insert reaches the stream once, where the serial engine
+ * announced it, so the per-level tallies are the merged
+ * production-order output's element counts by depth — what the
+ * declared-order swizzle is charged from when the slices reorder their
+ * own partial outputs.
+ */
+struct OutputNodes
+{
+    util::FlatSet64 keys;
+    std::vector<std::size_t> perLevel;
+
+    /** True iff @p key is new (then counted at @p level). */
+    bool
+    admit(std::uint64_t key, std::size_t level)
+    {
+        if (!keys.insert(key))
+            return false;
+        if (perLevel.size() <= level)
+            perLevel.resize(level + 1, 0);
+        ++perLevel[level];
+        return true;
+    }
+};
+
 /** Cross-slice state the in-order replay fixup threads through every
- *  capture (and that the coordinator's live engine shares via
- *  Engine::setInsertFilter). */
+ *  capture. */
 struct FixupState
 {
-    /// Interior output nodes already announced (shared with the live
-    /// engine's insert filter).
+    /// Interior output nodes already announced.
     OutputNodes nodes;
     /// Reduce mode: leaf path keys some earlier slice already wrote.
     util::FlatSet64 reducedLeaves;
@@ -266,8 +300,8 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
     return restored;
 }
 
-/** One slice's or segment's captured trace: the in-memory log and,
- *  with ExecOptions::spill, the file it drains to. */
+/** One segment's captured trace: the in-memory log and, with
+ *  ExecOptions::spill, the file it drains to. */
 struct Capture
 {
     trace::TraceLog log;
@@ -277,10 +311,10 @@ struct Capture
 };
 
 /**
- * One sharded run of an enumerated walk: the two schedulers
- * (contiguous unit slices, output-keyed slices), the live path, and
- * what they share — worker launch and drain, in-order capture replay,
- * the merge of the partial outputs, and the coordinator's tail.
+ * One sharded run of an enumerated walk: the live path, and the
+ * scheduler that runs slices of the units on the pool — worker launch
+ * and drain, in-order capture replay, the merge of the partial
+ * outputs, and the coordinator's tail.
  */
 class ShardRun
 {
@@ -298,20 +332,18 @@ class ShardRun
      *  capture, spill or replay. */
     ft::Tensor live();
 
-    /** Contiguous unit slices, merged disjoint or by semiring add. */
-    ft::Tensor contiguous(bool reduce);
-
-    /** Output-keyed slices, each replayed as per-run segments. */
-    ft::Tensor keyed(const std::vector<std::size_t>& slice_of,
-                     std::size_t slices);
+    /**
+     * Unit u in slice @p slice_of [u] of @p slices: each slice is one
+     * engine that runs its units in ascending order, and its capture
+     * is replayed as segments, its maximal runs of consecutive units.
+     * The partials merge disjoint, or by semiring add when @p reduce.
+     */
+    ft::Tensor sliced(const std::vector<std::size_t>& slice_of,
+                      std::size_t slices, bool reduce);
 
     const ExecutionStats& stats() const { return stats_; }
 
   private:
-    /** Slices of a collision-free partition reorder their own partial
-     *  output into the declared order; set before any slice runs. */
-    void setReorderInSlices(bool on);
-
     ft::Tensor
     reorder(ft::Tensor&& t) const
     {
@@ -320,8 +352,8 @@ class ShardRun
                    : std::move(t);
     }
 
-    /** A capture for one slice or segment, drawing chunks from the
-     *  run's pool. */
+    /** A capture for one segment, drawing chunks from the run's
+     *  pool. */
     std::unique_ptr<Capture> newCapture();
 
     /** Fixup and replay @p cap on the coordinator's bus: its spilled
@@ -341,8 +373,8 @@ class ShardRun
     /** Record the in-flight exception and abort the run. */
     void recordError();
 
-    /** The coordinator's tail: its own partial, the loop-0 summary,
-     *  and the output's declared-order finish. */
+    /** The coordinator's tail: the loop-0 summary and the output's
+     *  declared-order finish. */
     ft::Tensor finish();
 
     const ir::EinsumPlan& plan_;
@@ -385,18 +417,6 @@ ShardRun::live()
         coord_.emitTopSummary(tw_);
     stats_ = coord_.stats();
     return coord_.finishOutput(coord_.takeOutput());
-}
-
-void
-ShardRun::setReorderInSlices(bool on)
-{
-    reorderInSlices_ = on && !plan_.output.productionOrder.empty() &&
-                       plan_.output.needsReorder;
-    actx_.einsum = plan_.output.name;
-    actx_.rankIds = plan_.output.productionOrder.empty()
-                        ? std::vector<std::string>{"_S"}
-                        : (reorderInSlices_ ? plan_.output.declaredOrder
-                                            : plan_.output.productionOrder);
 }
 
 std::unique_ptr<Capture>
@@ -500,7 +520,6 @@ ShardRun::join()
         for (std::thread& t : adhoc_)
             t.join();
     }
-    coord_.setInsertFilter(nullptr);
     if (firstError_ != nullptr)
         std::rethrow_exception(firstError_);
 }
@@ -508,16 +527,10 @@ ShardRun::join()
 ft::Tensor
 ShardRun::finish()
 {
-    // The coordinator's live slices accumulated into the delivery
-    // engine's own output partial and stats; the reduce adds restored
+    // The coordinator's engine ran no unit. The reduce adds restored
     // during replay were counted by the serial run but invisible to
     // the slice engines.
-    coord_.closeUnits();
     stats_ += coord_.stats();
-    ft::Tensor own = reorder(coord_.takeOutput());
-    if (reorderInSlices_)
-        leaves_ += own.nnz();
-    absorb(std::move(own));
     stats_.computeAdds += fixupAdds_;
 
     if (!tw_.topSkipped)
@@ -536,275 +549,25 @@ ShardRun::finish()
 }
 
 ft::Tensor
-ShardRun::contiguous(bool reduce)
+ShardRun::sliced(const std::vector<std::size_t>& slice_of,
+                 std::size_t slices, bool reduce)
 {
     reduce_ = reduce;
-    setReorderInSlices(!reduce);
-    const std::size_t n = tw_.entries.size();
-    const std::size_t init_shards =
-        std::min(n, reduce ? kReduceShards : kMaxShards);
-    split_.slices = init_shards;
-    const std::vector<std::size_t> bounds =
-        weightedBounds(tw_.weight, n, init_shards);
-    const std::size_t sink_cap = std::min(n, kSliceCap);
-    const std::vector<trace::DatapathSink*> shard_sinks =
-        hooks_.makeShardSinks(sink_cap);
-
-    /**
-     * One contiguous, exclusively-owned unit range [lo, hi). The unit
-     * cursor advances under the mutex so an idle thread can steal the
-     * unexecuted upper half of any in-flight slice (the victim simply
-     * observes its hi shrink at its next claim). Slices stay sorted by
-     * lo and are replayed in that order — which is serial unit order,
-     * so results, counters, and replayed streams are byte-identical no
-     * matter where steals land.
-     */
-    struct Slice
-    {
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::size_t cursor = 0;
-        std::size_t sink = 0;
-        bool running = false;
-        bool done = false;
-        bool live = false; // coordinator executed it on the delivery bus
-        std::unique_ptr<Capture> cap;
-        ft::Tensor out;
-        std::size_t leaves = 0; // out's nnz, when reordered in the slice
-        ExecutionStats stats;
-    };
-
-    std::vector<std::unique_ptr<Slice>> slices;
-    slices.reserve(sink_cap);
-    for (std::size_t s = 0; s < init_shards; ++s) {
-        auto sl = std::make_unique<Slice>();
-        sl->lo = bounds[s];
-        sl->hi = bounds[s + 1];
-        sl->cursor = bounds[s];
-        sl->sink = s;
-        sl->cap = newCapture();
-        slices.push_back(std::move(sl));
-    }
-
-    std::size_t replay_idx = 0; // next slice the coordinator finalizes
-    std::size_t sink_next = init_shards;
-    unsigned joined = 0; // workers that entered drain()
-
-    // Workers only claim within a window ahead of the replay cursor,
-    // bounding how much captured (not yet replayed) trace can pile up.
-    const std::size_t window =
-        std::max<std::size_t>(8, 4 * static_cast<std::size_t>(threads_));
-
-    // Claim work under the lock: the first unclaimed slice in the
-    // window, else steal — split the largest unexecuted remainder of
-    // an in-flight slice and claim its upper half.
-    auto claim_work = [&]() -> Slice* {
-        const std::size_t limit =
-            std::min(slices.size(), replay_idx + window);
-        for (std::size_t i = replay_idx; i < limit; ++i) {
-            Slice* s = slices[i].get();
-            if (!s->running && !s->done) {
-                s->running = true;
-                return s;
-            }
-        }
-        // Reduce-merge partials fold per slice, so the partition IS
-        // the fp summation grouping: it must stay a pure function of
-        // plan and data. Never split reduce slices — idle workers
-        // fall back to waiting for unclaimed whole slices.
-        if (reduce_)
-            return nullptr;
-        if (slices.size() >= kSliceCap || sink_next >= sink_cap)
-            return nullptr;
-        std::size_t best = limit;
-        std::size_t best_rem = 1; // a split needs >= 2 remaining units
-        for (std::size_t i = replay_idx; i < limit; ++i) {
-            Slice* s = slices[i].get();
-            if (s->done)
-                continue;
-            const std::size_t rem = s->hi - s->cursor;
-            if (rem > best_rem) {
-                best_rem = rem;
-                best = i;
-            }
-        }
-        if (best == limit)
-            return nullptr;
-        Slice* victim = slices[best].get();
-        const std::size_t mid =
-            victim->cursor + (victim->hi - victim->cursor + 1) / 2;
-        auto stolen = std::make_unique<Slice>();
-        stolen->lo = mid;
-        stolen->hi = victim->hi;
-        stolen->cursor = mid;
-        stolen->sink = sink_next++;
-        stolen->running = true;
-        stolen->cap = newCapture();
-        victim->hi = mid;
-        Slice* p = stolen.get();
-        slices.insert(slices.begin() +
-                          static_cast<std::ptrdiff_t>(best) + 1,
-                      std::move(stolen));
-        return p;
-    };
-
-    // Execute one claimed slice on a fresh capture engine, advancing
-    // the shared cursor unit by unit so thieves can shrink hi.
-    auto work_slice = [&](Slice* s) {
-        try {
-            TEAAL_FAILPOINT("exec.executor.slice");
-            Engine eng(plan_, s->cap->log, sr_, opts_);
-            eng.setTraceFilter(hooks_.classifier, shard_sinks[s->sink]);
-            if (reduce_)
-                eng.setReduceCapture(true);
-            eng.beginShard();
-            for (;;) {
-                std::size_t u;
-                {
-                    std::lock_guard<std::mutex> lk(mutex_);
-                    if (abort_ || s->cursor >= s->hi)
-                        break;
-                    u = s->cursor++;
-                }
-                eng.executeUnit(tw_, u);
-            }
-            eng.finishShard();
-            s->out = reorder(eng.takeOutput());
-            if (reorderInSlices_)
-                s->leaves = s->out.nnz();
-            s->stats = eng.stats();
-        } catch (...) {
-            recordError();
-        }
-        {
-            std::lock_guard<std::mutex> lk(mutex_);
-            s->done = true;
-        }
-        cv_.notify_all();
-    };
-
-    const auto drain = [&](unsigned) {
-        {
-            std::lock_guard<std::mutex> lk(mutex_);
-            ++joined;
-        }
-        for (;;) {
-            Slice* s = nullptr;
-            {
-                std::unique_lock<std::mutex> lk(mutex_);
-                if (abort_ || replay_idx >= slices.size())
-                    return;
-                s = claim_work();
-                if (s == nullptr) {
-                    cv_.wait_for(lk, std::chrono::milliseconds(1));
-                    continue;
-                }
-            }
-            work_slice(s);
-        }
-    };
-
-    const auto workers = static_cast<unsigned>(
-        std::min<std::size_t>(threads_ - 1, n));
-    launch(workers, drain);
-    coord_.setInsertFilter(&fixup_.nodes);
-
-    // The coordinator walks slices strictly in begin order:
-    // live-executing (disjoint walks) or capture-executing every slice
-    // no worker got to first, and replaying worker captures otherwise
-    // (after the in-order fixup pass).
-    try {
-        for (;;) {
-            Slice* s = nullptr;
-            bool execute_here = false;
-            {
-                std::unique_lock<std::mutex> lk(mutex_);
-                if (abort_ || replay_idx >= slices.size())
-                    break;
-                s = slices[replay_idx].get();
-                if (!s->running && !s->done) {
-                    s->running = true;
-                    // Live execution skips capture, spill and replay.
-                    // Until the whole pool has joined, the coordinator
-                    // captures like a worker instead: a pool slow to
-                    // wake (or busy with other runs) then leaves the
-                    // run on the capture path, not mostly live, and the
-                    // first slice is always captured.
-                    s->live = !reduce_ && joined == workers;
-                    execute_here = true;
-                } else if (!s->done) {
-                    cv_.wait(lk, [&] { return s->done || abort_; });
-                    if (abort_)
-                        break;
-                }
-            }
-            if (execute_here && s->live) {
-                ++split_.live;
-                for (;;) {
-                    std::size_t u;
-                    {
-                        std::lock_guard<std::mutex> lk(mutex_);
-                        if (abort_ || s->cursor >= s->hi)
-                            break;
-                        u = s->cursor++;
-                    }
-                    coord_.executeUnit(tw_, u);
-                }
-                {
-                    std::lock_guard<std::mutex> lk(mutex_);
-                    s->done = true;
-                }
-                cv_.notify_all();
-            } else if (execute_here) {
-                work_slice(s);
-            }
-            if (!s->live) {
-                {
-                    std::unique_lock<std::mutex> lk(mutex_);
-                    if (!s->done)
-                        cv_.wait(lk,
-                                 [&] { return s->done || abort_; });
-                    if (abort_)
-                        break;
-                }
-                ++split_.segments;
-                replay(*s->cap);
-                s->cap.reset();
-                stats_ += s->stats;
-                leaves_ += s->leaves;
-                absorb(std::move(s->out));
-                s->out = ft::Tensor();
-            }
-            {
-                std::lock_guard<std::mutex> lk(mutex_);
-                ++replay_idx;
-            }
-            cv_.notify_all();
-        }
-    } catch (...) {
-        recordError();
-    }
-    // Always drain the workers before unwinding: they reference this
-    // frame's state (slices, the cursors).
-    join();
-    return finish();
-}
-
-ft::Tensor
-ShardRun::keyed(const std::vector<std::size_t>& slice_of,
-                std::size_t slices)
-{
-    setReorderInSlices(true);
+    // Slices of a collision-free partition reorder their own partial
+    // output into the declared order.
+    reorderInSlices_ = !reduce && !plan_.output.productionOrder.empty() &&
+                       plan_.output.needsReorder;
+    actx_.einsum = plan_.output.name;
+    actx_.rankIds = plan_.output.productionOrder.empty()
+                        ? std::vector<std::string>{"_S"}
+                        : (reorderInSlices_ ? plan_.output.declaredOrder
+                                            : plan_.output.productionOrder);
     split_.slices = slices;
     const std::vector<trace::DatapathSink*> shard_sinks =
         hooks_.makeShardSinks(slices);
 
-    /**
-     * One run of a slice's units under one owner: [lo, hi) of its
-     * run, in unit order. Segments are replayed in index order, which
-     * is serial unit order; a slice's segments ascend, and they run
-     * one at a time, in order, on the slice's engine.
-     */
+    /** A maximal run of consecutive units in one slice, [lo, hi).
+     *  Segments replay in index order, which is serial unit order. */
     struct Segment
     {
         std::size_t slice = 0;
@@ -814,10 +577,16 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
         bool done = false;
         std::unique_ptr<Capture> cap;
     };
-    /** One key range: an engine that persists across its segments,
-     *  so each output point accumulates in serial order. */
-    struct KeyedSlice
+    /** One slice's engine persists across its segments, which run one
+     *  at a time, in order, so each output point accumulates in the
+     *  serial order. */
+    struct Slice
     {
+        /// What the engine records into between two segments: the
+        /// coordinator frees a segment's capture once replayed, and an
+        /// engine flushes into its log when destroyed. Declared before
+        /// the engine, so it outlives it.
+        trace::TraceLog idle;
         std::unique_ptr<Engine> eng;
         std::size_t last = 0; // index of its last segment
         bool busy = false;    // a thread is running one of its segments
@@ -826,31 +595,26 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
         ExecutionStats stats;
     };
 
+    const std::size_t n = tw_.entries.size();
     std::vector<Segment> segs;
-    for (std::size_t r = 0; r + 1 < tw_.runs.size(); ++r) {
-        const std::size_t end = tw_.runs[r + 1];
-        for (std::size_t u = tw_.runs[r]; u < end;) {
-            const std::size_t s = slice_of[u];
-            std::size_t v = u + 1;
-            while (v < end && slice_of[v] == s)
-                ++v;
-            TEAAL_ASSERT(v == end || slice_of[v] > s,
-                         "output-keyed run's keys descend at unit ", v);
-            segs.push_back({s, u, v, false, false, nullptr});
-            u = v;
-        }
+    for (std::size_t u = 0; u < n;) {
+        std::size_t v = u + 1;
+        while (v < n && slice_of[v] == slice_of[u])
+            ++v;
+        segs.push_back({slice_of[u], u, v, false, false, nullptr});
+        u = v;
     }
-    std::vector<KeyedSlice> kslices(slices);
+    std::vector<Slice> sl(slices);
     for (std::size_t i = 0; i < segs.size(); ++i)
-        kslices[segs[i].slice].last = i;
+        sl[segs[i].slice].last = i;
 
     std::size_t replay_idx = 0; // next segment the coordinator replays
-    // Workers claim segments within a window ahead of the replay
-    // cursor, bounding the captured (not yet replayed) trace. A
-    // segment is a slice's share of one run, so the window spans
-    // several runs' worth of slices.
-    const std::size_t window =
-        std::max<std::size_t>(32, 16 * static_cast<std::size_t>(threads_));
+    // Workers claim segments within a window of four per thread ahead
+    // of the replay cursor: each thread finds an idle slice's segment
+    // while others run, and the captured, not yet replayed trace stays
+    // within that many segments. (On the Table 1 stand-ins at 4
+    // threads, windows of 16 to 224 segments ran equally fast.)
+    const std::size_t window = 4 * static_cast<std::size_t>(threads_);
 
     // Under the lock: the first unclaimed segment in the window whose
     // slice is idle. A slice's earliest unclaimed segment is always
@@ -861,9 +625,9 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
         const std::size_t limit = std::min(segs.size(), replay_idx + window);
         for (std::size_t i = replay_idx; i < limit; ++i) {
             Segment& g = segs[i];
-            if (!g.claimed && !kslices[g.slice].busy) {
+            if (!g.claimed && !sl[g.slice].busy) {
                 g.claimed = true;
-                kslices[g.slice].busy = true;
+                sl[g.slice].busy = true;
                 return i;
             }
         }
@@ -872,38 +636,40 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
 
     auto run_segment = [&](std::size_t i) {
         Segment& g = segs[i];
-        KeyedSlice& ks = kslices[g.slice];
+        Slice& s = sl[g.slice];
         try {
             TEAAL_FAILPOINT("exec.executor.slice");
             g.cap = newCapture();
-            if (ks.eng == nullptr) {
-                ks.eng = std::make_unique<Engine>(plan_, g.cap->log, sr_,
-                                                  opts_);
-                ks.eng->setTraceFilter(hooks_.classifier,
-                                       shard_sinks[g.slice]);
-                ks.eng->beginShard();
+            if (s.eng == nullptr) {
+                s.eng = std::make_unique<Engine>(plan_, g.cap->log, sr_,
+                                                 opts_);
+                s.eng->setTraceFilter(hooks_.classifier,
+                                      shard_sinks[g.slice]);
+                if (reduce_)
+                    s.eng->setReduceCapture(true);
+                s.eng->beginShard();
             } else {
-                ks.eng->captureInto(g.cap->log);
+                s.eng->captureInto(g.cap->log);
             }
             for (std::size_t u = g.lo; u < g.hi; ++u)
-                ks.eng->executeUnit(tw_, u);
-            if (i == ks.last) {
-                ks.eng->finishShard();
-                ks.out = reorder(ks.eng->takeOutput());
+                s.eng->executeUnit(tw_, u);
+            if (i == s.last) {
+                s.eng->finishShard();
+                s.out = reorder(s.eng->takeOutput());
                 if (reorderInSlices_)
-                    ks.leaves = ks.out.nnz();
-                ks.stats = ks.eng->stats();
-                ks.eng.reset();
-            } else {
-                ks.eng->sealCapture();
+                    s.leaves = s.out.nnz();
+                s.stats = s.eng->stats();
+                s.eng.reset();
             }
         } catch (...) {
             recordError();
         }
+        if (s.eng != nullptr)
+            s.eng->captureInto(s.idle);
         {
             std::lock_guard<std::mutex> lk(mutex_);
             g.done = true;
-            ks.busy = false;
+            s.busy = false;
         }
         cv_.notify_all();
     };
@@ -917,7 +683,7 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
                     return;
                 i = claim();
                 if (i == kNone) {
-                    cv_.wait_for(lk, std::chrono::milliseconds(1));
+                    cv_.wait(lk);
                     continue;
                 }
             }
@@ -928,13 +694,13 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
     const auto workers = static_cast<unsigned>(
         std::min<std::size_t>(threads_ - 1, slices));
     launch(workers, drain);
-    coord_.setInsertFilter(&fixup_.nodes);
 
-    // The coordinator replays segments strictly in order. While the
-    // one at the cursor is not done, it claims work like a worker —
-    // that segment itself when no worker has (its slice is then idle:
-    // the slice's earlier segments are replayed), else any claimable
-    // one in the window — and sleeps only until the next segment
+    // The coordinator replays segments strictly in order, and merges a
+    // slice's partial once its last segment is replayed. While the
+    // segment at the cursor is not done, it claims work like a worker
+    // — that segment itself when no worker has (its slice is then
+    // idle: the slice's earlier segments are replayed), else any
+    // claimable one in the window — and sleeps until the next segment
     // completes when nothing is claimable.
     try {
         for (std::size_t i = 0; i < segs.size();) {
@@ -943,12 +709,11 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
                 std::unique_lock<std::mutex> lk(mutex_);
                 if (abort_)
                     break;
-                const Segment& g = segs[i];
-                if (!g.done) {
-                    const bool unclaimed = !g.claimed;
+                if (!segs[i].done) {
+                    const bool unclaimed = !segs[i].claimed;
                     mine = claim();
                     TEAAL_ASSERT(!unclaimed || mine == i,
-                                 "keyed slice busy past the replay cursor");
+                                 "slice busy past the replay cursor");
                     if (mine == kNone) {
                         cv_.wait(lk);
                         continue;
@@ -959,14 +724,18 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
                 run_segment(mine);
                 continue;
             }
-            {
-                std::lock_guard<std::mutex> lk(mutex_);
-                if (abort_)
-                    break;
-            }
+            // Done and no abort: the segment ran without error (a
+            // failing one aborts before it is marked done).
+            Segment& g = segs[i];
             ++split_.segments;
-            replay(*segs[i].cap);
-            segs[i].cap.reset();
+            replay(*g.cap);
+            g.cap.reset();
+            Slice& s = sl[g.slice];
+            if (i == s.last) {
+                stats_ += s.stats;
+                leaves_ += s.leaves;
+                absorb(std::move(s.out));
+            }
             {
                 std::lock_guard<std::mutex> lk(mutex_);
                 replay_idx = ++i;
@@ -976,12 +745,9 @@ ShardRun::keyed(const std::vector<std::size_t>& slice_of,
     } catch (...) {
         recordError();
     }
+    // Always drain the workers before unwinding: they reference this
+    // frame's segments and slices.
     join();
-    for (KeyedSlice& ks : kslices) {
-        stats_ += ks.stats;
-        leaves_ += ks.leaves;
-        absorb(std::move(ks.out));
-    }
     return finish();
 }
 
@@ -1102,27 +868,31 @@ Executor::runSharded(unsigned threads)
     split_.depth = tw.depth;
     split_.units = n;
 
-    ShardRun run(plan_, engine_, sr_, opts_, tw, threads, split_);
+    // Output-keyed slices are key ranges. Otherwise they are
+    // contiguous unit ranges: a collision-free walk's partials own
+    // disjoint output points and merge without adding anything up; a
+    // colliding walk here has no output coordinate to key on, so its
+    // partials reduce-merge.
     std::size_t slices = 0;
-    const std::vector<std::size_t> slice_of =
-        keyed && n > 1 ? keyedSlices(tw, slices) : std::vector<std::size_t>{};
+    std::vector<std::size_t> slice_of;
+    if (keyed) {
+        split_.merge = SplitPoint::Merge::Keyed;
+        slice_of = keyedSlices(tw, slices);
+    } else {
+        split_.merge = tw.collides ? SplitPoint::Merge::Reduce
+                                   : SplitPoint::Merge::Disjoint;
+        slices = std::min(n, tw.collides ? kReduceShards : kMaxShards);
+        slice_of = contiguousSlices(tw.weight, n, slices);
+    }
+    ShardRun run(plan_, engine_, sr_, opts_, tw, threads, split_);
     ft::Tensor out;
-    if (n <= 1 || (keyed && slices <= 1)) {
+    if (slices <= 1) {
         // Nothing to spread (one unit, or one key): run it live.
         split_.merge = SplitPoint::Merge::Live;
         out = run.live();
-    } else if (keyed) {
-        split_.merge = SplitPoint::Merge::Keyed;
-        out = run.keyed(slice_of, slices);
     } else {
-        // Contiguous unit slices. A collision-free walk's partials own
-        // disjoint output points: they merge without adding anything
-        // up, and the coordinator runs the slices it claims live on the
-        // delivery bus. A colliding walk here has no output coordinate
-        // to key on, so its partials reduce-merge.
-        split_.merge = tw.collides ? SplitPoint::Merge::Reduce
-                                   : SplitPoint::Merge::Disjoint;
-        out = run.contiguous(tw.collides);
+        out = run.sliced(slice_of, slices,
+                         split_.merge == SplitPoint::Merge::Reduce);
     }
     stats_ = run.stats();
     return out;

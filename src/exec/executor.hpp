@@ -32,11 +32,7 @@
  *   - a collision-free walk (no loop restricting a contraction
  *     variable branches) is cut into contiguous unit slices that merge
  *     with Fiber::absorbDisjoint, whose leaf-collision error is the
- *     check. Idle workers steal the unexecuted upper half of the
- *     largest in-flight slice; the coordinator runs the slices it
- *     claims live on the delivery bus, and when the output needs its
- *     declared-order reorder, each slice reorders its own partial, so
- *     the coordinator only merges and charges the swizzle;
+ *     check;
  *   - a walk that collides, or that has fewer units than a pool's
  *     slice count and would collide one loop deeper, is split
  *     output-keyed ("keyed") when a loop at or below the split (below
@@ -44,38 +40,44 @@
  *     the walk is enumerated at that loop, and each unit's key is the
  *     output coordinate it binds. A slice is a range of keys — every
  *     unit writing one output point has the point's key, so slices
- *     own disjoint output points — and one engine runs all of a
- *     slice's units in ascending unit order, across every parent node
- *     (a node of the prefix level just above the split loop). Each
- *     output point therefore accumulates in exactly the serial order,
- *     and the partials merge with Fiber::absorbDisjoint. A slice's
- *     capture is cut into one segment per run of its units under one
- *     parent node; workers claim segments in unit order within a
- *     window of the replay cursor (a slice's segments one at a time,
- *     on its persistent engine), and the coordinator replays them in
- *     unit order, spilled or resident alike. A barren node's
- *     placeholder unit has no key and runs in slice 0. Keyed slices
- *     are never split by steals;
+ *     own disjoint output points — and its units run in ascending unit
+ *     order across every parent node (a node of the prefix level just
+ *     above the split loop). Each output point therefore accumulates
+ *     in exactly the serial order, and the partials merge with
+ *     Fiber::absorbDisjoint. A barren node's placeholder unit has no
+ *     key and runs in slice 0;
  *   - a colliding walk with no output coordinate to key on (a scalar
  *     output, or an output variable that is no loop's leading
- *     variable) merges with Fiber::absorbReduce (semiring add on leaf
- *     collisions), with the captured streams fixed up to the serial
- *     engine's reduce records;
+ *     variable) is cut into contiguous slices that merge with
+ *     Fiber::absorbReduce (semiring add on leaf collisions), with the
+ *     captured streams fixed up to the serial engine's reduce records;
  *   - a walk of one unit (or a keyed walk of one key) runs live on
  *     the coordinator, with no worker, capture, spill or replay.
+ *
+ * One scheduler runs every split. Each slice is one engine that
+ * persists across the slice's units; its capture is cut into
+ * segments, its maximal runs of consecutive units (one segment for a
+ * contiguous slice, about one per parent node for a keyed one).
+ * Workers claim segments in unit order within a window of the replay
+ * cursor, a slice's segments one at a time; the coordinator replays
+ * them in unit order, spilled or resident alike, captures claimable
+ * segments itself while the one at its cursor runs, and merges a
+ * slice's partial output once its last segment is replayed. When the
+ * output needs its declared-order reorder and the merge is disjoint,
+ * each slice reorders its own partial, so the coordinator only merges
+ * and charges the swizzle.
  *
  * Executor::split() reports the point a run used.
  *
  * Slice boundaries are placed at work-weighted quantiles of the
  * enumerated units, or of a keyed walk's keys (per-rank occupancy
- * estimates). The split, the initial slice count and the boundaries
- * depend only on the plan, the data and constants — never on the
- * thread count — so counters and traces are identical for every N,
- * and tensor values are too, except under the reduce merge, where
- * they may differ from the serial run's by floating-point summation
+ * estimates). The split, the slice count and the boundaries depend
+ * only on the plan, the data and constants — never on the thread
+ * count — so counters and traces are identical for every N, and
+ * tensor values are too, except under the reduce merge, where they
+ * may differ from the serial run's by floating-point summation
  * grouping (exactly identical when the semiring add is associative;
- * reduce slices are never split by steals, so the grouping is the
- * same at every N > 1).
+ * the grouping is the same at every N > 1).
  *
  * ExecOptions::modelHooks (set by the pipeline on every run) make
  * every trace bus *split the model*: order-independent datapath
@@ -113,10 +115,12 @@ struct SplitPoint
         Live,     ///< one unit or key (or none): run live on the
                   ///< coordinator
         Disjoint, ///< collision-free contiguous slices, absorbDisjoint
-        Keyed,    ///< output-keyed slices replayed per parent-node
-                  ///< segment, absorbDisjoint
-        Reduce,   ///< colliding slices with no output coordinate to
-                  ///< key on: absorbReduce plus the fixup
+        Keyed,    ///< output-keyed slices (ranges of one output
+                  ///< coordinate) replayed per parent-node segment,
+                  ///< absorbDisjoint
+        Reduce,   ///< only for colliding walks with no output
+                  ///< coordinate to key on: contiguous slices,
+                  ///< absorbReduce plus the fixup
     };
 
     Merge merge = Merge::Serial;
@@ -125,13 +129,13 @@ struct SplitPoint
     std::size_t depth = 0;
     /// Units the walk yielded at that loop.
     std::size_t units = 0;
-    /// Slices the units were first cut into (before any steal; 1 when
-    /// live, 0 when serial).
+    /// Slices the units were cut into (1 when live, 0 when serial).
     std::size_t slices = 0;
-    /// Capture segments the coordinator replayed: one per captured
-    /// slice, or per keyed slice and parent node.
+    /// Capture segments the coordinator replayed: a slice's maximal
+    /// runs of consecutive units (one per contiguous slice).
     std::size_t segments = 0;
-    /// Slices the coordinator ran live on the delivery bus.
+    /// Slices the coordinator ran live on the delivery bus: 1 when the
+    /// whole walk ran live, else 0 (every slice is captured).
     std::size_t live = 0;
 };
 

@@ -335,14 +335,15 @@ class BatchBus
     explicit BatchBus(TraceLog& log) : log_(&log), threshold_(0) {}
 
     /**
-     * Capture mode: record into @p log from here on, restarting every
-     * counter the log's bookkeeping is relative to (as a spill frame
-     * cut does), so each log is a valid stand-alone capture. flush()
-     * the previous log first.
+     * Capture mode: flush() the current log, then record into @p log
+     * from here on, restarting every counter the log's bookkeeping is
+     * relative to (as a spill frame cut does), so each log is a valid
+     * stand-alone capture.
      */
     void
     capture(TraceLog& log)
     {
+        flush();
         log_ = &log;
         logChunk_ = nullptr;
         logged_ = 0;

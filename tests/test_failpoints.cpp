@@ -193,28 +193,54 @@ TEST_F(Failpoints, DelayProgramMakesDeadlineFireMidRun)
     }
 }
 
+/** A slice failing on a worker surfaces as the run's diagnostic. Gamma
+ *  fails on its first slice. ExTensor's K1 tiles under one N1 tile
+ *  split output-keyed at M0, a segment per slice and K1 node, and fail
+ *  once half of the segments ran: the coordinator has replayed and
+ *  freed captures of slices whose engines sit idle until their next
+ *  segment, and the unwind that destroys those engines must not touch
+ *  a freed capture (the sanitizer jobs check). */
 TEST_F(Failpoints, WorkerErrorsSurfaceAsDiagnosticsNotTerminate)
 {
     TEAAL_REQUIRE_SITES();
     ft::Tensor a, b;
     const Workload w = smallWorkload(a, b);
-    auto model = compiler::compile(accel::gamma());
-
-    fp::setFromSpec("exec.executor.slice",
-                    "error(injected slice failure)");
-    RunOptions opts;
-    opts.threads = 4;
-    try {
-        model.run(w, opts);
-        FAIL() << "expected injected worker DiagnosticError";
-    } catch (const DiagnosticError& e) {
-        EXPECT_NE(std::string(e.what()).find("injected slice failure"),
-                  std::string::npos);
+    accel::ExTensorConfig keyed;
+    keyed.pes = 4;
+    keyed.tileK1 = 16;
+    keyed.tileK0 = 4;
+    keyed.tileM1 = 64;
+    keyed.tileM0 = 4;
+    keyed.tileN1 = 64;
+    keyed.tileN0 = 4;
+    keyed.llcBytes = 256 * 1024;
+    for (const bool is_keyed : {false, true}) {
+        SCOPED_TRACE(is_keyed ? "keyed" : "disjoint");
+        auto model = compiler::compile(is_keyed ? accel::extensor(keyed)
+                                                : accel::gamma());
+        RunOptions opts;
+        opts.threads = 4;
+        std::string spec = "error(injected slice failure)";
+        if (is_keyed) {
+            const compiler::SimulationResult clean = model.run(w, opts);
+            const exec::SplitPoint& split = clean.splits.back();
+            ASSERT_EQ(split.merge, exec::SplitPoint::Merge::Keyed);
+            ASSERT_GT(split.segments, 2 * split.slices);
+            spec += "+skip(" + std::to_string(split.segments / 2) + ")";
+        }
+        fp::setFromSpec("exec.executor.slice", spec);
+        try {
+            model.run(w, opts);
+            FAIL() << "expected injected worker DiagnosticError";
+        } catch (const DiagnosticError& e) {
+            EXPECT_NE(std::string(e.what()).find("injected slice failure"),
+                      std::string::npos);
+        }
+        // The executor drained its workers before unwinding; the model
+        // runs cleanly once the fault is lifted.
+        fp::clearAll();
+        EXPECT_NO_THROW(model.run(w, opts));
     }
-    // The executor drained its workers before unwinding; the model
-    // runs cleanly once the fault is lifted.
-    fp::clearAll();
-    EXPECT_NO_THROW(model.run(w, opts));
 }
 
 TEST_F(Failpoints, PlanInstantiationFailureLeavesCacheClean)

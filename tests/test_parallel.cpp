@@ -820,42 +820,68 @@ TEST(Parallel, AbsorbReduceRankMismatchIsAnError)
 
 /** An observer throwing mid-run must surface as a catchable exception
  *  from run() at any thread count (workers are drained first), not a
- *  process abort. */
+ *  process abort: thrown at its first batch, or a quarter, half or
+ *  three quarters into the run. Gamma splits disjoint; ExTensor with
+ *  K1 tiles under one N1 tile splits output-keyed, a segment per slice
+ *  and K1 node, more than the claim window holds. A later throw then
+ *  finds slice engines idle between two segments after the coordinator
+ *  replayed and freed earlier captures, and the unwind that destroys
+ *  those engines must not touch a freed capture (the sanitizer jobs
+ *  check). */
 TEST(Parallel, ObserverExceptionPropagatesFromShardedRun)
 {
     struct Thrower : trace::Observer
     {
+        std::size_t at = 0; // 0: never throw, only count
+        std::size_t seen = 0;
+
         void
         onEventBatch(const trace::EventBatch&) override
         {
-            throw std::runtime_error("observer boom");
+            if (++seen == at)
+                throw std::runtime_error("observer boom");
         }
     };
     const auto mats = makeMatrices(31);
-    // Gamma splits disjoint; ExTensor with K1 tiles under one N1 tile
-    // splits output-keyed, so the replay that throws leaves keyed
-    // slices mid-run.
     accel::ExTensorConfig keyed = smallExTensor();
     keyed.tileM1 = 64;
     keyed.tileN1 = 64;
-    for (compiler::Specification spec :
-         {accel::gamma(smallGamma()), accel::extensor(keyed)}) {
-        auto model = compiler::compile(std::move(spec));
+    for (const bool is_keyed : {false, true}) {
+        auto model = compiler::compile(is_keyed ? accel::extensor(keyed)
+                                                : accel::gamma(smallGamma()));
         Workload w;
         w.add("A", mats.a).add("B", mats.b);
-        for (const unsigned threads : {1u, 4u}) {
-            Thrower thrower;
-            RunOptions opts;
-            opts.threads = threads;
-            opts.cacheState = false;
-            opts.observers.push_back(&thrower);
-            EXPECT_THROW(model.run(w, opts), std::runtime_error)
-                << "threads=" << threads;
-        }
-        // The pool drained: the model runs cleanly afterwards.
+        Thrower counter;
         RunOptions four;
         four.threads = 4;
-        EXPECT_NO_THROW(model.run(w, four));
+        four.observers.push_back(&counter);
+        const SimulationResult clean = model.run(w, four);
+        const std::size_t batches = counter.seen;
+        ASSERT_GE(batches, 8u);
+        if (is_keyed) {
+            const exec::SplitPoint& split = clean.splits.back();
+            ASSERT_EQ(split.merge, exec::SplitPoint::Merge::Keyed);
+            ASSERT_GT(split.segments, 2 * split.slices);
+        }
+        for (const std::size_t at :
+             {std::size_t{1}, batches / 4, batches / 2, 3 * batches / 4}) {
+            for (const unsigned threads : {1u, 4u}) {
+                Thrower thrower;
+                thrower.at = at;
+                RunOptions opts;
+                opts.threads = threads;
+                opts.cacheState = false;
+                opts.observers.push_back(&thrower);
+                EXPECT_THROW(model.run(w, opts), std::runtime_error)
+                    << "keyed=" << is_keyed << " threads=" << threads
+                    << " batch " << at << " of " << batches;
+            }
+        }
+        // The pool drained: the model runs cleanly afterwards.
+        Thrower again_counter;
+        four.observers = {&again_counter};
+        expectSameResults(clean, model.run(w, four));
+        EXPECT_EQ(again_counter.seen, batches);
     }
 }
 

@@ -9,9 +9,9 @@
  * (spillKeep retains them), serial runs never touch the directory,
  * and SpillStats reports what was written. Also the first-write bit
  * that leaf output writes carry through every variant, spill
- * included, a one-unit walk that runs live and spills nothing, and a
- * walk split output-keyed below a two-level prefix of pre-lookups and
- * barren nodes.
+ * included, a one-unit walk that runs live and spills nothing, and
+ * walks split below a two-level prefix of pre-lookups and barren
+ * nodes, output-keyed and (for a scalar output) reduce-merged.
  */
 #include <gtest/gtest.h>
 
@@ -438,6 +438,9 @@ TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
  * split to N, depth 2, where it goes output-keyed on n. The barren
  * nodes' placeholder units have no key; they run in slice 0, between
  * the other slices' segments, and the stream must still be serial.
+ * kScalarPrefixYaml sums the same products into a scalar: with no
+ * output coordinate to key on, its depth-two split reduce-merges
+ * contiguous slices, barren placeholders among their units.
  */
 const char* kPrefixYaml = R"(
 einsum:
@@ -449,6 +452,21 @@ einsum:
     Z: [M, N]
   expressions:
     - Z[m, n] = P[0, m, k] * X[m, 1] * B[k, n] * C[m, n]
+mapping:
+  loop-order:
+    Z: [M, K, N]
+)";
+
+const char* kScalarPrefixYaml = R"(
+einsum:
+  declaration:
+    P: [S, M, K]
+    X: [M, W]
+    B: [K, N]
+    C: [M, N]
+    Z: []
+  expressions:
+    - Z[] = P[0, m, k] * X[m, 1] * B[k, n] * C[m, n]
 mapping:
   loop-order:
     Z: [M, K, N]
@@ -489,51 +507,68 @@ prefixWorkload(ft::Coord plane)
 
 TEST(Spill, PreLookupsAndBarrenNodesInADepthTwoPrefix)
 {
-    auto model =
-        compiler::compile(compiler::Specification::parse(kPrefixYaml));
-    ASSERT_EQ(model.shardPlans().size(), 1u);
+    struct Case
+    {
+        const char* yaml;
+        exec::SplitPoint::Merge merge;
+    };
+    for (const Case& c :
+         {Case{kPrefixYaml, exec::SplitPoint::Merge::Keyed},
+          Case{kScalarPrefixYaml, exec::SplitPoint::Merge::Reduce}}) {
+        SCOPED_TRACE(exec::mergeName(c.merge));
+        auto model =
+            compiler::compile(compiler::Specification::parse(c.yaml));
+        ASSERT_EQ(model.shardPlans().size(), 1u);
 
-    for (const ft::Coord plane : {0, 1}) {
-        // Plane 1 makes loop 0's pre-lookup miss: the run executes
-        // nothing below it.
-        SCOPED_TRACE(plane);
-        const Workload w = prefixWorkload(plane);
-        StreamRecorder serial_rec;
-        RunOptions opts;
-        opts.observers = {&serial_rec};
-        const SimulationResult serial = model.run(w, opts);
+        for (const ft::Coord plane : {0, 1}) {
+            // Plane 1 makes loop 0's pre-lookup miss: the run executes
+            // nothing below it.
+            SCOPED_TRACE(plane);
+            const Workload w = prefixWorkload(plane);
+            StreamRecorder serial_rec;
+            RunOptions opts;
+            opts.observers = {&serial_rec};
+            const SimulationResult serial = model.run(w, opts);
 
-        StreamRecorder resident_rec;
-        opts.threads = 4;
-        opts.observers = {&resident_rec};
-        const SimulationResult resident = model.run(w, opts);
+            StreamRecorder resident_rec;
+            opts.threads = 4;
+            opts.observers = {&resident_rec};
+            const SimulationResult resident = model.run(w, opts);
 
-        const TempDir tmp;
-        StreamRecorder spilled_rec;
-        opts.spillDir = tmp.str();
-        opts.spillSegmentBytes = 64;
-        opts.observers = {&spilled_rec};
-        const SimulationResult spilled = model.run(w, opts);
+            const TempDir tmp;
+            StreamRecorder spilled_rec;
+            opts.spillDir = tmp.str();
+            opts.spillSegmentBytes = 64;
+            opts.observers = {&spilled_rec};
+            const SimulationResult spilled = model.run(w, opts);
 
-        expectSameResults(serial, resident);
-        expectSameResults(serial, spilled);
-        EXPECT_EQ(serial_rec.log, resident_rec.log);
-        EXPECT_EQ(serial_rec.log, spilled_rec.log);
-        EXPECT_EQ(tmp.fileCount(), 0u);
-        ASSERT_EQ(resident.splits.size(), 1u);
-        if (plane == 0) {
-            EXPECT_GT(serial.records[0].execStats.leafVisits, 0u);
-            EXPECT_EQ(resident.splits[0].rank, "N");
-            EXPECT_EQ(resident.splits[0].depth, 2u);
-            EXPECT_EQ(resident.splits[0].merge,
-                      exec::SplitPoint::Merge::Keyed);
-            EXPECT_GT(resident.splits[0].slices, 1u);
-            EXPECT_GT(spilled.spill.frames, 0u);
-            for (const auto& [name, t] : serial.tensors)
-                EXPECT_TRUE(t.equals(resident.tensors.at(name), 0.0));
-        } else {
-            EXPECT_EQ(serial.records[0].execStats.leafVisits, 0u);
-            EXPECT_EQ(resident.splits[0].units, 0u);
+            expectSameResults(serial, resident);
+            expectSameResults(serial, spilled);
+            EXPECT_EQ(serial_rec.log, resident_rec.log);
+            EXPECT_EQ(serial_rec.log, spilled_rec.log);
+            EXPECT_EQ(tmp.fileCount(), 0u);
+            ASSERT_EQ(resident.splits.size(), 1u);
+            ASSERT_EQ(spilled.splits.size(), 1u);
+            if (plane == 0) {
+                EXPECT_GT(serial.records[0].execStats.leafVisits, 0u);
+                for (const exec::SplitPoint& split :
+                     {resident.splits[0], spilled.splits[0]}) {
+                    EXPECT_EQ(split.rank, "N");
+                    EXPECT_EQ(split.depth, 2u);
+                    EXPECT_EQ(split.merge, c.merge);
+                    EXPECT_GT(split.slices, 1u);
+                }
+                EXPECT_GT(spilled.spill.frames, 0u);
+                // Small integer values: the reduce merge's regrouped
+                // sums are exact too.
+                for (const auto& [name, t] : serial.tensors) {
+                    EXPECT_TRUE(t.equals(resident.tensors.at(name), 0.0));
+                    EXPECT_TRUE(t.equals(spilled.tensors.at(name), 0.0));
+                }
+            } else {
+                EXPECT_EQ(serial.records[0].execStats.leafVisits, 0u);
+                EXPECT_EQ(resident.splits[0].units, 0u);
+            }
         }
     }
 }
