@@ -12,6 +12,7 @@
  * Emits the human table plus bench::jsonRow machine-readable lines.
  */
 #include <iostream>
+#include <vector>
 
 #include "common.hpp"
 #include "compiler/pipeline.hpp"
@@ -25,12 +26,13 @@ namespace
 
 using namespace teaal;
 
-ft::Fiber
-randomFiber(std::size_t nnz, ft::Coord space, std::uint64_t seed)
+/** Up to @p nnz ascending random coordinates in [0, @p space). */
+std::vector<ft::Coord>
+randomCoords(std::size_t nnz, ft::Coord space, std::uint64_t seed)
 {
     Xoshiro256 rng(seed);
-    ft::Fiber f(space);
-    f.reserve(nnz);
+    std::vector<ft::Coord> crd;
+    crd.reserve(nnz);
     const auto gap = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(space) / nnz);
     ft::Coord c = 0;
@@ -38,9 +40,20 @@ randomFiber(std::size_t nnz, ft::Coord space, std::uint64_t seed)
         c += 1 + static_cast<ft::Coord>(rng.below(2 * gap - 1));
         if (c >= space)
             break; // keep every coordinate in [0, shape)
-        f.append(c, ft::Payload(1.0));
+        crd.push_back(c);
     }
-    return f;
+    return crd;
+}
+
+/** A view of the whole coordinate array @p crd, of shape @p space. */
+ft::FiberView
+coordView(const std::vector<ft::Coord>& crd, ft::Coord space)
+{
+    ft::FiberView v;
+    v.crd = crd.data();
+    v.hi = crd.size();
+    v.shapeHint = space;
+    return v;
 }
 
 struct WalkResult
@@ -50,11 +63,9 @@ struct WalkResult
 };
 
 WalkResult
-timeStrategy(ir::CoiterStrategy s, const ft::Fiber& fa,
-             const ft::Fiber& fb, int iters)
+timeStrategy(ir::CoiterStrategy s, const std::vector<ft::FiberView>& views,
+             int iters)
 {
-    const std::vector<ft::FiberView> views{ft::FiberView::whole(&fa),
-                                           ft::FiberView::whole(&fb)};
     std::vector<std::size_t> pos(2), scans(2);
     std::vector<bool> present(2);
     WalkResult r;
@@ -85,7 +96,7 @@ timeStrategy(ir::CoiterStrategy s, const ft::Fiber& fa,
           }
           case ir::CoiterStrategy::DenseDrive: {
             const ft::Coord extent =
-                std::max(fa.shape(), fb.shape());
+                std::max(views[0].shape(), views[1].shape());
             exec::denseProbe(views, extent, false, pos, scans, present,
                              [&](ft::Coord) {
                                  ++matches;
@@ -150,10 +161,12 @@ main()
     table.setHeader({"case", "strategy", "matches", "us/walk",
                      "vs 2finger"});
     for (const Case& c : cases) {
-        const ft::Fiber fa = randomFiber(c.nnzA, space, 7);
-        const ft::Fiber fb = randomFiber(c.nnzB, space, 9);
+        const std::vector<ft::Coord> ca = randomCoords(c.nnzA, space, 7);
+        const std::vector<ft::Coord> cb = randomCoords(c.nnzB, space, 9);
+        const std::vector<ft::FiberView> views{coordView(ca, space),
+                                               coordView(cb, space)};
         const WalkResult two =
-            timeStrategy(ir::CoiterStrategy::TwoFinger, fa, fb, 20);
+            timeStrategy(ir::CoiterStrategy::TwoFinger, views, 20);
         for (const auto s :
              {ir::CoiterStrategy::TwoFinger, ir::CoiterStrategy::Gallop,
               ir::CoiterStrategy::DenseDrive}) {
@@ -162,7 +175,7 @@ main()
             // sparse drivers.
             const int iters =
                 s == ir::CoiterStrategy::DenseDrive ? 3 : 20;
-            const WalkResult r = timeStrategy(s, fa, fb, iters);
+            const WalkResult r = timeStrategy(s, views, iters);
             const double speedup = two.seconds / r.seconds;
             table.addRow({c.name, ir::coiterStrategyName(s),
                           std::to_string(r.matches),

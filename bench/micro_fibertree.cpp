@@ -10,7 +10,6 @@
 
 #include "compiler/pipeline.hpp"
 #include "exec/executor.hpp"
-#include "fibertree/coiter.hpp"
 #include "fibertree/transform.hpp"
 #include "ir/plan.hpp"
 #include "trace/batch.hpp"
@@ -57,31 +56,6 @@ BM_FiberLookup(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FiberLookup);
-
-void
-BM_Intersect2(benchmark::State& state)
-{
-    ft::Fiber a(1 << 20), b(1 << 20);
-    Xoshiro256 rng(9);
-    ft::Coord ca = 0, cb = 0;
-    for (int i = 0; i < (1 << 15); ++i) {
-        ca += 1 + static_cast<ft::Coord>(rng.below(30));
-        cb += 1 + static_cast<ft::Coord>(rng.below(30));
-        a.append(ca, ft::Payload(1.0));
-        b.append(cb, ft::Payload(1.0));
-    }
-    for (auto _ : state) {
-        std::size_t matches = 0;
-        ft::intersect2(ft::FiberView::whole(&a),
-                       ft::FiberView::whole(&b),
-                       [&](ft::Coord, std::size_t, std::size_t) {
-                           ++matches;
-                       });
-        benchmark::DoNotOptimize(matches);
-    }
-    state.SetItemsProcessed(state.iterations() * (2 << 15));
-}
-BENCHMARK(BM_Intersect2);
 
 void
 BM_Swizzle(benchmark::State& state)

@@ -183,11 +183,9 @@ main()
     fs::remove_all(dir);
 
     std::cout << "\nnote: the split each run used depends only on the "
-                 "plan and data (and a constant unit floor), so counters "
-                 "and replayed traces are byte-identical at every thread "
-                 "count (output values too, except under the reduce "
-                 "merge of a walk with no output coordinate to key "
-                 "on); speedup depends on host "
+                 "plan and data (and a constant unit floor), so counters, "
+                 "replayed traces and output values are byte-identical "
+                 "at every thread count; speedup depends on host "
                  "cores (the order-dependent storage replay stays "
                  "single-threaded by design — it is the Amdahl floor).\n";
     return 0;

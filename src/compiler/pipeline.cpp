@@ -367,7 +367,8 @@ CompiledModel::shardingReport() const
                 out += "disjoint sharding along rank '" + e.rank + "'";
             } else if (e.mode == "reduce") {
                 out += "reduction sharding along rank '" + e.rank +
-                       "' (partial outputs merged by semiring add)";
+                       "' (a run splits output-keyed below it, or runs "
+                       "live)";
             } else {
                 out += "inner-rank sharding along rank '" + e.rank +
                        "' (outermost rank carries lookups or binds no "

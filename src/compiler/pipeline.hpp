@@ -221,14 +221,12 @@ struct RunOptions
     /// executor splits the walk at the outermost loop (the one below
     /// it when the top rank is lookup-bound), one loop deeper while
     /// that yields too few units, and reports the split in
-    /// SimulationResult::splits. Counters and delivered trace
-    /// batches are byte-identical at every thread count; output
-    /// values too, except where a walk already branches at a
-    /// contraction-restricting loop at its starting depth (SIGMA's
-    /// K1 tiles): its partial outputs merge by semiring add, which
-    /// may regroup floating-point sums. The rare unshardable Einsum
-    /// (e.g. a whole-tensor copy) runs serially, logged once per
-    /// model.
+    /// SimulationResult::splits. Counters, delivered trace batches
+    /// and output values are byte-identical at every thread count: a
+    /// walk that branches at a contraction-restricting loop (SIGMA's
+    /// K1 tiles) splits by output coordinate, or runs live when no
+    /// loop keys one. The rare unshardable Einsum (e.g. a whole-tensor
+    /// copy) runs serially, logged once per model.
     ///
     /// The performance model parallelizes with the walk: each worker
     /// runs the model's order-independent tier
@@ -299,7 +297,11 @@ struct ShardingEntry
     bool shardable = false;
 
     /// "disjoint", "reduce", or "inner" when shardable; "serial"
-    /// otherwise.
+    /// otherwise. The compile-time estimate of how partial outputs at
+    /// the starting depth relate (ir::ShardPlan::Mode): "reduce" means
+    /// they may share output points, so a run splits output-keyed
+    /// below that rank or runs live; nothing is merged by semiring
+    /// add.
     std::string mode;
 
     /// The sharded loop rank (empty when serial).

@@ -1313,13 +1313,8 @@ Engine::leafCompute(std::uint64_t pe)
         bus_.compute('m', pe, muls);
     if (adds > 0)
         bus_.compute('a', pe, adds);
-    // Reduction sharding: an engine-locally first write may be a
-    // reduce into a leaf another shard already wrote; the
-    // coordinator's in-order fixup tells, from the bit and the
-    // expression-add count carried in `a`.
     bus_.outputWrite(plan_.output.name, out_.numRanks() - 1, leafCoord_,
-                     leafHash_, first, true, pe,
-                     markReduce_ && first ? adds : 0);
+                     leafHash_, first, true, pe);
 }
 
 } // namespace teaal::exec

@@ -53,14 +53,13 @@ namespace teaal::exec
  * they are produced, through typed trace::DatapathSink calls that
  * build no Event, and only the order-dependent records reach the
  * observer. The serial engine's bus, and the coordinator's on the
- * sharded path (live-executed slices, the top-walk summary, the reduce
- * adds the replay fixup restores), call @ref coordinatorSink; each
- * worker's capture bus calls its slice's sink, so the model's
- * datapath work runs inside the shards and only the stateful records
- * are captured and replayed serially. Results are the same at every
- * thread count: every datapath quantity is an exact (dyadic-rational)
- * sum, and the event/batch diagnostics are accounted as if
- * unfiltered.
+ * sharded path (a live run, the top-walk summary), call
+ * @ref coordinatorSink; each worker's capture bus calls its slice's
+ * sink, so the model's datapath work runs inside the shards and only
+ * the stateful records are captured and replayed serially. Results
+ * are the same at every thread count: every datapath quantity is an
+ * exact (dyadic-rational) sum, and the event/batch diagnostics are
+ * accounted as if unfiltered.
  */
 struct ModelHooks
 {
@@ -108,8 +107,9 @@ struct ExecOptions
      * N >= 2 splits the walk at the loop the executor picks for the
      * run (see exec::SplitPoint) across N workers when the plan is
      * shardable (ir::analyzeSharding) and @ref modelHooks are set —
-     * counters and delivered trace batches are byte-identical at
-     * every thread count. Without hooks the run is serial.
+     * counters, delivered trace batches and the output tensor are
+     * byte-identical at every thread count. Without hooks the run is
+     * serial.
      */
     unsigned threads = 1;
 
@@ -265,9 +265,9 @@ struct TopWalk
 
     /// Some loop in 0..depth that restricts a contraction variable
     /// branches (two or more coordinates under one prefix node): unit
-    /// partials may write the same output point, so they merge by
-    /// semiring add. Otherwise every unit owns a disjoint set of
-    /// output points.
+    /// partials may write the same output point, so the walk splits
+    /// output-keyed or runs live. Otherwise every unit owns a disjoint
+    /// set of output points.
     bool collides = false;
 
     /** Unit @p u is a barren node's placeholder (it has no key). */
@@ -433,17 +433,6 @@ class Engine
      * no longer touched and may be freed.
      */
     void captureInto(trace::TraceLog& log);
-
-    /**
-     * Reduction sharding: leaf output writes that are fresh *in this
-     * engine* (flagA, the first-write bit) carry their expression-add
-     * count in the event's `a` field. The coordinator's replay fixup
-     * turns every such write whose leaf an earlier shard already
-     * wrote back into the reduce-add form the serial engine emitted
-     * (clearing the bit), and keeps the bit on the run's true first
-     * writes.
-     */
-    void setReduceCapture(bool on) { markReduce_ = on; }
 
     /**
      * Route datapath-class records on this engine's trace bus to
@@ -760,7 +749,6 @@ class Engine
     std::size_t nextCancelPoll_ = 0;
 
     // Sharded-execution state (see the public shard API).
-    bool markReduce_ = false; // setReduceCapture
     /// Prefix nodes held open by executeUnit, one per level from 0.
     struct OpenNode
     {

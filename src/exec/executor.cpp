@@ -36,18 +36,9 @@ namespace
 constexpr std::size_t kMaxShards = 64;
 
 /**
- * Slice count of a colliding walk with no output coordinate to key
- * on. Its partition is the summation grouping, and each slice's
- * partial output costs the coordinator a semiring-add merge, so it
- * takes half as many slices as a disjoint walk.
- */
-constexpr std::size_t kReduceShards = 32;
-
-/**
  * Fewest units a split should yield: while the walk has fewer, it is
  * enumerated again one loop deeper (Executor::enumerateSplit). A
- * constant, so the split — and with it a reduce merge's summation
- * grouping — never depends on the thread count.
+ * constant, so the split never depends on the thread count.
  */
 constexpr std::size_t kMinUnits = 16;
 
@@ -180,81 +171,36 @@ struct OutputNodes
     }
 };
 
-/** Cross-slice state the in-order replay fixup threads through every
- *  capture. */
-struct FixupState
-{
-    /// Interior output nodes already announced.
-    OutputNodes nodes;
-    /// Reduce mode: leaf path keys some earlier slice already wrote.
-    util::FlatSet64 reducedLeaves;
-};
-
 /**
  * Restore the serial event stream from one slice's capture, in slice
- * replay order. Two rewrites happen in a single pass:
- *
- * 1. Interior-insert dedup (all modes): output paths materialize
- *    lazily *per slice*, so an output node shared between slices
- *    announces its creation once per slice — the serial engine
- *    announces it exactly once, where the first slice's copy lands.
- *    Duplicates are dropped.
- *
- * 2. Reduce-add restoration (reduction sharding): each slice engine
- *    held a *private* partial output, so a leaf another slice already
- *    wrote looks fresh to it — its capture carries the first-write
- *    bit (flagA=1) and the expression-add count in `a`
- *    (Engine::setReduceCapture). The serial engine instead reduced
- *    into the existing leaf: one extra semiring add, folded into the
- *    leaf's compute('a') record (or a compute('a', pe, 1) emitted
- *    before the write, when the expression itself had no adds), and
- *    its write was no first write. Compute records are datapath
- *    records, which the capture filter already sent to the slice's
- *    accumulator with the shard-local count, so each restored add is
- *    handed to @p datapath_sink as a compute('a', pe, 1) call instead,
- *    and the logical stream accounting (logicalWalkEnds,
- *    logicalEvents) absorbs the record the serial run emitted in the
- *    no-adds case, so replayed flush points stay serial-identical.
- *    Marked writes are normalized to the serial form: a=0, and the
- *    bit stays set exactly on the run's first write of the leaf.
- *    (Disjoint and keyed slices own disjoint leaves, so there a
- *    slice's first write is the run's and the bit needs no fixup.)
+ * replay order. Output paths materialize lazily *per slice*, so an
+ * output node shared between slices announces its creation once per
+ * slice — the serial engine announces it exactly once, where the first
+ * slice's copy lands. Duplicates are dropped; @p nodes holds the
+ * interior nodes already announced. Leaves need no fixup: slices own
+ * disjoint leaves, so a slice's first write of a leaf is the run's.
  *
  * Chunks are rewritten in place: a write cursor trails the read
  * cursor, so drops cost nothing and a kept record costs at most one
  * copy. Walk boundaries are re-indexed onto the surviving records (a
- * drop shifts both the logged and the logical index down; a restored
- * record shifts the logical index up). No boundary can fall between a
- * leaf's compute and its output write — both are emitted inside one
- * leafCompute with no walkEnd between — so a restored record shifts
- * exactly the boundaries after its write.
+ * drop shifts both the logged and the logical index down).
  *
  * NOTE: the chunk/walkEnds traversal mirrors BatchBus::replay
  * (trace/batch.cpp) — change them together. The thread-equivalence
  * tests (tests/test_parallel.cpp) compare replayed streams including
  * batch boundaries against the serial path and catch any divergence.
- *
- * Returns the number of reduce adds restored (the serial run counted
- * them in ExecutionStats::computeAdds; slice engines could not).
  */
-std::size_t
-fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
-               trace::DatapathSink& datapath_sink)
+void
+fixupReplayLog(trace::TraceLog& log, OutputNodes& nodes)
 {
     using trace::Event;
-    std::ptrdiff_t dlog = 0;     // logged-index shift (drops)
-    std::ptrdiff_t dlogical = 0; // logical-index shift
+    std::size_t dropped = 0; // records dropped so far
     std::size_t we = 0;
     std::size_t base = 0; // global *input* index of the chunk start
-    std::size_t restored = 0;
 
-    const auto shift = [](std::size_t& idx, std::ptrdiff_t d) {
-        idx = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(idx) +
-                                       d);
-    };
     const auto shift_walk_end = [&](std::size_t i) {
-        shift(log.walkEnds[i], dlog);
-        shift(log.logicalWalkEnds[i], dlogical);
+        log.walkEnds[i] -= dropped;
+        log.logicalWalkEnds[i] -= dropped;
     };
 
     for (std::vector<Event>& chunk : log.chunks) {
@@ -266,26 +212,11 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
                 shift_walk_end(we);
                 ++we;
             }
-            Event& e = chunk[i];
-            if (e.kind == Event::Kind::OutputWrite && e.flagA) {
-                if (!e.flagB) {
-                    if (!fs.nodes.admit(e.key, e.level)) {
-                        --dlog;
-                        --dlogical;
-                        continue;
-                    }
-                } else if (reduce) {
-                    if (!fs.reducedLeaves.insert(e.key)) {
-                        // An earlier slice wrote this leaf: the serial
-                        // engine reduced — restore the missing add.
-                        datapath_sink.compute('a', e.pe, 1);
-                        ++restored;
-                        if (e.a == 0)
-                            ++dlogical; // serial had one more record
-                        e.flagA = false;
-                    }
-                    e.a = 0;
-                }
+            const Event& e = chunk[i];
+            if (e.kind == Event::Kind::OutputWrite && e.flagA &&
+                !e.flagB && !nodes.admit(e.key, e.level)) {
+                ++dropped;
+                continue;
             }
             if (w != i)
                 chunk[w] = e;
@@ -296,8 +227,7 @@ fixupReplayLog(trace::TraceLog& log, FixupState& fs, bool reduce,
     }
     for (; we < log.walkEnds.size(); ++we)
         shift_walk_end(we);
-    shift(log.logicalEvents, dlogical);
-    return restored;
+    log.logicalEvents -= dropped;
 }
 
 /** One segment's captured trace: the in-memory log and, with
@@ -336,10 +266,11 @@ class ShardRun
      * Unit u in slice @p slice_of [u] of @p slices: each slice is one
      * engine that runs its units in ascending order, and its capture
      * is replayed as segments, its maximal runs of consecutive units.
-     * The partials merge disjoint, or by semiring add when @p reduce.
+     * The slices own disjoint output points, so the partials merge
+     * with absorbDisjoint.
      */
     ft::Tensor sliced(const std::vector<std::size_t>& slice_of,
-                      std::size_t slices, bool reduce);
+                      std::size_t slices);
 
     const ExecutionStats& stats() const { return stats_; }
 
@@ -386,15 +317,13 @@ class ShardRun
     unsigned threads_;
     SplitPoint& split_;
 
-    bool reduce_ = false;
     bool reorderInSlices_ = false;
     trace::ChunkPool chunkPool_;
-    FixupState fixup_;
+    OutputNodes nodes_; // interior output nodes the replay announced
     ft::AbsorbContext actx_;
     ft::Tensor merged_;
     bool firstMerge_ = true;
-    std::size_t leaves_ = 0;    // merged nnz, when reordered in slices
-    std::size_t fixupAdds_ = 0; // reduce adds the replay restored
+    std::size_t leaves_ = 0; // merged nnz, when reordered in slices
     ExecutionStats stats_;
 
     std::mutex mutex_;
@@ -434,7 +363,6 @@ ShardRun::newCapture()
 void
 ShardRun::replay(Capture& cap)
 {
-    trace::DatapathSink& sink = *hooks_.coordinatorSink;
     if (cap.spillw != nullptr && cap.spillw->frames() > 0) {
         // The residual in-memory tail, which the capture bus's counter
         // reset left frame-relative, follows as a stand-alone log.
@@ -442,12 +370,12 @@ ShardRun::replay(Capture& cap)
         trace::SpillReader reader(cap.spillw->path());
         trace::TraceLog frame;
         while (reader.next(frame)) {
-            fixupAdds_ += fixupReplayLog(frame, fixup_, reduce_, sink);
+            fixupReplayLog(frame, nodes_);
             coord_.replayTrace(frame);
         }
         cap.spillw->discard();
     }
-    fixupAdds_ += fixupReplayLog(cap.log, fixup_, reduce_, sink);
+    fixupReplayLog(cap.log, nodes_);
     coord_.replayTrace(cap.log);
     cap.log.clear();
 }
@@ -464,12 +392,7 @@ ShardRun::absorb(ft::Tensor&& part)
         return;
     TEAAL_ASSERT(merged_.root() != nullptr,
                  "shard output missing a root fiber");
-    if (reduce_) {
-        merged_.root()->absorbReduce(std::move(*part.root()), sr_.add,
-                                     &actx_);
-    } else {
-        merged_.root()->absorbDisjoint(std::move(*part.root()), &actx_);
-    }
+    merged_.root()->absorbDisjoint(std::move(*part.root()), &actx_);
 }
 
 void
@@ -527,11 +450,8 @@ ShardRun::join()
 ft::Tensor
 ShardRun::finish()
 {
-    // The coordinator's engine ran no unit. The reduce adds restored
-    // during replay were counted by the serial run but invisible to
-    // the slice engines.
+    // The coordinator's engine ran no unit.
     stats_ += coord_.stats();
-    stats_.computeAdds += fixupAdds_;
 
     if (!tw_.topSkipped)
         coord_.emitTopSummary(tw_);
@@ -541,7 +461,7 @@ ShardRun::finish()
     // exactly once, so the announcements per level are its element
     // counts by depth; the leaves are disjoint across slices.
     std::vector<std::size_t> counts(plan_.output.productionOrder.size(), 0);
-    const std::vector<std::size_t>& nodes = fixup_.nodes.perLevel;
+    const std::vector<std::size_t>& nodes = nodes_.perLevel;
     for (std::size_t l = 0; l + 1 < counts.size() && l < nodes.size(); ++l)
         counts[l] = nodes[l];
     counts.back() = leaves_;
@@ -550,18 +470,14 @@ ShardRun::finish()
 
 ft::Tensor
 ShardRun::sliced(const std::vector<std::size_t>& slice_of,
-                 std::size_t slices, bool reduce)
+                 std::size_t slices)
 {
-    reduce_ = reduce;
-    // Slices of a collision-free partition reorder their own partial
-    // output into the declared order.
-    reorderInSlices_ = !reduce && !plan_.output.productionOrder.empty() &&
+    // Slices reorder their own partial output into the declared order.
+    reorderInSlices_ = !plan_.output.productionOrder.empty() &&
                        plan_.output.needsReorder;
     actx_.einsum = plan_.output.name;
-    actx_.rankIds = plan_.output.productionOrder.empty()
-                        ? std::vector<std::string>{"_S"}
-                        : (reorderInSlices_ ? plan_.output.declaredOrder
-                                            : plan_.output.productionOrder);
+    actx_.rankIds = reorderInSlices_ ? plan_.output.declaredOrder
+                                     : plan_.output.productionOrder;
     split_.slices = slices;
     const std::vector<trace::DatapathSink*> shard_sinks =
         hooks_.makeShardSinks(slices);
@@ -645,8 +561,6 @@ ShardRun::sliced(const std::vector<std::size_t>& slice_of,
                                                  opts_);
                 s.eng->setTraceFilter(hooks_.classifier,
                                       shard_sinks[g.slice]);
-                if (reduce_)
-                    s.eng->setReduceCapture(true);
                 s.eng->beginShard();
             } else {
                 s.eng->captureInto(g.cap->log);
@@ -761,7 +675,6 @@ mergeName(SplitPoint::Merge m)
       case SplitPoint::Merge::Live: return "live";
       case SplitPoint::Merge::Disjoint: return "disjoint";
       case SplitPoint::Merge::Keyed: return "keyed";
-      case SplitPoint::Merge::Reduce: return "reduce";
     }
     return "?";
 }
@@ -799,9 +712,8 @@ Executor::enumerateSplit(TopWalk& tw)
     engine_.enumerateTop(tw, sp.depth);
     // Deepen while the walk is too coarse to feed a pool. Stop before
     // a take's probe loop, and before a loop that would make a
-    // collision-free walk collide: its disjoint merge adds nothing up,
-    // and a reduce merge there would regroup sums the serial run
-    // groups differently.
+    // collision-free walk collide: its units would no longer own
+    // disjoint output points.
     TopWalk below;
     bool have_below = false; // `below` is loop tw.depth+1's walk
     for (std::size_t d = sp.depth + 1;
@@ -868,31 +780,29 @@ Executor::runSharded(unsigned threads)
     split_.depth = tw.depth;
     split_.units = n;
 
-    // Output-keyed slices are key ranges. Otherwise they are
-    // contiguous unit ranges: a collision-free walk's partials own
-    // disjoint output points and merge without adding anything up; a
-    // colliding walk here has no output coordinate to key on, so its
-    // partials reduce-merge.
+    // Output-keyed slices are key ranges; a collision-free walk's are
+    // contiguous unit ranges. Either way the partials own disjoint
+    // output points. A colliding walk here has no output coordinate to
+    // key on, so it takes no slices.
     std::size_t slices = 0;
     std::vector<std::size_t> slice_of;
     if (keyed) {
         split_.merge = SplitPoint::Merge::Keyed;
         slice_of = keyedSlices(tw, slices);
-    } else {
-        split_.merge = tw.collides ? SplitPoint::Merge::Reduce
-                                   : SplitPoint::Merge::Disjoint;
-        slices = std::min(n, tw.collides ? kReduceShards : kMaxShards);
+    } else if (!tw.collides) {
+        split_.merge = SplitPoint::Merge::Disjoint;
+        slices = std::min(n, kMaxShards);
         slice_of = contiguousSlices(tw.weight, n, slices);
     }
     ShardRun run(plan_, engine_, sr_, opts_, tw, threads, split_);
     ft::Tensor out;
     if (slices <= 1) {
-        // Nothing to spread (one unit, or one key): run it live.
+        // Nothing to spread (one unit or key, or a colliding walk with
+        // no key): run it live, exactly as the serial engine would.
         split_.merge = SplitPoint::Merge::Live;
         out = run.live();
     } else {
-        out = run.sliced(slice_of, slices,
-                         split_.merge == SplitPoint::Merge::Reduce);
+        out = run.sliced(slice_of, slices);
     }
     stats_ = run.stats();
     return out;

@@ -27,7 +27,7 @@
  * of the prefix nodes above their units positionally; the coordinator
  * replays captures in unit order (reproducing the serial engine's
  * event sequence *and* batch boundaries byte-for-byte) and merges the
- * partial outputs:
+ * partial outputs, which always own disjoint output points:
  *
  *   - a collision-free walk (no loop restricting a contraction
  *     variable branches) is cut into contiguous unit slices that merge
@@ -46,12 +46,9 @@
  *     in exactly the serial order, and the partials merge with
  *     Fiber::absorbDisjoint. A barren node's placeholder unit has no
  *     key and runs in slice 0;
- *   - a colliding walk with no output coordinate to key on (a scalar
- *     output, or an output variable that is no loop's leading
- *     variable) is cut into contiguous slices that merge with
- *     Fiber::absorbReduce (semiring add on leaf collisions), with the
- *     captured streams fixed up to the serial engine's reduce records;
- *   - a walk of one unit (or a keyed walk of one key) runs live on
+ *   - a walk of one unit, a keyed walk of one key, and a colliding
+ *     walk with no output coordinate to key on (a scalar output, or an
+ *     output variable that is no loop's leading variable) run live on
  *     the coordinator, with no worker, capture, spill or replay.
  *
  * One scheduler runs every split. Each slice is one engine that
@@ -63,9 +60,8 @@
  * them in unit order, spilled or resident alike, captures claimable
  * segments itself while the one at its cursor runs, and merges a
  * slice's partial output once its last segment is replayed. When the
- * output needs its declared-order reorder and the merge is disjoint,
- * each slice reorders its own partial, so the coordinator only merges
- * and charges the swizzle.
+ * output needs its declared-order reorder, each slice reorders its own
+ * partial, so the coordinator only merges and charges the swizzle.
  *
  * Executor::split() reports the point a run used.
  *
@@ -73,11 +69,8 @@
  * enumerated units, or of a keyed walk's keys (per-rank occupancy
  * estimates). The split, the slice count and the boundaries depend
  * only on the plan, the data and constants — never on the thread
- * count — so counters and traces are identical for every N, and
- * tensor values are too, except under the reduce merge, where they
- * may differ from the serial run's by floating-point summation
- * grouping (exactly identical when the semiring add is associative;
- * the grouping is the same at every N > 1).
+ * count — and every output point accumulates in the serial order, so
+ * counters, traces and tensor values are identical for every N.
  *
  * ExecOptions::modelHooks (set by the pipeline on every run) make
  * every trace bus *split the model*: order-independent datapath
@@ -112,15 +105,13 @@ struct SplitPoint
     {
         Serial,   ///< not sharded (one thread, no model hooks, or an
                   ///< unshardable plan)
-        Live,     ///< one unit or key (or none): run live on the
-                  ///< coordinator
+        Live,     ///< one unit or key (or none), or a colliding walk
+                  ///< with no output coordinate to key on: run live on
+                  ///< the coordinator
         Disjoint, ///< collision-free contiguous slices, absorbDisjoint
         Keyed,    ///< output-keyed slices (ranges of one output
                   ///< coordinate) replayed per parent-node segment,
                   ///< absorbDisjoint
-        Reduce,   ///< only for colliding walks with no output
-                  ///< coordinate to key on: contiguous slices,
-                  ///< absorbReduce plus the fixup
     };
 
     Merge merge = Merge::Serial;
@@ -139,7 +130,7 @@ struct SplitPoint
     std::size_t live = 0;
 };
 
-/** "serial", "live", "disjoint", "keyed" or "reduce". */
+/** "serial", "live", "disjoint" or "keyed". */
 const char* mergeName(SplitPoint::Merge m);
 
 /** Interprets one EinsumPlan. */

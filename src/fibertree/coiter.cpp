@@ -7,34 +7,15 @@ namespace teaal::ft
 {
 
 FiberView
-FiberView::whole(const Fiber* f)
-{
-    if (f == nullptr)
-        return {};
-    FiberView out;
-    out.fiber = f;
-    out.lo = 0;
-    out.hi = f->size();
-    return out;
-}
-
-FiberView
 FiberView::range(Coord c0, Coord c1) const
 {
     if (empty())
         return {};
     FiberView out = *this;
-    std::size_t r0;
-    std::size_t r1;
-    if (fiber != nullptr) {
-        r0 = fiber->lowerBound(c0);
-        r1 = fiber->lowerBound(c1);
-    } else {
-        r0 = static_cast<std::size_t>(
-            std::lower_bound(crd + lo, crd + hi, c0) - crd);
-        r1 = static_cast<std::size_t>(
-            std::lower_bound(crd + lo, crd + hi, c1) - crd);
-    }
+    const auto r0 = static_cast<std::size_t>(
+        std::lower_bound(crd + lo, crd + hi, c0) - crd);
+    const auto r1 = static_cast<std::size_t>(
+        std::lower_bound(crd + lo, crd + hi, c1) - crd);
     out.lo = std::max(r0, lo);
     out.hi = std::min(r1, hi);
     if (out.lo > out.hi)
@@ -47,14 +28,6 @@ FiberView::find(Coord c) const
 {
     if (empty())
         return std::nullopt;
-    if (fiber != nullptr) {
-        // Historical engine semantics: search the whole fiber, reject
-        // positions outside the window.
-        const auto f = fiber->find(c);
-        if (f && *f >= lo && *f < hi)
-            return f;
-        return std::nullopt;
-    }
     if (bits != nullptr) {
         // Bitmap probe: O(1) membership, rank directory for position.
         const Coord off = c - bitFirst;
@@ -86,80 +59,6 @@ FiberView::find(Coord c) const
     if (it == crd + hi || *it != c)
         return std::nullopt;
     return static_cast<std::size_t>(it - crd);
-}
-
-CoIterStats
-intersect2(const FiberView& a, const FiberView& b,
-           const std::function<void(Coord, std::size_t, std::size_t)>& fn)
-{
-    CoIterStats stats;
-    if (a.empty() || b.empty())
-        return stats;
-    std::size_t ia = a.lo;
-    std::size_t ib = b.lo;
-    while (ia < a.hi && ib < b.hi) {
-        const Coord ca = a.coordAt(ia);
-        const Coord cb = b.coordAt(ib);
-        ++stats.steps;
-        if (ca == cb) {
-            ++stats.matches;
-            fn(ca, ia, ib);
-            ++ia;
-            ++ib;
-        } else if (ca < cb) {
-            ++ia;
-        } else {
-            ++ib;
-        }
-    }
-    return stats;
-}
-
-CoIterStats
-unionMerge(const FiberView& a, const FiberView& b,
-           const std::function<void(Coord, std::optional<std::size_t>,
-                                    std::optional<std::size_t>)>& fn)
-{
-    CoIterStats stats;
-    std::size_t ia = a.empty() ? 0 : a.lo;
-    std::size_t ib = b.empty() ? 0 : b.lo;
-    const std::size_t ha = a.empty() ? 0 : a.hi;
-    const std::size_t hb = b.empty() ? 0 : b.hi;
-    while (ia < ha || ib < hb) {
-        ++stats.steps;
-        if (ib >= hb || (ia < ha && a.coordAt(ia) < b.coordAt(ib))) {
-            fn(a.coordAt(ia), ia, std::nullopt);
-            ++ia;
-        } else if (ia >= ha || b.coordAt(ib) < a.coordAt(ia)) {
-            fn(b.coordAt(ib), std::nullopt, ib);
-            ++ib;
-        } else {
-            ++stats.matches;
-            fn(a.coordAt(ia), ia, ib);
-            ++ia;
-            ++ib;
-        }
-    }
-    return stats;
-}
-
-CoIterStats
-leaderFollower(const FiberView& leader, const FiberView& follower,
-               const std::function<void(Coord, std::size_t,
-                                        std::optional<std::size_t>)>& fn)
-{
-    CoIterStats stats;
-    if (leader.empty())
-        return stats;
-    for (std::size_t il = leader.lo; il < leader.hi; ++il) {
-        const Coord c = leader.coordAt(il);
-        ++stats.steps;
-        const std::optional<std::size_t> pos = follower.find(c);
-        if (pos)
-            ++stats.matches;
-        fn(c, il, pos);
-    }
-    return stats;
 }
 
 } // namespace teaal::ft

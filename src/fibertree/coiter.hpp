@@ -1,49 +1,37 @@
 /**
  * @file
- * Fiber co-iteration: views, two-finger intersection, and merge-union.
- *
- * Intersection realizes the sparsified iteration space of multiplied
- * operands (paper §2.4); union realizes addition; leader-follower
- * slicing realizes occupancy partitioning adoption (§3.2.1).
+ * Fiber views: the read-only windows of packed ranks that the
+ * execution engine and its co-iteration strategies
+ * (exec/coiter_strategy.hpp) walk.
  */
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <optional>
 
-#include "fibertree/fiber.hpp"
+#include "fibertree/types.hpp"
 
 namespace teaal::ft
 {
 
 /**
- * A contiguous, read-only window [lo, hi) of one fiber's positions.
+ * A contiguous, read-only window [lo, hi) of a packed rank's flat
+ * coordinate array (storage/packed.hpp), positions global to the rank.
  *
- * Two interchangeable backends sit behind the same interface, so the
- * co-iteration strategies and the execution engine walk either without
- * knowing which:
- *
- *   pointer  `fiber` set — a window of a ft::Fiber's coordinate array,
- *   packed   `crd` set — a slice of a packed rank's flat coordinate
- *            array (storage/packed.hpp), positions global to the rank.
- *
- * Packed views may carry a bitmap auxiliary (B-format ranks): a
- * presence-bit run plus a per-word rank directory giving O(1)
- * membership and position in find(). Packed views of contiguous
- * fibers (dense/U ranks) take an O(1) implicit-coordinate path in
- * find() — no per-view state needed, contiguity is two loads.
+ * Views may carry a bitmap auxiliary (B-format ranks): a presence-bit
+ * run plus a per-word rank directory giving O(1) membership and
+ * position in find(). Views of contiguous fibers (dense/U ranks) take
+ * an O(1) implicit-coordinate path in find() — no per-view state
+ * needed, contiguity is two loads.
  */
 struct FiberView
 {
-    const Fiber* fiber = nullptr;
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-
-    // ---- packed backend (set when fiber == nullptr) ----
     /// Base of the rank's coordinate array (positions are absolute).
     const Coord* crd = nullptr;
-    /// Rank shape (pointer views read it off the fiber).
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    /// Coordinate-space size of the rank.
     Coord shapeHint = 0;
     /// Bitmap auxiliary: the fiber's presence bits occupy pool bits
     /// [bitBase, bitBase + bitExtent), bit 0 = coordinate bitFirst.
@@ -55,93 +43,22 @@ struct FiberView
     Coord bitExtent = 0;
 
     std::size_t size() const { return hi - lo; }
-    bool
-    empty() const
-    {
-        return lo >= hi || (fiber == nullptr && crd == nullptr);
-    }
+    bool empty() const { return lo >= hi || crd == nullptr; }
 
-    Coord
-    coordAt(std::size_t pos) const
-    {
-        return fiber != nullptr ? fiber->coordAt(pos) : crd[pos];
-    }
-
-    /** Pointer-backed views only (packed payloads live in the packed
-     *  tensor's own arrays; the engine descends through it directly). */
-    const Payload&
-    payloadAt(std::size_t pos) const
-    {
-        return fiber->payloadAt(pos);
-    }
+    Coord coordAt(std::size_t pos) const { return crd[pos]; }
 
     /** Coordinate-space size of the backing rank (0 if unbacked). */
-    Coord
-    shape() const
-    {
-        return fiber != nullptr ? fiber->shape() : shapeHint;
-    }
+    Coord shape() const { return shapeHint; }
 
     /**
-     * Position of coordinate @p c inside this window, or nullopt.
-     * Pointer views search the backing fiber and reject hits outside
-     * [lo, hi) — the engine's historical lookup semantics. Packed
-     * views binary-search the slice, with O(1) fast paths for
-     * contiguous (implicit-coordinate) fibers and bitmap ranks.
+     * Position of coordinate @p c inside this window, or nullopt: a
+     * binary search of the slice, with O(1) fast paths for contiguous
+     * (implicit-coordinate) fibers and bitmap ranks.
      */
     std::optional<std::size_t> find(Coord c) const;
-
-    /** View over an entire fiber (empty view if null). */
-    static FiberView whole(const Fiber* f);
 
     /** Subview restricted to coordinates in [c0, c1). */
     FiberView range(Coord c0, Coord c1) const;
 };
-
-/** Work counters for co-iteration, fed to the intersection-unit model. */
-struct CoIterStats
-{
-    /// Elements examined (sum of both operands' advances).
-    std::size_t steps = 0;
-    /// Matching coordinates produced.
-    std::size_t matches = 0;
-
-    CoIterStats&
-    operator+=(const CoIterStats& o)
-    {
-        steps += o.steps;
-        matches += o.matches;
-        return *this;
-    }
-};
-
-/**
- * Two-finger intersection of two views.
- * @param fn Called as fn(coord, pos_a, pos_b) for every match.
- */
-CoIterStats intersect2(
-    const FiberView& a, const FiberView& b,
-    const std::function<void(Coord, std::size_t, std::size_t)>& fn);
-
-/**
- * Merge-union of two views.
- * @param fn Called as fn(coord, pos_a?, pos_b?) with the positions
- *           present on each side (at least one is set).
- */
-CoIterStats unionMerge(
-    const FiberView& a, const FiberView& b,
-    const std::function<void(Coord, std::optional<std::size_t>,
-                             std::optional<std::size_t>)>& fn);
-
-/**
- * Leader-follower traversal: walk the leader, looking each coordinate
- * up in the follower (paper's leader-follower intersection).
- * @param fn Called as fn(coord, pos_leader, pos_follower?) for every
- *           leader element.
- */
-CoIterStats leaderFollower(
-    const FiberView& leader, const FiberView& follower,
-    const std::function<void(Coord, std::size_t,
-                             std::optional<std::size_t>)>& fn);
 
 } // namespace teaal::ft

@@ -181,77 +181,6 @@ Fiber::absorbDisjoint(Fiber&& other, const AbsorbContext* ctx,
     other.payloads_.clear();
 }
 
-void
-Fiber::absorbReduce(Fiber&& other, Value (*add)(Value, Value),
-                    const AbsorbContext* ctx, std::size_t depth)
-{
-    if (other.empty())
-        return;
-    shape_ = std::max(shape_, other.shape_);
-    // Fast path: strictly past our last coordinate — bulk move append
-    // (no coordinate is shared, so nothing can need summing).
-    if (coords_.empty() || other.coords_.front() > coords_.back()) {
-        reserve(coords_.size() + other.coords_.size());
-        coords_.insert(coords_.end(), other.coords_.begin(),
-                       other.coords_.end());
-        payloads_.insert(payloads_.end(),
-                         std::make_move_iterator(other.payloads_.begin()),
-                         std::make_move_iterator(other.payloads_.end()));
-        other.coords_.clear();
-        other.payloads_.clear();
-        return;
-    }
-    // Interleaved: sorted union merge; colliding subfibers recurse,
-    // colliding scalar leaves fold with the semiring add.
-    std::vector<Coord> coords;
-    std::vector<Payload> payloads;
-    coords.reserve(coords_.size() + other.coords_.size());
-    payloads.reserve(coords.capacity());
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < coords_.size() || b < other.coords_.size()) {
-        const bool take_a =
-            b >= other.coords_.size() ||
-            (a < coords_.size() && coords_[a] < other.coords_[b]);
-        const bool take_b =
-            a >= coords_.size() ||
-            (b < other.coords_.size() && other.coords_[b] < coords_[a]);
-        if (take_a) {
-            coords.push_back(coords_[a]);
-            payloads.push_back(std::move(payloads_[a]));
-            ++a;
-        } else if (take_b) {
-            coords.push_back(other.coords_[b]);
-            payloads.push_back(std::move(other.payloads_[b]));
-            ++b;
-        } else {
-            Payload& pa = payloads_[a];
-            Payload& pb = other.payloads_[b];
-            if (pa.isFiber() && pb.isFiber() && pa.fiber() != nullptr &&
-                pb.fiber() != nullptr) {
-                pa.fiber()->absorbReduce(std::move(*pb.fiber()), add,
-                                         ctx, depth + 1);
-            } else if (pa.isValue() && pb.isValue()) {
-                pa.setValue(add(pa.value(), pb.value()));
-            } else {
-                // One side a scalar, the other a subtree: the shards
-                // disagree on the output's depth — a producer bug.
-                modelError("absorbReduce: rank mismatch at coordinate ",
-                           coords_[a], absorbWhere(ctx, depth),
-                           " (scalar leaf collided with a subfiber)");
-            }
-            coords.push_back(coords_[a]);
-            payloads.push_back(std::move(pa));
-            ++a;
-            ++b;
-        }
-    }
-    coords_ = std::move(coords);
-    payloads_ = std::move(payloads);
-    other.coords_.clear();
-    other.payloads_.clear();
-}
-
 std::size_t
 Fiber::leafCount() const
 {

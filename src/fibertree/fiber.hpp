@@ -110,18 +110,6 @@ class Fiber
                         const AbsorbContext* ctx = nullptr,
                         std::size_t depth = 0);
 
-    /**
-     * Merge @p other into this fiber, consuming it, summing colliding
-     * scalar leaves with the semiring add @p add (reduction-mode shard
-     * merges: each shard held a private partial output, and shards of
-     * a contraction-restricting rank legitimately touch the same
-     * output points). Structural collisions (a scalar against a
-     * subfiber) are still producer bugs and raise a ModelError.
-     */
-    void absorbReduce(Fiber&& other, Value (*add)(Value, Value),
-                      const AbsorbContext* ctx = nullptr,
-                      std::size_t depth = 0);
-
     /** Number of scalar leaves in the subtree rooted at this fiber. */
     std::size_t leafCount() const;
 

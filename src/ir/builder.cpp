@@ -1127,12 +1127,11 @@ inOutput(const std::vector<std::string>& out_vars, const std::string& v)
 
 /**
  * Finish a ShardPlan for sharding loop @p depth (rank @p rank) given
- * the variables the loops 0..depth bind or restrict: pick the merge
+ * the variables the loops 0..depth bind or restrict: pick the mode
  * (Disjoint vs Reduce) from whether any of those variables is a
- * contraction (partial outputs then overlap), and reject the one
- * unmergeable combination — a take whose sharded prefix restricts the
- * probe variable, since its idempotent leaf writes would double-count
- * under a semiring-add merge.
+ * contraction (partial outputs then overlap), and reject a take whose
+ * sharded prefix restricts the probe variable — a take's probe
+ * variable is never sharded.
  */
 ShardPlan
 classifyShard(ShardPlan sp, const einsum::Expression& expr,
@@ -1154,14 +1153,13 @@ classifyShard(ShardPlan sp, const einsum::Expression& expr,
         sp.shardable = false;
         sp.reason = "rank '" + rank + "' restricts variable '" +
                     contraction +
-                    "' of a take (idempotent writes cannot "
-                    "reduce-merge)";
+                    "' of a take (a take's probe variable is never "
+                    "sharded)";
         return sp;
     }
     sp.shardable = true;
     sp.rank = rank;
     sp.depth = depth;
-    sp.reduceMerge = reduce;
     sp.mode = depth > 0 ? ShardPlan::Mode::Inner
                         : (reduce ? ShardPlan::Mode::Reduce
                                   : ShardPlan::Mode::Disjoint);

@@ -239,17 +239,15 @@ struct ShardPlan
      *    the debug check of this mode).
      *  - Reduce: the prefix restricts a contraction variable (or the
      *    output is a scalar), so contiguous slices of the units may
-     *    write the same output points. A run then splits output-keyed
-     *    at a loop that binds an output variable first (LoopFacts::
-     *    keysOutput), whose slices own disjoint output points again;
-     *    only a walk with no such loop merges with
-     *    `Fiber::absorbReduce` (semiring-add on leaf collisions), with
-     *    the replayed trace stream patched so the reduce adds land
-     *    exactly where the serial run put them.
+     *    write the same output points. A run whose walk branches there
+     *    splits output-keyed at a loop that binds an output variable
+     *    first (LoopFacts::keysOutput), whose slices own disjoint
+     *    output points again; a walk with no such loop runs live on
+     *    the coordinator, exactly as serially.
      *  - Inner: the outermost rank itself is unshardable (lookup
      *    actions, binds no variable), so the split starts one loop
      *    down (`depth == 1`); partials relate per the Disjoint/Reduce
-     *    rules via `reduceMerge`.
+     *    rules.
      */
     enum class Mode { Disjoint, Reduce, Inner };
 
@@ -261,13 +259,6 @@ struct ShardPlan
     /// of work when the walk yields enough of them (0 for
     /// Disjoint/Reduce, 1 for Inner). A run may split deeper.
     std::size_t depth = 0;
-
-    /// True when partial outputs at the starting depth may overlap
-    /// (Mode::Reduce, or Mode::Inner over a contraction-restricting
-    /// prefix). A run keys its split by output coordinate, or merges
-    /// with absorbReduce, only when its walk actually branches at such
-    /// a loop.
-    bool reduceMerge = false;
 
     /// The starting split loop rank (loop `depth`'s rank id).
     std::string rank;
@@ -298,8 +289,8 @@ struct ShardPlan
         bool restrictsContraction = false;
 
         /// A take Einsum's loop restricting the probe variable: no
-        /// split reaches it, since idempotent take writes cannot
-        /// reduce-merge.
+        /// split reaches it (a take's probe variable is never
+        /// sharded).
         bool restrictsProbe = false;
 
         /// The loop binds an output variable first (its leading
@@ -440,8 +431,8 @@ struct EinsumRecipe
  * Plans that still run serially (`shardable == false`, `reason` says
  * why): whole-tensor copies, empty loop nests, single-loop nests
  * whose only rank is unshardable, and take-Einsums whose starting
- * prefix restricts the probe variable (a take reduce-merge would
- * double-count the idempotent writes).
+ * prefix restricts the probe variable (a take's probe variable is
+ * never sharded).
  *
  * The recipe overload is what `compile` can precompute before any
  * workload exists (it cannot see lookup actions, so it reports

@@ -78,42 +78,4 @@ BatchBus::replay(const TraceLog& log)
     account(log.logicalEvents);
 }
 
-void
-Observer::onEventBatch(const EventBatch& batch)
-{
-    // Default: replay through the streaming interface in original
-    // order, so per-event observers see counts bit-identical to the
-    // unbatched engine.
-    for (const Event& e : batch.events) {
-        switch (e.kind) {
-          case Event::Kind::LoopEnter:
-            onLoopEnter(e.loop, e.coord);
-            break;
-          case Event::Kind::CoIterate:
-            onCoIterate(e.loop, e.a, e.b, e.c, e.pe);
-            break;
-          case Event::Kind::CoordScan:
-            onCoordScan(e.input, e.level, e.a, e.pe);
-            break;
-          case Event::Kind::TensorAccess:
-            onTensorAccess(e.input, *e.name, e.level, e.coord, e.ptr,
-                           e.pe);
-            break;
-          case Event::Kind::OutputWrite:
-            onOutputWrite(*e.name, e.level, e.coord, e.key, e.flagA,
-                          e.flagB, e.pe);
-            break;
-          case Event::Kind::Compute:
-            onCompute(e.op, e.pe, e.a);
-            break;
-          case Event::Kind::Swizzle:
-            onSwizzle(*e.name, e.a, e.b, e.flagA);
-            break;
-          case Event::Kind::TensorCopy:
-            onTensorCopy(*e.name, *e.name2, e.a);
-            break;
-        }
-    }
-}
-
 } // namespace teaal::trace

@@ -2,16 +2,11 @@
  * @file
  * Batched trace bus (paper §4.3 "trace generation", restructured).
  *
- * The execution engine used to fire one virtual `Observer` callback
- * per logical event — one `onLoopEnter`/`onTensorAccess`/... call per
- * coordinate of every fiber walk. The bus instead records events as
- * compact PODs in an `EventBatch` and delivers whole batches through a
- * single virtual call (`Observer::onEventBatch`), flushed at fiber-walk
- * boundaries. The default `onEventBatch` replays the records through
- * the per-event virtual interface in their original order, so
- * observers written against the streaming API see the delivered
- * sequence record by record; batch-aware observers override it and
- * skip the per-event dispatch entirely.
+ * The execution engine does not call its observer once per logical
+ * event (every coordinate of every fiber walk). The bus records events
+ * as compact PODs in an `EventBatch` and delivers whole batches through
+ * a single virtual call (`Observer::onEventBatch`), flushed at
+ * fiber-walk boundaries; an observer switches over each record's kind.
  *
  * With a RecordClassifier and a DatapathSink set (every pipeline run),
  * the bus routes each record to its performance-model tier where it is
@@ -50,13 +45,31 @@ struct alignas(64) Event
 {
     enum class Kind : std::uint8_t
     {
+        /// A new coordinate `coord` was entered at loop `loop`.
         LoopEnter,
+        /// A co-iteration walk at `loop` finished: `a` element advances
+        /// over all drivers, `b` coordinates produced, `c` co-iterated
+        /// fibers (>= 2 needs an intersection/union unit; 0 = dense).
         CoIterate,
+        /// `a` coordinates of driver `input` scanned at `level`.
         CoordScan,
+        /// A payload of input `input` read (descend at `level`,
+        /// coordinate `coord`); `ptr` is a stable identity usable for
+        /// reuse modeling.
         TensorAccess,
+        /// The output was written at `level`: a scalar (leaf) write
+        /// when `flagB`, else a fiber insert; `key` hashes the
+        /// coordinate path.
         OutputWrite,
+        /// `a` compute operations of kind `op` ('m' or 'a') on `pe`.
         Compute,
+        /// A rank swizzle of `name` (`a` elements, `b` ways). Online
+        /// swizzles (`flagA`, on intermediates) are charged to the
+        /// merger/sort hardware; offline ones are free preprocessing
+        /// (§3.2.2).
         Swizzle,
+        /// Whole-tensor copy of `a` elements from `name` to `name2`
+        /// (e.g. P1 = P0).
         TensorCopy,
     };
 
@@ -115,7 +128,7 @@ class DatapathSink
   public:
     virtual ~DatapathSink() = default;
 
-    /** A co-iteration walk ended (see Observer::onCoIterate). */
+    /** A co-iteration walk ended (see Event::Kind::CoIterate). */
     virtual void coIterate(std::size_t steps, std::size_t matches,
                            std::size_t drivers, std::uint64_t pe) = 0;
 
@@ -461,14 +474,11 @@ class BatchBus
     }
 
     /** @p inserted is Event::flagA (on a leaf write: the first write
-     *  of the leaf). @p reduce_adds rides in `a` on reduce-mode shard
-     *  captures only (the expression-add count of a shard-fresh leaf
-     *  write, which the replay fixup needs); serial streams leave it
-     *  0. */
+     *  of the leaf). */
     void
     outputWrite(const std::string& tensor, std::size_t level, ft::Coord c,
                 std::uint64_t path_key, bool inserted, bool at_leaf,
-                std::uint64_t pe, std::size_t reduce_adds = 0)
+                std::uint64_t pe)
     {
         Event& e = push(Event::Kind::OutputWrite);
         e.name = &tensor;
@@ -478,7 +488,6 @@ class BatchBus
         e.flagA = inserted;
         e.flagB = at_leaf;
         e.pe = pe;
-        e.a = reduce_adds;
     }
 
     void

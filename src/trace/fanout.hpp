@@ -6,10 +6,8 @@
  * performance model's storage tier without the engine knowing about
  * multiplexing.
  *
- * Batches are forwarded as batches (the bus only ever calls
- * onEventBatch): a batch-aware downstream consumes them directly,
- * while a streaming-only downstream sees the default per-event
- * replay — each sink keeps its own consumption style.
+ * Batches are forwarded as batches, in delivery order, to every
+ * downstream's onEventBatch.
  */
 #pragma once
 

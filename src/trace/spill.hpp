@@ -17,9 +17,9 @@
  * Frames are cut only at walk boundaries (SpillSink::onWalkBoundary),
  * so every frame satisfies the TraceLog invariants on its own:
  * walkEnds and logicalWalkEnds are frame-relative, and the
- * coordinator's replay fixup runs frame-locally with its state
- * (FixupState) persisting across frames exactly as it persists across
- * slices. Replaying the frames of a file in order, then the slice's
+ * coordinator's replay fixup runs frame-locally with its state (the
+ * interior output nodes already announced) persisting across frames
+ * exactly as it persists across slices. Replaying the frames of a file in order, then the slice's
  * residual in-memory tail, delivers a stream byte-identical to the
  * unspilled capture's.
  *

@@ -2,7 +2,7 @@
  * @file
  * Minimal open-addressing hash containers for per-trace-event lookups
  * (the performance model's buffer simulators, and the sharded
- * executor's replay fixup and output-insert dedup, touch one per
+ * executor's replay fixup (its output-insert dedup), touch one per
  * record; the node allocations and pointer chasing of
  * std::unordered_map dominated profiles).
  *

@@ -69,9 +69,8 @@ class TempDir
 
 /**
  * Records a delivered trace stream — every batch boundary and every
- * record, replayed through the per-event callbacks — as a flat string
- * log with no pointers, so two runs can be compared for identical
- * streams.
+ * record — as a flat string log with no pointers, so two runs can be
+ * compared for identical streams.
  */
 class StreamRecorder : public trace::Observer
 {
@@ -81,62 +80,40 @@ class StreamRecorder : public trace::Observer
     void
     onEventBatch(const trace::EventBatch& batch) override
     {
+        using trace::Event;
         log.push_back("batch:" + std::to_string(batch.size()));
-        trace::Observer::onEventBatch(batch); // replay per-event below
-    }
-
-    void
-    onLoopEnter(std::size_t loop, ft::Coord c) override
-    {
-        add("L", loop, c);
-    }
-    void
-    onCoIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-                std::size_t drivers, std::uint64_t pe) override
-    {
-        add("I", loop, steps, matches, drivers, pe);
-    }
-    void
-    onCoordScan(int input, std::size_t level, std::size_t count,
-                std::uint64_t pe) override
-    {
-        add("S", input, level, count, pe);
-    }
-    void
-    onTensorAccess(int input, const std::string& tensor,
-                   std::size_t level, ft::Coord c, const void* key,
-                   std::uint64_t pe) override
-    {
-        (void)key;
-        add("A", input, level, c, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onOutputWrite(const std::string& tensor, std::size_t level,
-                  ft::Coord c, std::uint64_t path_key, bool inserted,
-                  bool at_leaf, std::uint64_t pe) override
-    {
-        add("W", level, c, path_key, inserted, at_leaf, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onCompute(char op, std::uint64_t pe, std::size_t count) override
-    {
-        add("C", op, pe, count);
-    }
-    void
-    onSwizzle(const std::string& tensor, std::size_t elements,
-              std::size_t ways, bool online) override
-    {
-        add("Z", elements, ways, online);
-        log.back() += ":" + tensor;
-    }
-    void
-    onTensorCopy(const std::string& from, const std::string& to,
-                 std::size_t elements) override
-    {
-        add("Y", elements);
-        log.back() += ":" + from + ">" + to;
+        for (const Event& e : batch.events) {
+            switch (e.kind) {
+              case Event::Kind::LoopEnter:
+                add("L", e.loop, e.coord);
+                break;
+              case Event::Kind::CoIterate:
+                add("I", e.loop, e.a, e.b, e.c, e.pe);
+                break;
+              case Event::Kind::CoordScan:
+                add("S", e.input, e.level, e.a, e.pe);
+                break;
+              case Event::Kind::TensorAccess:
+                add("A", e.input, e.level, e.coord, e.pe);
+                log.back() += ":" + *e.name;
+                break;
+              case Event::Kind::OutputWrite:
+                add("W", e.level, e.coord, e.key, e.flagA, e.flagB, e.pe);
+                log.back() += ":" + *e.name;
+                break;
+              case Event::Kind::Compute:
+                add("C", e.op, e.pe, e.a);
+                break;
+              case Event::Kind::Swizzle:
+                add("Z", e.a, e.b, e.flagA);
+                log.back() += ":" + *e.name;
+                break;
+              case Event::Kind::TensorCopy:
+                add("Y", e.a);
+                log.back() += ":" + *e.name + ">" + *e.name2;
+                break;
+            }
+        }
     }
 
   private:

@@ -407,65 +407,18 @@ TEST(StrategyPlanning, DriverlessRankPlansDenseDrive)
 
 // -------------------------------------------------- batched trace bus
 
-/** Counts virtual calls across the Observer interface. */
+/** Counts the observer's batch calls and the records they carry. */
 class CountingObserver : public trace::Observer
 {
   public:
     std::size_t batchCalls = 0;
     std::size_t recordsSeen = 0;
-    std::size_t perEventCalls = 0;
 
     void
     onEventBatch(const trace::EventBatch& batch) override
     {
         ++batchCalls;
-        recordsSeen += batch.events.size();
-        trace::Observer::onEventBatch(batch); // replay to the methods
-    }
-
-    void
-    onLoopEnter(std::size_t, ft::Coord) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onCoIterate(std::size_t, std::size_t, std::size_t, std::size_t,
-                std::uint64_t) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onCoordScan(int, std::size_t, std::size_t, std::uint64_t) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onTensorAccess(int, const std::string&, std::size_t, ft::Coord,
-                   const void*, std::uint64_t) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onOutputWrite(const std::string&, std::size_t, ft::Coord,
-                  std::uint64_t, bool, bool, std::uint64_t) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onCompute(char, std::uint64_t, std::size_t) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onSwizzle(const std::string&, std::size_t, std::size_t, bool) override
-    {
-        ++perEventCalls;
-    }
-    void
-    onTensorCopy(const std::string&, const std::string&,
-                 std::size_t) override
-    {
-        ++perEventCalls;
+        recordsSeen += batch.size();
     }
 };
 
@@ -484,124 +437,13 @@ TEST(TraceBus, BatchingCutsVirtualCallsTenfold)
     exec::Executor ex(plan, counting);
     ex.run();
 
-    // The replay fires exactly one per-event call per record, so
-    // perEventCalls is what the unbatched engine would have cost.
-    EXPECT_EQ(counting.perEventCalls, counting.recordsSeen);
-    EXPECT_GE(counting.perEventCalls, counting.batchCalls * 10)
-        << counting.perEventCalls << " events in "
+    // One virtual call per batch: an unbatched engine would have made
+    // one per record.
+    EXPECT_GE(counting.recordsSeen, counting.batchCalls * 10)
+        << counting.recordsSeen << " records in "
         << counting.batchCalls << " batches";
     EXPECT_EQ(ex.bus().eventCount(), counting.recordsSeen);
     EXPECT_EQ(ex.bus().batchCount(), counting.batchCalls);
-}
-
-/** Sums every numeric field seen through the streaming interface. */
-struct SummingObserver : trace::Observer
-{
-    std::size_t loopEnters = 0;
-    std::size_t steps = 0;
-    std::size_t matches = 0;
-    std::size_t scans = 0;
-    std::size_t accesses = 0;
-    std::size_t writes = 0;
-    std::size_t computes = 0;
-
-    void
-    onLoopEnter(std::size_t, ft::Coord) override
-    {
-        ++loopEnters;
-    }
-    void
-    onCoIterate(std::size_t, std::size_t s, std::size_t m, std::size_t,
-                std::uint64_t) override
-    {
-        steps += s;
-        matches += m;
-    }
-    void
-    onCoordScan(int, std::size_t, std::size_t count, std::uint64_t) override
-    {
-        scans += count;
-    }
-    void
-    onTensorAccess(int, const std::string&, std::size_t, ft::Coord,
-                   const void*, std::uint64_t) override
-    {
-        ++accesses;
-    }
-    void
-    onOutputWrite(const std::string&, std::size_t, ft::Coord,
-                  std::uint64_t, bool, bool, std::uint64_t) override
-    {
-        ++writes;
-    }
-    void
-    onCompute(char, std::uint64_t, std::size_t count) override
-    {
-        computes += count;
-    }
-};
-
-TEST(TraceBus, ReplayedCountsMatchBatchConsumption)
-{
-    const Tensor a = randomSparse("A", {"K", "M"}, 40, 30, 0.35, 61);
-    const Tensor b = randomSparse("B", {"K", "N"}, 40, 26, 0.3, 62);
-    const auto es =
-        einsum::EinsumSpec::parse(yaml::parse(kStrategyMatmul));
-    std::map<std::string, Tensor> tensors{{"A", a.clone()},
-                                          {"B", b.clone()}};
-    const ir::EinsumPlan plan =
-        ir::buildPlan(es.expressions[0], es, {}, tensors, {});
-
-    // Default replay path.
-    SummingObserver replayed;
-    exec::Executor ex1(plan, replayed);
-    const Tensor z1 = ex1.run();
-
-    // Batch-consuming path: accumulate from the records directly.
-    struct BatchSummer : SummingObserver
-    {
-        void
-        onEventBatch(const trace::EventBatch& batch) override
-        {
-            using trace::Event;
-            for (const Event& e : batch.events) {
-                switch (e.kind) {
-                  case Event::Kind::LoopEnter:
-                    ++loopEnters;
-                    break;
-                  case Event::Kind::CoIterate:
-                    steps += e.a;
-                    matches += e.b;
-                    break;
-                  case Event::Kind::CoordScan:
-                    scans += e.a;
-                    break;
-                  case Event::Kind::TensorAccess:
-                    ++accesses;
-                    break;
-                  case Event::Kind::OutputWrite:
-                    ++writes;
-                    break;
-                  case Event::Kind::Compute:
-                    computes += e.a;
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-    } batched;
-    exec::Executor ex2(plan, batched);
-    const Tensor z2 = ex2.run();
-
-    EXPECT_TRUE(z1.equals(z2, 1e-12));
-    EXPECT_EQ(replayed.loopEnters, batched.loopEnters);
-    EXPECT_EQ(replayed.steps, batched.steps);
-    EXPECT_EQ(replayed.matches, batched.matches);
-    EXPECT_EQ(replayed.scans, batched.scans);
-    EXPECT_EQ(replayed.accesses, batched.accesses);
-    EXPECT_EQ(replayed.writes, batched.writes);
-    EXPECT_EQ(replayed.computes, batched.computes);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the fibertree substrate: fibers, tensors,
- * co-iteration, and the content-preserving transformations of paper
+ * fiber views, and the content-preserving transformations of paper
  * §2.1/§3.2 (swizzle, flatten, shape/occupancy partitioning).
  */
 #include <gtest/gtest.h>
@@ -146,73 +146,19 @@ TEST(Tensor, CloneIsDeep)
     EXPECT_DOUBLE_EQ(b.at(p), 99.0);
 }
 
-TEST(CoIter, Intersect2FindsCommonCoords)
-{
-    Fiber a(16), b(16);
-    for (Coord c : {1, 3, 5, 7, 11})
-        a.append(c, Payload(1.0));
-    for (Coord c : {3, 4, 5, 11, 12})
-        b.append(c, Payload(2.0));
-    std::vector<Coord> matches;
-    const auto stats =
-        intersect2(FiberView::whole(&a), FiberView::whole(&b),
-                   [&](Coord c, std::size_t, std::size_t) {
-                       matches.push_back(c);
-                   });
-    EXPECT_EQ(matches, (std::vector<Coord>{3, 5, 11}));
-    EXPECT_EQ(stats.matches, 3u);
-    EXPECT_GE(stats.steps, stats.matches);
-}
-
-TEST(CoIter, UnionMergeCoversBothSides)
-{
-    Fiber a(16), b(16);
-    for (Coord c : {1, 5})
-        a.append(c, Payload(1.0));
-    for (Coord c : {2, 5})
-        b.append(c, Payload(2.0));
-    std::vector<std::tuple<Coord, bool, bool>> seen;
-    unionMerge(FiberView::whole(&a), FiberView::whole(&b),
-               [&](Coord c, std::optional<std::size_t> pa,
-                   std::optional<std::size_t> pb) {
-                   seen.emplace_back(c, pa.has_value(), pb.has_value());
-               });
-    ASSERT_EQ(seen.size(), 3u);
-    EXPECT_EQ(seen[0], std::make_tuple(Coord{1}, true, false));
-    EXPECT_EQ(seen[1], std::make_tuple(Coord{2}, false, true));
-    EXPECT_EQ(seen[2], std::make_tuple(Coord{5}, true, true));
-}
-
-TEST(CoIter, LeaderFollowerVisitsEveryLeaderElement)
-{
-    Fiber lead(16), follow(16);
-    for (Coord c : {1, 3, 9})
-        lead.append(c, Payload(1.0));
-    for (Coord c : {3, 9, 12})
-        follow.append(c, Payload(2.0));
-    int with = 0, without = 0;
-    const auto stats = leaderFollower(
-        FiberView::whole(&lead), FiberView::whole(&follow),
-        [&](Coord, std::size_t, std::optional<std::size_t> pf) {
-            pf ? ++with : ++without;
-        });
-    EXPECT_EQ(with, 2);
-    EXPECT_EQ(without, 1);
-    EXPECT_EQ(stats.steps, 3u);
-    EXPECT_EQ(stats.matches, 2u);
-}
-
 TEST(CoIter, RangeSlicesByCoordinate)
 {
-    Fiber f(100);
-    for (Coord c : {10, 20, 30, 40})
-        f.append(c, Payload(1.0));
-    const auto view = FiberView::whole(&f).range(15, 40);
+    const std::vector<Coord> crd{10, 20, 30, 40};
+    FiberView whole;
+    whole.crd = crd.data();
+    whole.hi = crd.size();
+    whole.shapeHint = 100;
+    const auto view = whole.range(15, 40);
     ASSERT_EQ(view.size(), 2u);
     EXPECT_EQ(view.coordAt(view.lo), 20);
     EXPECT_EQ(view.coordAt(view.hi - 1), 30);
-    EXPECT_TRUE(FiberView::whole(&f).range(35, 100).size() == 1);
-    EXPECT_TRUE(FiberView::whole(&f).range(50, 10).empty());
+    EXPECT_TRUE(whole.range(35, 100).size() == 1);
+    EXPECT_TRUE(whole.range(50, 10).empty());
 }
 
 TEST(Transform, SwizzleMatchesPaperFigure4)

@@ -205,10 +205,9 @@ TEST(ModelParallel, OuterSpacePointerThreads124)
 
 TEST(ModelParallel, SigmaPointerThreads124)
 {
-    // Contraction-outermost Z shards with the reduce merge (and at
-    // this thin K1 geometry, inner-rank sharding below the top tile
-    // loop): the split model must survive the reduce-record fixup
-    // with bit-identical counters.
+    // Contraction-outermost Z splits output-keyed below its chunk
+    // loop, each slice owning a range of m: the split model's
+    // counters stay bit-identical across slices that share K1 nodes.
     expectModelEquivalence(accel::sigma(smallSigma()));
 }
 

@@ -5,18 +5,20 @@
  * tensors, and delivered trace streams — including batch boundaries —
  * for every thread count, per Table 1 accelerator spec), sharding of
  * contraction-outermost and inner-rank walks (SIGMA and ExTensor split
- * output-keyed, scalar-output cascades by reduction, no-space-rank
+ * output-keyed, scalar-output cascades run live, no-space-rank
  * mappings disjoint), the split each run picks (deeper than the plan's
- * starting loop when that yields too few units, never regrouping a
- * collision-free walk's sums) and slices reordering their own partial
- * outputs, the shard-plan classification, the disjoint and reducing
- * fiber merges,
+ * starting loop when that yields too few units, never making a
+ * collision-free walk collide) and slices reordering their own partial
+ * outputs, the shard-plan classification, the disjoint fiber merge,
  * concurrent CompiledModel::run from multiple host threads, and the
  * unknown-rank diagnostic for co-iteration overrides.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -104,9 +106,9 @@ makeMatrices(std::uint64_t seed)
 
 /**
  * Sparse matrix with small *integer* values: sums of products of
- * these are exact in double no matter how a reduction-sharded merge
- * groups the partial sums, so reduce-mode tests can assert exact
- * tensor equality across thread counts.
+ * these are exact in double in any grouping, so a test on them checks
+ * the structure and counts of a split, not its summation order (real
+ * values check that).
  */
 ft::Tensor
 intMatrix(std::string name, ft::Coord rows, ft::Coord cols,
@@ -130,6 +132,19 @@ intMatrix(std::string name, ft::Coord rows, ft::Coord cols,
     }
     return ft::Tensor::fromCoo(std::move(name), rank_ids,
                                {rows, cols}, elems);
+}
+
+/** Each leaf's point and the bit pattern of its value: equal exactly
+ *  when the values are the same doubles, not merely close. */
+std::vector<std::pair<std::vector<ft::Coord>, std::uint64_t>>
+leafBits(const ft::Tensor& t)
+{
+    std::vector<std::pair<std::vector<ft::Coord>, std::uint64_t>> out;
+    t.forEachLeaf([&](std::span<const ft::Coord> p, ft::Value v) {
+        out.emplace_back(std::vector<ft::Coord>(p.begin(), p.end()),
+                         std::bit_cast<std::uint64_t>(v));
+    });
+    return out;
 }
 
 void
@@ -275,43 +290,68 @@ TEST(Parallel, SigmaIntegerExactThreads124PointerAndPacked)
 }
 
 /** Scalar-output cascade: the final Einsum reduces everything into
- *  Z[] — the degenerate reduction where every shard writes the same
- *  output point, and no output coordinate exists to key a split on,
- *  so it runs the reduce merge. Exact at 1/2/4 threads, pointer and
- *  packed. */
+ *  Z[] — every unit writes the same output point, and no output
+ *  coordinate exists to key a split on, so at 2 and 4 threads it runs
+ *  live on the coordinator. Z is the serial value bit for bit at
+ *  1/2/4 threads, pointer and packed, on integer values and on
+ *  power-law real ones, whose sums would show any regrouping in their
+ *  low bits. */
 TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
 {
-    const ft::Tensor a = intMatrix("A", 40, 32, 300, 31, {"K", "M"});
-    const ft::Tensor b = intMatrix("B", 40, 36, 300, 37, {"K", "N"});
-    const ft::Tensor wt = intMatrix("W", 32, 36, 400, 41, {"M", "N"});
+    struct Inputs
+    {
+        const char* name;
+        ft::Tensor a;
+        ft::Tensor b;
+        ft::Tensor w;
+    };
+    const Inputs cases[] = {
+        {"integer", intMatrix("A", 40, 32, 300, 31, {"K", "M"}),
+         intMatrix("B", 40, 36, 300, 37, {"K", "N"}),
+         intMatrix("W", 32, 36, 400, 41, {"M", "N"})},
+        {"power-law",
+         workloads::powerLawMatrix("A", 40, 32, 300, 31, {"K", "M"}),
+         workloads::powerLawMatrix("B", 40, 36, 300, 37, {"K", "N"}),
+         workloads::powerLawMatrix("W", 32, 36, 400, 41, {"M", "N"})},
+    };
+    for (const Inputs& in : cases) {
+        SCOPED_TRACE(in.name);
+        auto model = compiler::compile(
+            compiler::Specification::parse(kScalarCascadeYaml));
+        ASSERT_EQ(model.shardPlans().size(), 2u);
+        EXPECT_TRUE(model.shardPlans()[1].shardable);
+        EXPECT_EQ(model.shardPlans()[1].mode, ir::ShardPlan::Mode::Reduce);
+        Workload w;
+        w.add("A", in.a).add("B", in.b).add("W", in.w);
+        expectThreadEquivalenceOn(model, w, 1, 2);
+        expectThreadEquivalenceOn(model, w, 1, 4);
+        const SimulationResult serial = model.run(w, RunOptions{});
+        for (const unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(threads);
+            RunOptions opts;
+            opts.threads = threads;
+            const SimulationResult r = model.run(w, opts);
+            ASSERT_EQ(r.splits.size(), 2u);
+            EXPECT_EQ(r.splits[1].merge, exec::SplitPoint::Merge::Live);
+            EXPECT_EQ(r.splits[1].live, 1u);
+            EXPECT_EQ(r.splits[1].segments, 0u);
+            EXPECT_EQ(leafBits(r.tensors.at("Z")),
+                      leafBits(serial.tensors.at("Z")));
+        }
 
-    auto model = compiler::compile(
-        compiler::Specification::parse(kScalarCascadeYaml));
-    ASSERT_EQ(model.shardPlans().size(), 2u);
-    EXPECT_TRUE(model.shardPlans()[1].shardable);
-    EXPECT_TRUE(model.shardPlans()[1].reduceMerge);
-    Workload w;
-    w.add("A", a).add("B", b).add("W", wt);
-    expectThreadEquivalenceOn(model, w, 1, 2);
-    expectThreadEquivalenceOn(model, w, 1, 4);
-    RunOptions four;
-    four.threads = 4;
-    const SimulationResult r4 = model.run(w, four);
-    ASSERT_EQ(r4.splits.size(), 2u);
-    EXPECT_EQ(r4.splits[1].merge, exec::SplitPoint::Merge::Reduce);
-
-    auto packed_model = compiler::compile(
-        compiler::Specification::parse(kScalarCascadeYaml));
-    const auto pa = storage::PackedTensor::fromTensor(
-        a, packed_model.spec().formats.getLenient("A"));
-    const auto pb = storage::PackedTensor::fromTensor(
-        b, packed_model.spec().formats.getLenient("B"));
-    const auto pwt = storage::PackedTensor::fromTensor(
-        wt, packed_model.spec().formats.getLenient("W"));
-    Workload pw;
-    pw.add("A", pa).add("B", pb).add("W", pwt);
-    expectThreadEquivalenceOn(packed_model, pw, 1, 2);
-    expectThreadEquivalenceOn(packed_model, pw, 1, 4);
+        auto packed_model = compiler::compile(
+            compiler::Specification::parse(kScalarCascadeYaml));
+        const auto pa = storage::PackedTensor::fromTensor(
+            in.a, packed_model.spec().formats.getLenient("A"));
+        const auto pb = storage::PackedTensor::fromTensor(
+            in.b, packed_model.spec().formats.getLenient("B"));
+        const auto pwt = storage::PackedTensor::fromTensor(
+            in.w, packed_model.spec().formats.getLenient("W"));
+        Workload pw;
+        pw.add("A", pa).add("B", pb).add("W", pwt);
+        expectThreadEquivalenceOn(packed_model, pw, 1, 2);
+        expectThreadEquivalenceOn(packed_model, pw, 1, 4);
+    }
 }
 
 // ------------------------------------------------------ split depth
@@ -601,7 +641,6 @@ TEST(Parallel, ShardPlansPrecomputedAtCompile)
     EXPECT_EQ(sigma.shardPlans()[1].mode,
               ir::ShardPlan::Mode::Disjoint);
     EXPECT_EQ(sigma.shardPlans()[2].mode, ir::ShardPlan::Mode::Reduce);
-    EXPECT_TRUE(sigma.shardPlans()[2].reduceMerge);
     EXPECT_EQ(sigma.shardPlans()[2].rank, "K1");
 
     // The report names each Einsum's parallelization.
@@ -609,6 +648,7 @@ TEST(Parallel, ShardPlansPrecomputedAtCompile)
     EXPECT_NE(report.find("Z: reduction sharding along rank 'K1'"),
               std::string::npos)
         << report;
+    EXPECT_EQ(report.find("semiring add"), std::string::npos) << report;
 
     // A remaining refusal: a unary full reduction lowers to the
     // whole-tensor-copy path, which bypasses the loop nest — nothing
@@ -736,86 +776,6 @@ TEST(Parallel, AbsorbDisjointErrorNamesEinsumAndRank)
         EXPECT_NE(msg.find("'N'"), std::string::npos) << msg;
         EXPECT_NE(msg.find("'Z'"), std::string::npos) << msg;
     }
-}
-
-static double
-addOp(double x, double y)
-{
-    return x + y;
-}
-
-TEST(Parallel, AbsorbReduceSumsLeafCollisions)
-{
-    ft::Fiber a(10);
-    a.append(1, ft::Payload(1.0));
-    a.append(3, ft::Payload(2.0));
-    ft::Fiber b(10);
-    b.append(3, ft::Payload(5.0)); // collides: summed
-    b.append(7, ft::Payload(4.0));
-    a.absorbReduce(std::move(b), addOp);
-    ASSERT_EQ(a.size(), 3u);
-    EXPECT_EQ(a.coordAt(0), 1);
-    EXPECT_EQ(a.coordAt(1), 3);
-    EXPECT_EQ(a.coordAt(2), 7);
-    EXPECT_DOUBLE_EQ(a.payloadAt(1).value(), 7.0);
-}
-
-TEST(Parallel, AbsorbReduceRecursesIntoSubfibers)
-{
-    auto child = [](ft::Coord c, double v) {
-        auto f = std::make_shared<ft::Fiber>(ft::Coord{10});
-        f->append(c, ft::Payload(v));
-        return f;
-    };
-    ft::Fiber a(100);
-    a.append(2, ft::Payload(child(1, 1.0)));
-    ft::Fiber b(100);
-    b.append(2, ft::Payload(child(1, 4.0))); // leaf collision below
-    b.append(5, ft::Payload(child(3, 3.0)));
-    a.absorbReduce(std::move(b), addOp);
-    ASSERT_EQ(a.size(), 2u);
-    ASSERT_EQ(a.payloadAt(0).fiber()->size(), 1u);
-    EXPECT_DOUBLE_EQ(a.payloadAt(0).fiber()->payloadAt(0).value(),
-                     5.0);
-    EXPECT_DOUBLE_EQ(a.payloadAt(1).fiber()->payloadAt(0).value(),
-                     3.0);
-}
-
-TEST(Parallel, AbsorbReduceEmptySidesAndAppendFastPath)
-{
-    ft::Fiber a(10);
-    ft::Fiber empty(10);
-    a.absorbReduce(std::move(empty), addOp); // empty other: no-op
-    EXPECT_EQ(a.size(), 0u);
-
-    ft::Fiber b(10);
-    b.append(4, ft::Payload(2.0));
-    a.absorbReduce(std::move(b), addOp); // empty self: adopt
-    ASSERT_EQ(a.size(), 1u);
-    EXPECT_DOUBLE_EQ(a.payloadAt(0).value(), 2.0);
-
-    ft::Fiber c(10);
-    c.append(8, ft::Payload(3.0));
-    a.absorbReduce(std::move(c), addOp); // strictly after: append
-    ASSERT_EQ(a.size(), 2u);
-    EXPECT_EQ(a.coordAt(1), 8);
-}
-
-/** Merging a scalar leaf against a subfiber at the same coordinate is
- *  a structural error, named with the rank when context is given. */
-TEST(Parallel, AbsorbReduceRankMismatchIsAnError)
-{
-    ft::Fiber a(10);
-    a.append(3, ft::Payload(1.0));
-    ft::Fiber b(10);
-    auto sub = std::make_shared<ft::Fiber>(ft::Coord{4});
-    sub->append(0, ft::Payload(2.0));
-    b.append(3, ft::Payload(sub));
-    ft::AbsorbContext ctx;
-    ctx.einsum = "Z";
-    ctx.rankIds = {"M", "N"};
-    EXPECT_THROW(a.absorbReduce(std::move(b), addOp, &ctx),
-                 ModelError);
 }
 
 /** An observer throwing mid-run must surface as a catchable exception

@@ -9,9 +9,10 @@
  * (spillKeep retains them), serial runs never touch the directory,
  * and SpillStats reports what was written. Also the first-write bit
  * that leaf output writes carry through every variant, spill
- * included, a one-unit walk that runs live and spills nothing, and
- * walks split below a two-level prefix of pre-lookups and barren
- * nodes, output-keyed and (for a scalar output) reduce-merged.
+ * included, walks that run live and spill nothing (one unit, or a
+ * scalar output with no coordinate to key a split on), and a walk
+ * split output-keyed below a two-level prefix of pre-lookups and
+ * barren nodes.
  */
 #include <gtest/gtest.h>
 
@@ -169,10 +170,22 @@ TEST_P(SpillAccelerators, SpilledShardedRunMatchesResidentAndSerial)
     EXPECT_EQ(serial_rec.log, resident_rec.log);
     EXPECT_EQ(serial_rec.log, spilled_rec.log);
 
-    // Something actually spilled, and the scratch was cleaned up.
-    EXPECT_GT(spilled.spill.files, 0u) << GetParam();
-    EXPECT_GT(spilled.spill.frames, 0u) << GetParam();
-    EXPECT_GT(spilled.spill.bytes, 0u) << GetParam();
+    if (GetParam() == "scalar") {
+        // A live run captures nothing, so nothing spills.
+        for (const SimulationResult* r : {&resident, &spilled}) {
+            ASSERT_EQ(r->splits.size(), 1u);
+            EXPECT_EQ(r->splits[0].merge, exec::SplitPoint::Merge::Live);
+        }
+        EXPECT_EQ(spilled.spill.files, 0u);
+        EXPECT_EQ(spilled.spill.frames, 0u);
+        EXPECT_EQ(spilled.spill.bytes, 0u);
+    } else {
+        // Something actually spilled.
+        EXPECT_GT(spilled.spill.files, 0u) << GetParam();
+        EXPECT_GT(spilled.spill.frames, 0u) << GetParam();
+        EXPECT_GT(spilled.spill.bytes, 0u) << GetParam();
+    }
+    // The scratch was cleaned up.
     EXPECT_EQ(tmp.fileCount(), 0u) << GetParam();
 
     // Resident runs report no spill activity.
@@ -186,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(Table1, SpillAccelerators,
                                            "outerspace", "sigma"),
                          [](const auto& info) { return info.param; });
 
-/** A scalar output has no coordinate to key a split on: its slices
- *  run the reduce merge, spilled as well as resident. */
+/** A scalar output has no coordinate to key a split on: at 4 threads
+ *  it runs live, with or without a spill directory. */
 INSTANTIATE_TEST_SUITE_P(ScalarOutput, SpillAccelerators,
                          ::testing::Values("scalar"),
                          [](const auto& info) { return info.param; });
@@ -229,7 +242,7 @@ class FirstWriteBit : public ::testing::TestWithParam<std::string>
 
 /** A leaf write carries the first-write bit exactly when its path key
  *  is new in the serial stream, and 4-thread (disjoint, keyed and
- *  reduce sharding), packed and spilled runs deliver the same bits. */
+ *  live), packed and spilled runs deliver the same bits. */
 TEST_P(FirstWriteBit, MarksNewLeavesInEveryVariant)
 {
     auto model = compiler::compile(specFor(GetParam()));
@@ -273,22 +286,28 @@ TEST_P(FirstWriteBit, MarksNewLeavesInEveryVariant)
             o.spillSegmentBytes = sizeof(trace::Event);
         }
         const SimulationResult r = model.run(*v.w, o);
-        if (v.spill)
+        if (v.spill && GetParam() == "scalar") {
+            // A live run captures nothing, so nothing spills.
+            EXPECT_EQ(r.spill.files, 0u);
+            EXPECT_EQ(r.spill.frames, 0u);
+        } else if (v.spill) {
             EXPECT_GT(r.spill.frames, 0u);
+        }
         EXPECT_EQ(rec.wrongBits, 0u);
         EXPECT_EQ(rec.log, serial.log);
         for (const exec::SplitPoint& sp : r.splits)
             merges.insert(sp.merge);
     }
 
-    // The suite covers every merge of a sharded Einsum: the reduce
-    // merge's fixup rewrites the bit, the others keep the slice's.
+    // The suite covers every merge of a sharded Einsum: slices own
+    // disjoint leaves and keep their engine's bit, and a live run sets
+    // it as the serial engine does.
     if (GetParam() == "gamma")
         EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Disjoint));
     if (GetParam() == "sigma")
         EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Keyed));
     if (GetParam() == "scalar")
-        EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Reduce));
+        EXPECT_TRUE(merges.count(exec::SplitPoint::Merge::Live));
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, FirstWriteBit,
@@ -439,8 +458,8 @@ TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
  * nodes' placeholder units have no key; they run in slice 0, between
  * the other slices' segments, and the stream must still be serial.
  * kScalarPrefixYaml sums the same products into a scalar: with no
- * output coordinate to key on, its depth-two split reduce-merges
- * contiguous slices, barren placeholders among their units.
+ * output coordinate to key on, its walk, enumerated down to N, runs
+ * live on the coordinator and spills nothing.
  */
 const char* kPrefixYaml = R"(
 einsum:
@@ -514,7 +533,7 @@ TEST(Spill, PreLookupsAndBarrenNodesInADepthTwoPrefix)
     };
     for (const Case& c :
          {Case{kPrefixYaml, exec::SplitPoint::Merge::Keyed},
-          Case{kScalarPrefixYaml, exec::SplitPoint::Merge::Reduce}}) {
+          Case{kScalarPrefixYaml, exec::SplitPoint::Merge::Live}}) {
         SCOPED_TRACE(exec::mergeName(c.merge));
         auto model =
             compiler::compile(compiler::Specification::parse(c.yaml));
@@ -551,16 +570,21 @@ TEST(Spill, PreLookupsAndBarrenNodesInADepthTwoPrefix)
             ASSERT_EQ(spilled.splits.size(), 1u);
             if (plane == 0) {
                 EXPECT_GT(serial.records[0].execStats.leafVisits, 0u);
+                const bool live = c.merge == exec::SplitPoint::Merge::Live;
                 for (const exec::SplitPoint& split :
                      {resident.splits[0], spilled.splits[0]}) {
                     EXPECT_EQ(split.rank, "N");
                     EXPECT_EQ(split.depth, 2u);
                     EXPECT_EQ(split.merge, c.merge);
-                    EXPECT_GT(split.slices, 1u);
+                    EXPECT_EQ(split.slices > 1u, !live);
                 }
-                EXPECT_GT(spilled.spill.frames, 0u);
-                // Small integer values: the reduce merge's regrouped
-                // sums are exact too.
+                if (live) {
+                    // A live run captures nothing, so nothing spills.
+                    EXPECT_EQ(spilled.spill.files, 0u);
+                    EXPECT_EQ(spilled.spill.frames, 0u);
+                } else {
+                    EXPECT_GT(spilled.spill.frames, 0u);
+                }
                 for (const auto& [name, t] : serial.tensors) {
                     EXPECT_TRUE(t.equals(resident.tensors.at(name), 0.0));
                     EXPECT_TRUE(t.equals(spilled.tensors.at(name), 0.0));
