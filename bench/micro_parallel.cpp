@@ -11,11 +11,11 @@
  *
  * Every row names the split each Einsum's walk used at that thread
  * count (SimulationResult::splits: merge@rank/units) and what the pool
- * did with it: the slice count, the capture segments the coordinator
- * replayed, and the slices it ran live. A second table
- * runs the end-to-end benchmark's stand-ins the same way: scale 0.05,
- * `wi` and `p2` with B drawn from A's seed, inputs packed to store
- * files and mapped, traces spilled in 1 MiB segments.
+ * did with it: the slice count and the capture segments the
+ * coordinator replayed. A second table runs the end-to-end
+ * benchmark's stand-ins the same way: scale 0.05, `wi` and `p2` with
+ * B drawn from A's seed, inputs packed to store files and mapped,
+ * traces spilled in 1 MiB segments.
  *
  * Run-to-run determinism is exercised too: every thread count must
  * produce identical traffic and records (the engine guarantees
@@ -40,9 +40,9 @@ namespace
 using namespace teaal;
 namespace fs = std::filesystem;
 
-/** "T=disjoint@M0/415 slices=64 segments=64 live=0 Z=..." for every
- *  Einsum of @p r: the split, then what the pool did with it (slices,
- *  capture segments the coordinator replayed, slices it ran live). */
+/** "T=disjoint@M0/415 slices=64 segments=64 Z=..." for every Einsum
+ *  of @p r: the split, then what the pool did with it (slices, and
+ *  capture segments the coordinator replayed). */
 std::string
 splitsOf(const compiler::SimulationResult& r)
 {
@@ -55,8 +55,7 @@ splitsOf(const compiler::SimulationResult& r)
         if (s.merge != exec::SplitPoint::Merge::Serial) {
             out += "@" + s.rank + "/" + std::to_string(s.units) +
                    " slices=" + std::to_string(s.slices) +
-                   " segments=" + std::to_string(s.segments) +
-                   " live=" + std::to_string(s.live);
+                   " segments=" + std::to_string(s.segments);
         }
     }
     return out;

@@ -505,9 +505,7 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
 
     exec::ExecOptions eo;
     eo.threads = opts.threads;
-    eo.pool = opts.pool != nullptr
-                  ? (opts.threads == 1 ? nullptr : opts.pool)
-                  : poolFor(opts.threads == 0 ? 2 : opts.threads);
+    eo.pool = opts.pool != nullptr ? opts.pool : poolFor(opts.threads);
 
     // One cancellation context for the whole cascade: every Einsum's
     // engines (and workers) share the token, deadline, and elapsed
@@ -520,7 +518,7 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
         eo.cancel.throwIfCancelled("before execution");
 
     // Out-of-core trace capture: one spill context for the whole
-    // cascade (per-slice segment files all land in spillDir; the
+    // cascade (every capture segment's file lands in spillDir; the
     // aggregate counters become SimulationResult::spill).
     std::unique_ptr<trace::SpillContext> spill_ctx;
     if (!opts.spillDir.empty()) {

@@ -193,9 +193,9 @@ struct RunOptions
 
     /// Extra trace sinks fed alongside the performance model's
     /// storage tier: each receives the same batches of
-    /// order-dependent records (no CoIterate, CoordScan or Compute —
-    /// the bus routes datapath records to the model's accumulators),
-    /// with the serial run's batch boundaries at every thread count.
+    /// order-dependent records (datapath records are never Events —
+    /// the bus hands them to the model's accumulators), with the
+    /// serial run's batch boundaries at every thread count.
     /// Batch-aware sinks consume them directly. Must outlive the
     /// run() call.
     std::vector<trace::Observer*> observers;
@@ -224,9 +224,9 @@ struct RunOptions
     /// SimulationResult::splits. Counters, delivered trace batches
     /// and output values are byte-identical at every thread count: a
     /// walk that branches at a contraction-restricting loop (SIGMA's
-    /// K1 tiles) splits by output coordinate, or runs live when no
-    /// loop keys one. The rare unshardable Einsum (e.g. a whole-tensor
-    /// copy) runs serially, logged once per model.
+    /// K1 tiles) splits by output coordinate, or runs on the serial
+    /// engine when no loop keys one. The rare unshardable Einsum (e.g.
+    /// a whole-tensor copy) runs serially, logged once per model.
     ///
     /// The performance model parallelizes with the walk: each worker
     /// runs the model's order-independent tier
@@ -259,15 +259,15 @@ struct RunOptions
     util::Deadline deadline;
 
     /// Out-of-core trace capture for sharded runs (threads >= 2):
-    /// when non-empty, each slice's captured trace spills to an
-    /// append-only segment file in this directory whenever it crosses
+    /// when non-empty, each capture segment's trace spills to its own
+    /// append-only file in this directory whenever it crosses
     /// spillSegmentBytes, and the coordinator streams the frames back
-    /// in slice order — peak resident trace becomes
+    /// in unit order — peak resident trace becomes
     /// O(threads x spillSegmentBytes) instead of growing with the
     /// input, with results, counters, and delivered trace batches
     /// byte-identical to the resident path. The directory must exist
     /// and be writable; segment files are process-private scratch,
-    /// deleted as soon as each slice is replayed. Empty (default)
+    /// deleted as soon as each segment is replayed. Empty (default)
     /// keeps the whole trace resident. Serial runs (threads == 1)
     /// deliver live and never capture, so the option is inert there.
     std::string spillDir;

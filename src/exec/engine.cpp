@@ -432,7 +432,7 @@ Engine::applyPreLookups(std::size_t loop, std::uint64_t pe)
             evalExpr(*ar.action, preLookupSlots_[loop][li]);
         const ft::FiberView view =
             st.view[static_cast<std::size_t>(level)];
-        bus_.coordScan(ar.input, static_cast<std::size_t>(level), 1, pe);
+        bus_.coordScan(ar.input, static_cast<std::size_t>(level), 1);
         const auto found = view.find(target);
         if (!found) {
             if (plan_.unionCombine) {
@@ -528,7 +528,7 @@ Engine::denseDrive(std::size_t loop, std::uint64_t pe)
                          nextPe(lr, c, ordinal, pe));
             return true;
         });
-    bus_.coIterate(loop, wc.steps, wc.matches, 0, pe);
+    bus_.coIterate(wc.steps, wc.matches, 0, pe);
     bus_.walkEnd();
     pollCancel(loop);
 }
@@ -652,12 +652,12 @@ Engine::walk(std::size_t loop, std::uint64_t pe)
             return !lr.probeOnly;
         });
     const auto& drivers = driversAt_[loop];
-    bus_.coIterate(loop, wc.steps, wc.matches, drivers.size(), pe);
+    bus_.coIterate(wc.steps, wc.matches, drivers.size(), pe);
     for (std::size_t d = 0; d < drivers.size(); ++d) {
         bus_.coordScan(drivers[d].input,
                        static_cast<std::size_t>(
                            drivers[d].action->level),
-                       scratch.scans[d], pe);
+                       scratch.scans[d]);
     }
     bus_.walkEnd();
     TEAAL_FAILPOINT("exec.engine.walk");
@@ -915,16 +915,10 @@ Engine::executeUnit(const TopWalk& tw, std::size_t u)
 }
 
 void
-Engine::closeUnits()
+Engine::finishShard()
 {
     while (!open_.empty())
         closeNode();
-}
-
-void
-Engine::finishShard()
-{
-    closeUnits();
     bus_.flush();
 }
 
@@ -944,11 +938,11 @@ Engine::emitWalkSummary(std::size_t loop, const TopWalk::Summary& sum,
     const auto& drivers = driversAt_[loop];
     TEAAL_ASSERT(drivers.size() == sum.scans.size(),
                  "walk summary driver count mismatch at loop ", loop);
-    bus_.coIterate(loop, sum.steps, sum.matches, drivers.size(), pe);
+    bus_.coIterate(sum.steps, sum.matches, drivers.size(), pe);
     for (std::size_t d = 0; d < drivers.size(); ++d) {
         bus_.coordScan(drivers[d].input,
                        static_cast<std::size_t>(drivers[d].action->level),
-                       sum.scans[d], pe);
+                       sum.scans[d]);
     }
     bus_.walkEnd();
 }
@@ -1078,7 +1072,7 @@ Engine::atCoordinateEnter(std::size_t loop, ft::Coord c,
             evalExpr(*ar.action, lookupSlots_[loop][li]);
         const ft::FiberView view =
             st.view[static_cast<std::size_t>(level)];
-        bus_.coordScan(input, static_cast<std::size_t>(level), 1, pe);
+        bus_.coordScan(input, static_cast<std::size_t>(level), 1);
         const auto found = view.find(target);
         if (!found) {
             if (plan_.unionCombine) {

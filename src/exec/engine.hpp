@@ -48,18 +48,19 @@ namespace teaal::exec
 
 /**
  * The performance model's hooks into execution (model::EinsumModel::
- * hooks()). When set, every trace bus of the run hands
- * order-independent datapath records to a model accumulator where
- * they are produced, through typed trace::DatapathSink calls that
- * build no Event, and only the order-dependent records reach the
- * observer. The serial engine's bus, and the coordinator's on the
- * sharded path (a live run, the top-walk summary), call
- * @ref coordinatorSink; each worker's capture bus calls its slice's
- * sink, so the model's datapath work runs inside the shards and only
- * the stateful records are captured and replayed serially. Results
- * are the same at every thread count: every datapath quantity is an
- * exact (dyadic-rational) sum, and the event/batch diagnostics are
- * accounted as if unfiltered.
+ * hooks()). Every trace bus of the run hands the datapath records,
+ * and the LoopEnters and TensorAccesses the classifier calls
+ * order-free, to a model accumulator where they are produced, through
+ * typed trace::DatapathSink calls that build no Event; only the
+ * order-dependent records reach the observer. The serial engine's bus,
+ * and the coordinator's on the sharded path (the top-walk summary),
+ * call @ref coordinatorSink; each slice's capture bus calls its
+ * slice's sink, so the model's datapath work runs inside the shards
+ * and only the stateful records are captured and replayed serially.
+ * Results are the same at every thread count: every datapath quantity
+ * is an exact (dyadic-rational) sum, and the event/batch diagnostics
+ * count the whole logical stream. Unset hooks route nothing: datapath
+ * records are only counted, and the run shards all the same.
  */
 struct ModelHooks
 {
@@ -75,13 +76,6 @@ struct ModelHooks
 
     /// Sink for datapath records the coordinator emits itself.
     trace::DatapathSink* coordinatorSink = nullptr;
-
-    bool
-    enabled() const
-    {
-        return classifier != nullptr && coordinatorSink != nullptr &&
-               static_cast<bool>(makeShardSinks);
-    }
 };
 
 /**
@@ -105,26 +99,25 @@ struct ExecOptions
      * Worker threads for sharded execution (exec::Executor): 1 runs
      * the classic serial path, 0 means one per hardware thread, and
      * N >= 2 splits the walk at the loop the executor picks for the
-     * run (see exec::SplitPoint) across N workers when the plan is
-     * shardable (ir::analyzeSharding) and @ref modelHooks are set —
-     * counters, delivered trace batches and the output tensor are
-     * byte-identical at every thread count. Without hooks the run is
-     * serial.
+     * run (see exec::SplitPoint) across N threads of @ref pool when
+     * the plan is shardable (ir::analyzeSharding) — counters,
+     * delivered trace batches and the output tensor are
+     * byte-identical at every thread count.
      */
     unsigned threads = 1;
 
     /**
      * Worker pool to draw shard workers from (borrowed; must outlive
-     * the run). Null makes the executor spawn ad-hoc threads instead
-     * — same semantics, slightly higher per-run cost.
+     * the run). A sharded run (threads other than 1, on a shardable
+     * plan) requires it; a 1-thread run never touches it.
      */
     util::ThreadPool* pool = nullptr;
 
     /**
      * Record routing to the model tiers (see ModelHooks); the
      * pipeline sets them on every run. Unset — the default for
-     * non-pipeline callers — delivers every record to the observer
-     * and runs serially at any thread count.
+     * non-pipeline callers — datapath records are only counted, and
+     * every storage-tier record reaches the observer.
      */
     ModelHooks modelHooks;
 
@@ -141,11 +134,11 @@ struct ExecOptions
 
     /**
      * Out-of-core trace capture for sharded runs (borrowed; must
-     * outlive the run). When set, every slice's capture log drains to
-     * a per-slice segment file under the context's directory whenever
-     * it crosses the segment-size threshold, and the coordinator
-     * replays the frames back in order — bounding peak resident trace
-     * at O(threads x segmentBytes) instead of O(total trace), with
+     * outlive the run). When set, each segment's capture log drains
+     * to its own file under the context's directory whenever it
+     * crosses the segment-size threshold, and the coordinator replays
+     * the frames back in order — bounding peak resident trace at
+     * O(threads x segmentBytes) instead of O(total trace), with
      * results, counters, and delivered streams byte-identical to the
      * resident path. Null (the default) keeps everything resident.
      */
@@ -408,20 +401,17 @@ class Engine
 
     /**
      * Execute unit @p u of a recorded walk. The units one engine
-     * executes must ascend (a slice's, or the whole walk's on the
-     * coordinator); the partial output accumulates in this engine,
-     * retrieved once via takeOutput().
+     * executes (a slice's) must ascend; the partial output accumulates
+     * in this engine, retrieved once via takeOutput().
      * The unit's prefix nodes are opened on demand, unmuted exactly
      * where @p u is a node's first unit, and the walk summary of
      * every node whose last unit @p u is is emitted here.
      */
     void executeUnit(const TopWalk& tw, std::size_t u);
 
-    /** Close the prefix nodes left open by a slice ending mid-node
-     *  (state restore only: their events are owned positionally). */
-    void closeUnits();
-
-    /** closeUnits() and flush the bus: the tail of a shard body. */
+    /** The tail of a shard body: close the prefix nodes left open by
+     *  a slice ending mid-node (state restore only: their events are
+     *  owned positionally) and flush the bus. */
     void finishShard();
 
     /**
@@ -436,10 +426,10 @@ class Engine
 
     /**
      * Route datapath-class records on this engine's trace bus to
-     * @p sink per @p cls (see trace::BatchBus::setFilter). Set on
-     * worker capture engines (per-shard accumulator) and on the
-     * delivery engine (coordinator sink) whenever model hooks are
-     * set; call before any event is produced.
+     * @p sink per @p cls (see trace::BatchBus::setFilter). Set from
+     * the model hooks on every engine of a run — a slice's capture
+     * engine gets its shard sink, the delivery engine the coordinator
+     * sink — before any event is produced; null routes nothing.
      */
     void
     setTraceFilter(const trace::RecordClassifier* cls,
@@ -474,8 +464,7 @@ class Engine
     /** Re-emit a shard's captured trace through this engine's bus. */
     void replayTrace(const trace::TraceLog& log);
 
-    /** Move the (fresh, empty) output tensor out of a begun run — the
-     *  zero-top-matches degenerate of the parallel path. */
+    /** Move a shard body's partial output out, once it finished. */
     ft::Tensor takeOutput() { return std::move(out_); }
 
   private:

@@ -1,11 +1,9 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -241,10 +239,10 @@ struct Capture
 };
 
 /**
- * One sharded run of an enumerated walk: the live path, and the
- * scheduler that runs slices of the units on the pool — worker launch
- * and drain, in-order capture replay, the merge of the partial
- * outputs, and the coordinator's tail.
+ * One sharded run of an enumerated walk: the scheduler that runs
+ * slices of the units on the pool — worker launch and drain, in-order
+ * capture replay, the merge of the partial outputs, and the
+ * coordinator's tail.
  */
 class ShardRun
 {
@@ -257,10 +255,6 @@ class ShardRun
           split_(split)
     {
     }
-
-    /** Every unit on the coordinator's delivery bus: no worker,
-     *  capture, spill or replay. */
-    ft::Tensor live();
 
     /**
      * Unit u in slice @p slice_of [u] of @p slices: each slice is one
@@ -295,9 +289,6 @@ class ShardRun
     /** Fold one partial output into the merged result. */
     void absorb(ft::Tensor&& part);
 
-    /** Run @p drain on @p workers pool slots (or ad-hoc threads). */
-    void launch(unsigned workers, std::function<void(unsigned)> drain);
-
     /** Stop claims, wait for every worker, rethrow the first error. */
     void join();
 
@@ -331,22 +322,7 @@ class ShardRun
     bool abort_ = false;
     std::exception_ptr firstError_;
     util::ThreadPool::Ticket ticket_;
-    std::vector<std::thread> adhoc_;
 };
-
-ft::Tensor
-ShardRun::live()
-{
-    split_.slices = 1;
-    split_.live = 1;
-    for (std::size_t u = 0; u < tw_.entries.size(); ++u)
-        coord_.executeUnit(tw_, u);
-    coord_.closeUnits();
-    if (!tw_.topSkipped)
-        coord_.emitTopSummary(tw_);
-    stats_ = coord_.stats();
-    return coord_.finishOutput(coord_.takeOutput());
-}
 
 std::unique_ptr<Capture>
 ShardRun::newCapture()
@@ -396,18 +372,6 @@ ShardRun::absorb(ft::Tensor&& part)
 }
 
 void
-ShardRun::launch(unsigned workers, std::function<void(unsigned)> drain)
-{
-    if (opts_.pool != nullptr) {
-        ticket_ = opts_.pool->launch(workers, std::move(drain));
-        return;
-    }
-    adhoc_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        adhoc_.emplace_back(drain, w);
-}
-
-void
 ShardRun::recordError()
 {
     {
@@ -427,21 +391,16 @@ ShardRun::join()
         abort_ = true;
     }
     cv_.notify_all();
-    if (opts_.pool != nullptr) {
-        // wait() rethrows anything a drain job threw outside its own
-        // catch (e.g. an allocation failure while claiming); fold it
-        // into the run's first error rather than letting it preempt
-        // an earlier, more specific one.
-        try {
-            ticket_.wait();
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(mutex_);
-            if (firstError_ == nullptr)
-                firstError_ = std::current_exception();
-        }
-    } else {
-        for (std::thread& t : adhoc_)
-            t.join();
+    // wait() rethrows anything a drain job threw outside its own catch
+    // (e.g. an allocation failure while claiming); fold it into the
+    // run's first error rather than letting it preempt an earlier,
+    // more specific one.
+    try {
+        ticket_.wait();
+    } catch (...) {
+        std::lock_guard<std::mutex> lk(mutex_);
+        if (firstError_ == nullptr)
+            firstError_ = std::current_exception();
     }
     if (firstError_ != nullptr)
         std::rethrow_exception(firstError_);
@@ -480,7 +439,8 @@ ShardRun::sliced(const std::vector<std::size_t>& slice_of,
                                      : plan_.output.productionOrder;
     split_.slices = slices;
     const std::vector<trace::DatapathSink*> shard_sinks =
-        hooks_.makeShardSinks(slices);
+        hooks_.makeShardSinks ? hooks_.makeShardSinks(slices)
+                              : std::vector<trace::DatapathSink*>(slices);
 
     /** A maximal run of consecutive units in one slice, [lo, hi).
      *  Segments replay in index order, which is serial unit order. */
@@ -607,7 +567,7 @@ ShardRun::sliced(const std::vector<std::size_t>& slice_of,
 
     const auto workers = static_cast<unsigned>(
         std::min<std::size_t>(threads_ - 1, slices));
-    launch(workers, drain);
+    ticket_ = opts_.pool->launch(workers, drain);
 
     // The coordinator replays segments strictly in order, and merges a
     // slice's partial once its last segment is replayed. While the
@@ -689,13 +649,12 @@ ft::Tensor
 Executor::run()
 {
     const ModelHooks& hooks = opts_.modelHooks;
-    if (hooks.enabled())
-        engine_.setTraceFilter(hooks.classifier, hooks.coordinatorSink);
+    engine_.setTraceFilter(hooks.classifier, hooks.coordinatorSink);
     unsigned threads = opts_.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
     split_ = SplitPoint{};
-    if (threads > 1 && plan_.shard.shardable && hooks.enabled())
+    if (threads > 1 && plan_.shard.shardable)
         return runSharded(threads);
     ft::Tensor out = engine_.run();
     stats_ = engine_.stats();
@@ -759,21 +718,18 @@ Executor::enumerateSplit(TopWalk& tw)
 ft::Tensor
 Executor::runSharded(unsigned threads)
 {
+    TEAAL_ASSERT(opts_.pool != nullptr,
+                 "a sharded run draws its workers from ExecOptions::pool");
     // Serial enumeration of the split walk fixes every unit's
-    // coordinates, driver cursors, and PE ids up front (the loop-0
-    // walk summary is replayed after the slices, where the serial
-    // merge loop would emit it). Datapath records are consumed by
-    // per-slice accumulators inside the workers (see ModelHooks);
-    // only order-dependent records are captured and replayed.
+    // coordinates, driver cursors, and PE ids up front, before the run
+    // emits anything (the loop-0 walk summary is emitted after the
+    // slices, where the serial merge loop would emit it). Datapath
+    // records are consumed by per-slice accumulators inside the
+    // workers (see ModelHooks); only order-dependent records are
+    // captured and replayed.
     engine_.beginRun(/*announce_swizzles=*/false);
-    engine_.emitSwizzleAnnouncements();
     TopWalk tw;
     const bool keyed = enumerateSplit(tw);
-    // Loop 0's pre-lookups lead the serial stream: emitted here,
-    // exactly once, and kept applied for the coordinator's live units.
-    const bool top_skipped = engine_.enterTop(/*emit=*/true);
-    TEAAL_ASSERT(top_skipped == tw.topSkipped,
-                 "loop-0 pre-lookups diverged from enumeration");
 
     const std::size_t n = tw.entries.size();
     split_.rank = plan_.loops[tw.depth].name;
@@ -794,16 +750,24 @@ Executor::runSharded(unsigned threads)
         slices = std::min(n, kMaxShards);
         slice_of = contiguousSlices(tw.weight, n, slices);
     }
-    ShardRun run(plan_, engine_, sr_, opts_, tw, threads, split_);
-    ft::Tensor out;
     if (slices <= 1) {
         // Nothing to spread (one unit or key, or a colliding walk with
-        // no key): run it live, exactly as the serial engine would.
+        // no key): the serial engine runs it.
         split_.merge = SplitPoint::Merge::Live;
-        out = run.live();
-    } else {
-        out = run.sliced(slice_of, slices);
+        split_.slices = 1;
+        ft::Tensor out = engine_.run();
+        stats_ = engine_.stats();
+        return out;
     }
+
+    // Swizzle announcements and loop 0's pre-lookups lead the serial
+    // stream: emitted here, exactly once.
+    engine_.emitSwizzleAnnouncements();
+    const bool top_skipped = engine_.enterTop(/*emit=*/true);
+    TEAAL_ASSERT(top_skipped == tw.topSkipped,
+                 "loop-0 pre-lookups diverged from enumeration");
+    ShardRun run(plan_, engine_, sr_, opts_, tw, threads, split_);
+    ft::Tensor out = run.sliced(slice_of, slices);
     stats_ = run.stats();
     return out;
 }

@@ -12,12 +12,13 @@
  *                            (two-finger, gallop, dense-drive),
  *   trace/batch.hpp          the batched trace bus feeding observers.
  *
- * With `ExecOptions::threads >= 2`, model hooks set, and a shardable
- * plan (ir::analyzeSharding — nearly every mapping qualifies; see
+ * With `ExecOptions::threads >= 2` and a shardable plan
+ * (ir::analyzeSharding — nearly every mapping qualifies; see
  * ir::ShardPlan for the rare refusals), the executor splits the walk
- * at one loop across a worker pool. A serial, muted enumeration of
- * the walk down to that loop fixes every unit's coordinates, driver
- * cursors, PE ids and output key (exec::TopWalk). The split starts at
+ * at one loop across the threads of `ExecOptions::pool`. A serial,
+ * muted enumeration of the walk down to that loop, before the run
+ * emits anything, fixes every unit's coordinates, driver cursors, PE
+ * ids and output key (exec::TopWalk). The split starts at
  * the plan's depth and moves one loop deeper while the walk yields
  * fewer than a constant number of units, so a tiled mapping whose top
  * tiles hold the whole input still feeds the pool; it never moves past
@@ -48,8 +49,9 @@
  *     key and runs in slice 0;
  *   - a walk of one unit, a keyed walk of one key, and a colliding
  *     walk with no output coordinate to key on (a scalar output, or an
- *     output variable that is no loop's leading variable) run live on
- *     the coordinator, with no worker, capture, spill or replay.
+ *     output variable that is no loop's leading variable) are run by
+ *     the serial engine after enumeration, with no worker, capture,
+ *     spill or replay.
  *
  * One scheduler runs every split. Each slice is one engine that
  * persists across the slice's units; its capture is cut into
@@ -72,15 +74,16 @@
  * count — and every output point accumulates in the serial order, so
  * counters, traces and tensor values are identical for every N.
  *
- * ExecOptions::modelHooks (set by the pipeline on every run) make
- * every trace bus *split the model*: order-independent datapath
- * records go to a model accumulator as they are produced — inside the
- * workers, per shard, on the sharded path — and only the
- * order-dependent records reach the observer, replayed in serial
- * order by the coordinator. Only the storage tier of the model runs
- * serially, and the assembled counters stay byte-identical
+ * Datapath records are never trace Events. ExecOptions::modelHooks
+ * (set by the pipeline on every run) make every trace bus *split the
+ * model*: datapath records go to a model accumulator as they are
+ * produced — inside the workers, per shard, on the sharded path — and
+ * only the order-dependent records reach the observer, replayed in
+ * serial order by the coordinator. Only the storage tier of the model
+ * runs serially, and the assembled counters stay byte-identical
  * (trace/batch.hpp RecordClassifier, model/accumulator.hpp). Without
- * hooks the observer gets every record, and the run is serial.
+ * hooks datapath records are only counted, the observer gets every
+ * storage-tier record, and the run shards the same way.
  *
  * The (x, +) operators are semiring-parameterized so vertex-centric
  * graph algorithms can redefine them (paper Figure 12: SSSP uses
@@ -103,11 +106,11 @@ struct SplitPoint
 {
     enum class Merge
     {
-        Serial,   ///< not sharded (one thread, no model hooks, or an
-                  ///< unshardable plan)
+        Serial,   ///< not sharded (one thread, or an unshardable
+                  ///< plan)
         Live,     ///< one unit or key (or none), or a colliding walk
-                  ///< with no output coordinate to key on: run live on
-                  ///< the coordinator
+                  ///< with no output coordinate to key on: enumerated,
+                  ///< then run by the serial engine
         Disjoint, ///< collision-free contiguous slices, absorbDisjoint
         Keyed,    ///< output-keyed slices (ranges of one output
                   ///< coordinate) replayed per parent-node segment,
@@ -125,9 +128,6 @@ struct SplitPoint
     /// Capture segments the coordinator replayed: a slice's maximal
     /// runs of consecutive units (one per contiguous slice).
     std::size_t segments = 0;
-    /// Slices the coordinator ran live on the delivery bus: 1 when the
-    /// whole walk ran live, else 0 (every slice is captured).
-    std::size_t live = 0;
 };
 
 /** "serial", "live", "disjoint" or "keyed". */

@@ -16,7 +16,7 @@
  * instantiatePlan runs the recipe traversal (instantiateWith) on the
  * trace tier's packed stores; the analytic tier runs the same
  * traversal on tensor statistics (ir/instantiate.hpp). buildPlan
- * composes the two stages for white-box tests and tools; the pipeline
+ * composes the two stages for white-box tests; the pipeline
  * (compiler::CompiledModel) caches recipes at compile time and
  * instantiated plans per workload.
  */

@@ -242,8 +242,8 @@ struct ShardPlan
      *    write the same output points. A run whose walk branches there
      *    splits output-keyed at a loop that binds an output variable
      *    first (LoopFacts::keysOutput), whose slices own disjoint
-     *    output points again; a walk with no such loop runs live on
-     *    the coordinator, exactly as serially.
+     *    output points again; a walk with no such loop runs live:
+     *    the serial engine runs it after enumeration.
      *  - Inner: the outermost rank itself is unshardable (lookup
      *    actions, binds no variable), so the split starts one loop
      *    down (`depth == 1`); partials relate per the Disjoint/Reduce
@@ -486,9 +486,9 @@ EinsumPlan instantiatePlan(const EinsumRecipe& recipe,
 /**
  * Build the plan for @p expr: analyzeEinsum + instantiatePlan in one
  * call, over packed copies of @p tensors (default, all-compressed
- * formats) that the plan owns. Kept for white-box tests and tools;
- * pipeline callers go through `compiler::CompiledModel`, which caches
- * the two stages separately.
+ * formats) that the plan owns. Kept for white-box tests; pipeline
+ * callers go through `compiler::CompiledModel`, which caches the two
+ * stages separately.
  *
  * @param spec     The cascade (for declarations).
  * @param map      The mapping specification.

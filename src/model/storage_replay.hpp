@@ -44,8 +44,8 @@ class StorageReplay : public trace::Observer
      *  order. */
     void onEventBatch(const trace::EventBatch& batch) override;
 
-    /** Per-record entry for stateful-class records (datapath-class
-     *  records belong to the accumulator tier). */
+    /** Per-record entry. Every Event is a storage-tier record; the
+     *  datapath records go to the accumulator tier. */
     void
     consume(const trace::Event& e)
     {
@@ -66,8 +66,6 @@ class StorageReplay : public trace::Observer
           case Event::Kind::TensorCopy:
             tensorCopy(*e.name, *e.name2, e.a);
             break;
-          default:
-            break; // datapath kinds: not ours
         }
     }
 

@@ -102,8 +102,8 @@ IsectType isectTypeOf(const std::string& type);
 /**
  * Cycles an intersection unit of @p type spends on a walk of @p steps
  * element advances producing @p matches coordinates. Both model tiers
- * charge it: the trace tier per CoIterate record, the analytic tier
- * per estimated walk.
+ * charge it: the trace tier per DatapathSink::coIterate call, the
+ * analytic tier per estimated walk.
  */
 inline double
 isectCycles(IsectType type, double steps, double matches)

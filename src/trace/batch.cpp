@@ -15,9 +15,9 @@ BatchBus::flush()
     }
     if (pendingLogical_ == 0 && batch_.events.empty())
         return;
-    // The unfiltered stream would deliver a batch here (it had the
-    // datapath records); count it even when filtering left the actual
-    // batch empty, so batchCount() stays serial-identical.
+    // The logical stream delivers a batch here; count it even when
+    // every record in it became no Event, so batchCount() stays
+    // serial-identical.
     ++batches_;
     if (!batch_.events.empty()) {
         obs_->onEventBatch(batch_);
@@ -33,8 +33,8 @@ void
 BatchBus::replay(const TraceLog& log)
 {
     // The log holds only the records the capture kept; the logical
-    // stream (datapath records included — already consumed, in-shard,
-    // by the capture filter's datapath sink) is reconstructed
+    // stream (datapath records included — handed, in-shard, to the
+    // capture bus's datapath sink, or only counted) is reconstructed
     // arithmetically from logicalWalkEnds/logicalEvents, so events_,
     // pendingLogical_, and therefore every flush decision and
     // batchCount() land exactly where the serial bus put them.

@@ -8,15 +8,16 @@
  * a single virtual call (`Observer::onEventBatch`), flushed at
  * fiber-walk boundaries; an observer switches over each record's kind.
  *
- * With a RecordClassifier and a DatapathSink set (every pipeline run),
- * the bus routes each record to its performance-model tier where it is
- * produced. An order-independent datapath record never becomes an
- * Event: the producer calls the sink's typed method directly, and an
- * order-free LoopEnter (one no buffet drains on) is only counted. Only
- * the order-dependent remainder is built as Events and delivered (or
- * captured, on a shard's bus, for the coordinator's in-order replay).
- * Either way the bus's event and batch accounting is that of the
- * unfiltered stream.
+ * Datapath records — co-iteration tallies, coordinate scans and compute
+ * ops — are never Events: the bus counts each one and, with a
+ * DatapathSink set (every pipeline run), calls the sink's typed method
+ * where the record is produced. With the sink comes a
+ * RecordClassifier, which routes the order-free LoopEnters and
+ * TensorAccesses the same way (an order-free LoopEnter, one no buffet
+ * drains on, is only counted). Only storage-tier records are built as
+ * Events and delivered (or captured, on a shard's bus, for the
+ * coordinator's in-order replay). Either way the bus's event and batch
+ * accounting is that of the whole logical stream.
  */
 #pragma once
 
@@ -43,16 +44,12 @@ namespace teaal::trace
  */
 struct alignas(64) Event
 {
+    /** The storage-tier records. The datapath records are never
+     *  Events; their fields are documented on DatapathSink. */
     enum class Kind : std::uint8_t
     {
         /// A new coordinate `coord` was entered at loop `loop`.
         LoopEnter,
-        /// A co-iteration walk at `loop` finished: `a` element advances
-        /// over all drivers, `b` coordinates produced, `c` co-iterated
-        /// fibers (>= 2 needs an intersection/union unit; 0 = dense).
-        CoIterate,
-        /// `a` coordinates of driver `input` scanned at `level`.
-        CoordScan,
         /// A payload of input `input` read (descend at `level`,
         /// coordinate `coord`); `ptr` is a stable identity usable for
         /// reuse modeling.
@@ -61,8 +58,6 @@ struct alignas(64) Event
         /// when `flagB`, else a fiber insert; `key` hashes the
         /// coordinate path.
         OutputWrite,
-        /// `a` compute operations of kind `op` ('m' or 'a') on `pe`.
-        Compute,
         /// A rank swizzle of `name` (`a` elements, `b` ways). Online
         /// swizzles (`flagA`, on intermediates) are charged to the
         /// merger/sort hardware; offline ones are free preprocessing
@@ -74,33 +69,31 @@ struct alignas(64) Event
     };
 
     Kind kind = Kind::LoopEnter;
-    char op = 0; // Compute: 'm' or 'a'
     /// OutputWrite: inserted — an interior write created the node; a
     /// leaf write is the first write of that leaf in the run (the
     /// storage tier charges first writes without any per-leaf
     /// lookup). Swizzle: online.
     bool flagA = false;
     bool flagB = false;      // OutputWrite: at_leaf
-    std::int32_t input = -1; // CoordScan/TensorAccess input slot
-    std::uint32_t loop = 0;  // LoopEnter/CoIterate loop index
+    std::int32_t input = -1; // TensorAccess input slot
+    std::uint32_t loop = 0;  // LoopEnter loop index
     std::uint32_t level = 0;
     ft::Coord coord = 0;
-    std::size_t a = 0; // steps / count / elements / packed position
+    std::size_t a = 0; // elements / packed position
     std::uint64_t pe = 0;
     const std::string* name = nullptr; // tensor name
     union
     {
-        std::size_t b = 0; // CoIterate: matches; Swizzle: ways
+        std::size_t b = 0; // Swizzle: ways
         std::uint64_t key; // OutputWrite: path key
         const void* ptr;   // TensorAccess: identity key
     };
     union
     {
-        std::size_t c = 0; // CoIterate: drivers
         /// TensorAccess: the input's source storage::PackedTensor
         /// (opaque here — trace stays below the storage layer), with
         /// the element position in `a`.
-        const void* packed;
+        const void* packed = nullptr;
         const std::string* name2; // TensorCopy destination
     };
 };
@@ -117,10 +110,10 @@ struct EventBatch
 };
 
 /**
- * Typed receiver of the order-independent datapath records (the model
- * split's accumulator tier). A filtering BatchBus calls it from the
- * producer, on the emitting thread, in place of building an Event, so
- * a datapath record costs one virtual call and no copy. Each method
+ * Typed receiver of the datapath records (the model split's
+ * accumulator tier). These records are never Events: a BatchBus with a
+ * sink set calls it from the producer, on the emitting thread, so a
+ * datapath record costs one virtual call and no copy. Each method
  * takes the fields that tier consumes.
  */
 class DatapathSink
@@ -128,19 +121,25 @@ class DatapathSink
   public:
     virtual ~DatapathSink() = default;
 
-    /** A co-iteration walk ended (see Event::Kind::CoIterate). */
+    /** A co-iteration walk ended: @p steps element advances over all
+     *  drivers, @p matches coordinates produced, @p drivers
+     *  co-iterated fibers (>= 2 needs an intersection/union unit;
+     *  0 = dense), on PE @p pe. */
     virtual void coIterate(std::size_t steps, std::size_t matches,
                            std::size_t drivers, std::uint64_t pe) = 0;
 
-    /** @p count coordinates of one driver were scanned. */
+    /** @p count coordinates of driver @p input were scanned at
+     *  @p level. */
     virtual void coordScan(int input, std::size_t level,
                            std::size_t count) = 0;
 
-    /** @p count compute operations of kind @p op ('m' or 'a'). */
+    /** @p count compute operations of kind @p op ('m' or 'a') on PE
+     *  @p pe. */
     virtual void compute(char op, std::uint64_t pe, std::size_t count) = 0;
 
-    /** An order-free payload read: streamed past every unit, or
-     *  absorbed by an eager fill above. */
+    /** An order-free payload read of input @p input at @p level:
+     *  streamed past every unit, or absorbed by an eager fill above
+     *  (a stateful read is an Event::Kind::TensorAccess). */
     virtual void tensorAccess(int input, std::size_t level) = 0;
 };
 
@@ -153,11 +152,13 @@ class DatapathSink
  * order (buffet/cache accesses, output writes, evict-loop entries).
  *
  * The performance model builds one per Einsum from its storage
- * routing tables; a filtering BatchBus uses it to hand datapath
- * records straight to a DatapathSink (per shard on a capture bus)
- * instead of delivering or logging them. Classification is static
- * per (kind, loop) / (kind, input, level), so the hot path pays one
- * or two vector reads per record.
+ * routing tables. Compute ops, co-iteration tallies and coordinate
+ * scans are always datapath; a filtering BatchBus asks the classifier
+ * about LoopEnters and TensorAccesses, handing the order-free ones to
+ * the DatapathSink (per shard on a capture bus) instead of delivering
+ * or logging them. Classification is static per (kind, loop) /
+ * (kind, input, level), so the hot path pays one or two vector reads
+ * per record.
  */
 struct RecordClassifier
 {
@@ -260,10 +261,11 @@ class SpillSink
  * canonical shard order delivers batches byte-identical to a serial
  * run's (same records, same batch boundaries).
  *
- * A filtering capture keeps only the stateful records; the *logical*
- * stream — everything the shard emitted, datapath records included —
- * is tracked alongside in logical indices, so a replay keeps the
- * delivery bus's event/batch accounting identical to the serial bus.
+ * A capture keeps only the Events (on a filtering bus, only the
+ * stateful ones); the *logical* stream — everything the shard emitted,
+ * datapath records included — is tracked alongside in logical indices,
+ * so a replay keeps the delivery bus's event/batch accounting
+ * identical to the serial bus.
  *
  * Events are stored in fixed-capacity chunks so capture never
  * reallocates (a multi-million-event shard would otherwise re-copy
@@ -379,15 +381,17 @@ class BatchBus
     BatchBus& operator=(const BatchBus&) = delete;
 
     /**
-     * Route datapath-class records (per @p cls) to @p datapath_sink
-     * instead of the normal stream: the producer calls the sink and
-     * builds no Event, and an order-free LoopEnter is counted and
-     * dropped (the model consumes nothing from it). On a capture bus
-     * the log then holds only the stateful records; on a delivery bus
-     * only stateful records reach the observer. Either way event/batch
-     * accounting stays that of the unfiltered stream. The sink is
-     * called in emission order, on the emitting thread. Both pointers
-     * are borrowed; a null sink (or classifier) turns filtering off.
+     * Hand the datapath records to @p datapath_sink, and the LoopEnters
+     * and TensorAccesses that @p cls calls order-free with them: the
+     * producer calls the sink and builds no Event, and an order-free
+     * LoopEnter is counted and dropped (the model consumes nothing from
+     * it). On a capture bus the log then holds only the stateful
+     * records; on a delivery bus only stateful records reach the
+     * observer. Either way event/batch accounting stays that of the
+     * whole logical stream. The sink is called in emission order, on
+     * the emitting thread. Both pointers are borrowed; a null sink (or
+     * classifier) turns routing off: datapath records are then only
+     * counted, and every LoopEnter and TensorAccess is an Event.
      */
     void
     setFilter(const RecordClassifier* cls, DatapathSink* datapath_sink)
@@ -420,36 +424,18 @@ class BatchBus
     }
 
     void
-    coIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-              std::size_t drivers, std::uint64_t pe)
+    coIterate(std::size_t steps, std::size_t matches, std::size_t drivers,
+              std::uint64_t pe)
     {
-        if (sink_ != nullptr) {
-            if (route())
-                sink_->coIterate(steps, matches, drivers, pe);
-            return;
-        }
-        Event& e = push(Event::Kind::CoIterate);
-        e.loop = static_cast<std::uint32_t>(loop);
-        e.a = steps;
-        e.b = matches;
-        e.c = drivers;
-        e.pe = pe;
+        if (route() && sink_ != nullptr)
+            sink_->coIterate(steps, matches, drivers, pe);
     }
 
     void
-    coordScan(int input, std::size_t level, std::size_t count,
-              std::uint64_t pe)
+    coordScan(int input, std::size_t level, std::size_t count)
     {
-        if (sink_ != nullptr) {
-            if (route())
-                sink_->coordScan(input, level, count);
-            return;
-        }
-        Event& e = push(Event::Kind::CoordScan);
-        e.input = input;
-        e.level = static_cast<std::uint32_t>(level);
-        e.a = count;
-        e.pe = pe;
+        if (route() && sink_ != nullptr)
+            sink_->coordScan(input, level, count);
     }
 
     /** TensorAccess: @p packed/@p pos identify the element in its
@@ -493,15 +479,8 @@ class BatchBus
     void
     compute(char op, std::uint64_t pe, std::size_t count)
     {
-        if (sink_ != nullptr) {
-            if (route())
-                sink_->compute(op, pe, count);
-            return;
-        }
-        Event& e = push(Event::Kind::Compute);
-        e.op = op;
-        e.pe = pe;
-        e.a = count;
+        if (route() && sink_ != nullptr)
+            sink_->compute(op, pe, count);
     }
 
     void
@@ -528,9 +507,9 @@ class BatchBus
     // ------------------------------------------------------- flushing
     /** A fiber walk ended: flush if the pending batch is big enough
      *  (capture mode records the boundary instead). The threshold
-     *  check counts *logical* pending records — filtered-out datapath
-     *  records included — so flush points (and therefore batch counts)
-     *  land exactly where the unfiltered stream's would. */
+     *  check counts *logical* pending records — those that became no
+     *  Event included — so flush points (and therefore batch counts)
+     *  land where they do on every bus, filtering or not. */
     void
     walkEnd()
     {
@@ -563,28 +542,28 @@ class BatchBus
     /**
      * Re-emit a captured stream through this (delivery-mode) bus: the
      * logged records are pushed in order, and the logical stream —
-     * including the datapath records the capture filter already
-     * routed to its shard's accumulator — is accounted at every
-     * recorded walk boundary, so flush points, eventCount() and
-     * batchCount() land exactly where a live engine emitting the same
-     * stream would put them.
+     * including the records the capture bus built no Event for — is
+     * accounted at every recorded walk boundary, so flush points,
+     * eventCount() and batchCount() land exactly where an engine
+     * delivering the same stream directly would put them.
      */
     void replay(const TraceLog& log);
 
-    /** Logical events recorded so far (delivered + pending + routed
-     *  to the datapath sink or only counted; replays count the records
-     *  their shard accumulators consumed, so this matches the serial
-     *  bus). */
+    /** Logical records so far: Events delivered or pending, plus the
+     *  records that became no Event (datapath records, order-free
+     *  LoopEnters). A replay counts its capture's logical stream, so
+     *  this matches the serial bus. */
     std::size_t eventCount() const { return events_; }
 
-    /** Batches delivered so far (filtered buses count the batches the
-     *  equivalent unfiltered stream would have delivered). */
+    /** Batches of the logical stream so far: a flush whose records
+     *  all became no Event still counts, so this matches the serial
+     *  bus. */
     std::size_t batchCount() const { return batches_; }
 
   private:
-    /** Account one logical record that becomes no Event (routed to
-     *  the datapath sink, or an order-free LoopEnter). False while
-     *  muted: the record does not exist. */
+    /** Account one logical record that becomes no Event (a datapath
+     *  record, or an order-free LoopEnter). False while muted: the
+     *  record does not exist. */
     bool
     route()
     {
@@ -596,7 +575,8 @@ class BatchBus
     }
 
     /** Route an order-free TensorAccess to the sink; false when the
-     *  access is stateful (or the bus unfiltered) and needs an Event. */
+     *  access is stateful (or the bus does not filter) and needs an
+     *  Event. */
     bool
     routedAccess(int input, std::size_t level)
     {
@@ -648,8 +628,8 @@ class BatchBus
     std::size_t events_ = 0;
     std::size_t batches_ = 0;
 
-    /// Logical records since the last flush (== batch_.size() when no
-    /// filter is set); the serial-equivalent flush criterion.
+    /// Logical records since the last flush; the serial-equivalent
+    /// flush criterion.
     std::size_t pendingLogical_ = 0;
 
     // Record filtering (see setFilter); sink_ is set exactly when

@@ -15,7 +15,7 @@ namespace
 
 /// First 8 bytes of every frame, a cheap torn-file detector. The digit
 /// names the Event record layout the frame's raw records use.
-constexpr std::uint64_t kFrameMagic = 0x334C4C4950535424ULL; // "$TSPILL3"
+constexpr std::uint64_t kFrameMagic = 0x344C4C4950535424ULL; // "$TSPILL4"
 
 /// Followed by `walkEnds` logged boundary indices, as many logical
 /// ones, then the frame's `events` raw records.

@@ -2,26 +2,27 @@
  * @file
  * Disk-spilled trace capture (the out-of-core half of sharded runs).
  *
- * A sharded run captures each slice's trace into a TraceLog and
- * replays the logs in slice order on the coordinator; resident memory
- * therefore grows with the total captured trace — for a SuiteSparse-
- * scale input that is gigabytes of Event records alive at once. The
- * spill layer bounds it: each slice's capture bus drains its log to
- * an append-only per-slice segment file whenever the buffered frame
- * crosses a size threshold (Shore-MT's partitioned-log idiom: one
- * log partition per worker, no cross-thread contention, coordinator
- * merges by replaying partitions in slice order), and the coordinator
- * streams the frames back one at a time. Peak resident trace becomes
- * O(threads x segmentBytes) instead of O(total trace).
+ * A sharded run captures each segment's trace (a slice's run of
+ * consecutive units) into a TraceLog and replays the logs in unit
+ * order on the coordinator; resident memory therefore grows with the
+ * captured trace not yet replayed — for a SuiteSparse-scale input that
+ * is gigabytes of Event records alive at once. The spill layer bounds
+ * it: each segment's capture bus drains its log to an append-only file
+ * of its own whenever the buffered frame crosses a size threshold
+ * (Shore-MT's partitioned-log idiom: one log partition per capture, no
+ * cross-thread contention, coordinator merges by replaying partitions
+ * in unit order), and the coordinator streams the frames back one at
+ * a time. Peak resident trace becomes O(threads x segmentBytes)
+ * instead of O(total trace).
  *
  * Frames are cut only at walk boundaries (SpillSink::onWalkBoundary),
  * so every frame satisfies the TraceLog invariants on its own:
  * walkEnds and logicalWalkEnds are frame-relative, and the
  * coordinator's replay fixup runs frame-locally with its state (the
  * interior output nodes already announced) persisting across frames
- * exactly as it persists across slices. Replaying the frames of a file in order, then the slice's
- * residual in-memory tail, delivers a stream byte-identical to the
- * unspilled capture's.
+ * exactly as it persists across segments. Replaying the frames of a
+ * file in order, then the segment's residual in-memory tail, delivers
+ * a stream byte-identical to the unspilled capture's.
  *
  * Event records hold borrowed pointers (tensor-name strings owned by
  * the plan, PackedTensor identities); they remain valid for the whole
@@ -51,7 +52,7 @@ namespace teaal::trace
 /** Aggregate spill counters for one run (SimulationResult::spill). */
 struct SpillStats
 {
-    std::uint64_t files = 0;  ///< slice partitions that hit disk
+    std::uint64_t files = 0;  ///< segment captures that hit disk
     std::uint64_t frames = 0; ///< frames written across all files
     std::uint64_t bytes = 0;  ///< total bytes written
 };
@@ -60,8 +61,8 @@ class SpillWriter;
 
 /**
  * Per-run spill configuration and shared counters: the executor asks
- * it for one SpillWriter per slice (initial and stolen alike); the
- * writers report their totals back here. Thread-safe.
+ * it for one SpillWriter per capture segment; the writers report
+ * their totals back here. Thread-safe.
  */
 class SpillContext
 {
@@ -73,7 +74,7 @@ class SpillContext
     {
     }
 
-    /** New per-slice segment writer (unique path under dir()). */
+    /** New segment writer (unique path under dir()). */
     std::unique_ptr<SpillWriter> makeWriter();
 
     const std::string& dir() const { return dir_; }
@@ -103,15 +104,15 @@ class SpillContext
 };
 
 /**
- * One slice's log partition: drains the slice's TraceLog to an
- * append-only segment file, one frame per walk-boundary crossing of
- * the size threshold. The file is created lazily on the first frame —
- * a slice whose whole trace fits in one threshold's worth of events
+ * One capture segment's log partition: drains the segment's TraceLog
+ * to an append-only file, one frame per walk-boundary crossing of the
+ * size threshold. The file is created lazily on the first frame — a
+ * segment whose whole trace fits in one threshold's worth of events
  * never touches disk and replays through the ordinary resident path.
  *
- * Used by one worker at a time during capture, then by the
- * coordinator (after the slice's `done` handshake) for seal/replay —
- * no internal locking needed.
+ * Used by one thread during capture, then by the coordinator (after
+ * the segment's `done` handshake) for seal/replay — no internal
+ * locking needed.
  */
 class SpillWriter final : public SpillSink
 {
@@ -136,7 +137,7 @@ class SpillWriter final : public SpillSink
     void seal();
 
     /** Close and delete the file now (no-op in keep mode, or when
-     *  nothing spilled); frees disk as soon as a slice is replayed. */
+     *  nothing spilled); frees disk as soon as a segment is replayed. */
     void discard();
 
     const std::string& path() const { return path_; }

@@ -87,12 +87,6 @@ class StreamRecorder : public trace::Observer
               case Event::Kind::LoopEnter:
                 add("L", e.loop, e.coord);
                 break;
-              case Event::Kind::CoIterate:
-                add("I", e.loop, e.a, e.b, e.c, e.pe);
-                break;
-              case Event::Kind::CoordScan:
-                add("S", e.input, e.level, e.a, e.pe);
-                break;
               case Event::Kind::TensorAccess:
                 add("A", e.input, e.level, e.coord, e.pe);
                 log.back() += ":" + *e.name;
@@ -100,9 +94,6 @@ class StreamRecorder : public trace::Observer
               case Event::Kind::OutputWrite:
                 add("W", e.level, e.coord, e.key, e.flagA, e.flagB, e.pe);
                 log.back() += ":" + *e.name;
-                break;
-              case Event::Kind::Compute:
-                add("C", e.op, e.pe, e.a);
                 break;
               case Event::Kind::Swizzle:
                 add("Z", e.a, e.b, e.flagA);

@@ -6,8 +6,8 @@
  * factorized-MTTKRP equivalence (Table 2 rows executed, not just
  * parsed), co-iteration strategy equivalence (two-finger, gallop,
  * and dense-drive must agree functionally on any plan), and the
- * batched trace bus (bit-identical replay, >= 10x fewer virtual
- * calls).
+ * batched trace bus (>= 10x fewer virtual calls; a run without model
+ * hooks shards with the serial run's stream).
  */
 #include <gtest/gtest.h>
 
@@ -15,8 +15,10 @@
 
 #include "exec/executor.hpp"
 #include "ir/plan.hpp"
+#include "support.hpp"
 #include "trace/batch.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 #include "yaml/yaml.hpp"
 
 namespace teaal
@@ -442,8 +444,48 @@ TEST(TraceBus, BatchingCutsVirtualCallsTenfold)
     EXPECT_GE(counting.recordsSeen, counting.batchCalls * 10)
         << counting.recordsSeen << " records in "
         << counting.batchCalls << " batches";
-    EXPECT_EQ(ex.bus().eventCount(), counting.recordsSeen);
+    // Datapath records are counted but never delivered as Events.
+    EXPECT_GT(ex.bus().eventCount(), counting.recordsSeen);
     EXPECT_EQ(ex.bus().batchCount(), counting.batchCalls);
+}
+
+/** A run without model hooks shards like a hooked one: at 2 and 4
+ *  threads on a pool it splits the walk, and its tensor, stats,
+ *  logical event and batch counts and delivered stream equal the
+ *  serial run's. */
+TEST(TraceBus, ExecutorWithoutHooksShardsLikeSerial)
+{
+    const Tensor a = randomSparse("A", {"K", "M"}, 64, 48, 0.3, 51);
+    const Tensor b = randomSparse("B", {"K", "N"}, 64, 40, 0.3, 52);
+    const auto es =
+        einsum::EinsumSpec::parse(yaml::parse(kStrategyMatmul));
+    std::map<std::string, Tensor> tensors{{"A", a.clone()},
+                                          {"B", b.clone()}};
+    const ir::EinsumPlan plan =
+        ir::buildPlan(es.expressions[0], es, {}, tensors, {});
+
+    test::StreamRecorder serial_rec;
+    exec::Executor serial(plan, serial_rec);
+    const Tensor ref = serial.run();
+    ASSERT_EQ(serial.split().merge, exec::SplitPoint::Merge::Serial);
+
+    util::ThreadPool pool(4);
+    for (const unsigned threads : {2u, 4u}) {
+        SCOPED_TRACE(threads);
+        exec::ExecOptions opts;
+        opts.threads = threads;
+        opts.pool = &pool;
+        test::StreamRecorder rec;
+        exec::Executor ex(plan, rec, exec::Semiring::arithmetic(), opts);
+        const Tensor got = ex.run();
+        EXPECT_NE(ex.split().merge, exec::SplitPoint::Merge::Serial);
+        EXPECT_GT(ex.split().slices, 1u);
+        EXPECT_TRUE(got.equals(ref, 0.0));
+        EXPECT_EQ(ex.stats(), serial.stats());
+        EXPECT_EQ(ex.bus().eventCount(), serial.bus().eventCount());
+        EXPECT_EQ(ex.bus().batchCount(), serial.bus().batchCount());
+        EXPECT_EQ(rec.log, serial_rec.log);
+    }
 }
 
 } // namespace

@@ -292,10 +292,10 @@ TEST(Parallel, SigmaIntegerExactThreads124PointerAndPacked)
 /** Scalar-output cascade: the final Einsum reduces everything into
  *  Z[] — every unit writes the same output point, and no output
  *  coordinate exists to key a split on, so at 2 and 4 threads it runs
- *  live on the coordinator. Z is the serial value bit for bit at
- *  1/2/4 threads, pointer and packed, on integer values and on
- *  power-law real ones, whose sums would show any regrouping in their
- *  low bits. */
+ *  live: enumerated, then run by the serial engine. Z is the serial
+ *  value bit for bit at 1/2/4 threads, pointer and packed, on integer
+ *  values and on power-law real ones, whose sums would show any
+ *  regrouping in their low bits. */
 TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
 {
     struct Inputs
@@ -333,7 +333,6 @@ TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
             const SimulationResult r = model.run(w, opts);
             ASSERT_EQ(r.splits.size(), 2u);
             EXPECT_EQ(r.splits[1].merge, exec::SplitPoint::Merge::Live);
-            EXPECT_EQ(r.splits[1].live, 1u);
             EXPECT_EQ(r.splits[1].segments, 0u);
             EXPECT_EQ(leafBits(r.tensors.at("Z")),
                       leafBits(serial.tensors.at("Z")));
@@ -423,9 +422,8 @@ TEST(Parallel, ExTensorSplitsBelowOneCoordinateTiles)
         EXPECT_EQ(splits[0].units, splits[1].units);
         EXPECT_EQ(splits[0].slices, splits[1].slices);
         if (c.merge == exec::SplitPoint::Merge::Keyed) {
-            // Keyed slices are never run live, and every slice has a
-            // segment under at least one K1 node.
-            EXPECT_EQ(splits[1].live, 0u);
+            // Every keyed slice has a segment under at least one K1
+            // node.
             EXPECT_GE(splits[1].segments, splits[1].slices);
             EXPECT_EQ(splits[0].segments, splits[1].segments);
         }

@@ -398,7 +398,7 @@ TEST(Spill, RepeatedSpilledRunsAreDeterministic)
     EXPECT_EQ(first.spill.bytes, second.spill.bytes);
 }
 
-/** A walk that yields one unit runs live on the coordinator: no
+/** A walk that yields one unit runs live, on the serial engine: no
  *  worker, capture, spill or replay, and the serial run's stream and
  *  results. Z[] = A[k, m] * B[k, n] on inputs that share one k: K
  *  yields one unit, and M below it branches on a contraction, but a
@@ -459,7 +459,7 @@ TEST(Spill, OneUnitWalkRunsLiveWithoutSpilling)
  * the other slices' segments, and the stream must still be serial.
  * kScalarPrefixYaml sums the same products into a scalar: with no
  * output coordinate to key on, its walk, enumerated down to N, runs
- * live on the coordinator and spills nothing.
+ * live, on the serial engine, and spills nothing.
  */
 const char* kPrefixYaml = R"(
 einsum:
