@@ -613,6 +613,72 @@ mapping:
     expectSameResults(model.run(w, serial), model.run(w, wide));
 }
 
+/** SIGMA's first take, S[k, m] = take(A[k, m], B[k, n], 0), under a
+ *  loop order given per case: n is its probe variable, and no split
+ *  reaches a loop that restricts it. With N outermost the plan is not
+ *  shardable and a 4-thread run is the serial one. With N below K the
+ *  run splits at K: its 8 units are too few to feed a pool, but the
+ *  loop below is the probe loop. Either way the 4-thread run equals
+ *  the serial run. */
+TEST(Parallel, TakeProbeLoopIsNeverSplit)
+{
+    struct Case
+    {
+        const char* order;
+        bool shardable;
+    };
+    for (const Case& c :
+         {Case{"[N, K, M]", false}, Case{"[K, N, M]", true}}) {
+        SCOPED_TRACE(c.order);
+        const std::string yaml = std::string(R"(
+einsum:
+  declaration:
+    A: [K, M]
+    B: [K, N]
+    S: [K, M]
+  expressions:
+    - S[k, m] = take(A[k, m], B[k, n], 0)
+mapping:
+  loop-order:
+    S: )") + c.order + "\n";
+        auto model =
+            compiler::compile(compiler::Specification::parse(yaml));
+        Workload w;
+        w.add("A", intMatrix("A", 8, 32, 120, 43, {"K", "M"}))
+            .add("B", intMatrix("B", 8, 36, 120, 47, {"K", "N"}));
+        const ir::ShardPlan& sp = model.plans(w).at(0).shard;
+        EXPECT_EQ(sp.shardable, c.shardable) << sp.reason;
+        if (!c.shardable)
+            EXPECT_NE(sp.reason.find("'N'"), std::string::npos)
+                << sp.reason;
+
+        StreamRecorder serial_rec;
+        RunOptions serial;
+        serial.observers.push_back(&serial_rec);
+        const SimulationResult ref = model.run(w, serial);
+        StreamRecorder rec;
+        RunOptions four;
+        four.threads = 4;
+        four.observers.push_back(&rec);
+        const SimulationResult got = model.run(w, four);
+        expectSameResults(ref, got);
+        EXPECT_EQ(rec.log, serial_rec.log);
+        EXPECT_EQ(leafBits(got.tensors.at("S")),
+                  leafBits(ref.tensors.at("S")));
+        ASSERT_EQ(got.splits.size(), 1u);
+        const exec::SplitPoint& split = got.splits[0];
+        if (c.shardable) {
+            EXPECT_EQ(split.rank, "K");
+            EXPECT_EQ(split.depth, 0u);
+            EXPECT_EQ(split.units, 8u);
+            EXPECT_EQ(split.merge, exec::SplitPoint::Merge::Disjoint);
+            EXPECT_GT(split.slices, 1u);
+        } else {
+            EXPECT_EQ(split.merge, exec::SplitPoint::Merge::Serial);
+        }
+    }
+}
+
 // -------------------------------------------------------- shard plans
 
 TEST(Parallel, ShardPlansPrecomputedAtCompile)
