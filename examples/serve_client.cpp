@@ -2,8 +2,9 @@
  * @file
  * Serving walkthrough: drive the simulation-as-a-service protocol end
  * to end — compile a model, register datasets, evaluate twice (the
- * second request hits the cached plan), and read the introspection
- * endpoints.
+ * second request hits the cached plan), and read the server's
+ * counters. Exits nonzero when any request answers an error it did
+ * not expect, so a smoke run of the session checks it.
  *
  * With no arguments it starts an in-process server on an ephemeral
  * port, so the example is self-contained; pass a port number to talk
@@ -60,31 +61,42 @@ main(int argc, char** argv)
 
     serve::Client client;
     client.connect(port);
-    const auto call = [&](const std::string& line) {
+    int failures = 0;
+    // Send @p line; an error code other than @p allowed fails the run.
+    const auto call = [&](const std::string& line,
+                          const char* allowed = "") {
         std::cout << ">> " << line << "\n";
         const std::string response = client.requestLine(line);
         std::cout << "<< " << response << "\n";
-        return serve::parseJson(response);
+        serve::Json parsed = serve::parseJson(response);
+        const std::string code = serve::responseErrorCode(parsed);
+        if (!code.empty() && code != allowed) {
+            std::cerr << "unexpected error '" << code << "'\n";
+            ++failures;
+        }
+        return parsed;
+    };
+    // A string field of an answer; "" for an error answer.
+    const auto field = [](const serve::Json& response, const char* key) {
+        const serve::Json* f = response.find(key);
+        return f != nullptr && f->isString() ? f->str() : std::string();
     };
 
     // 1. Compile the Gamma accelerator model once.
-    const serve::Json compiled =
-        call(R"({"op":"compile","accel":"gamma","id":1})");
-    const std::string model = compiled.find("model")->str();
+    const std::string model =
+        field(call(R"({"op":"compile","accel":"gamma","id":1})"), "model");
 
     // 2. Register both operands as resident packed datasets.
     const std::string da =
-        call("{\"op\":\"load_dataset\",\"path\":\"" +
-             (dir / "a.mtx").string() +
-             "\",\"name\":\"A\",\"rank_ids\":[\"K\",\"M\"]}")
-            .find("dataset")
-            ->str();
+        field(call("{\"op\":\"load_dataset\",\"path\":\"" +
+                   (dir / "a.mtx").string() +
+                   "\",\"name\":\"A\",\"rank_ids\":[\"K\",\"M\"]}"),
+              "dataset");
     const std::string db =
-        call("{\"op\":\"load_dataset\",\"path\":\"" +
-             (dir / "b.mtx").string() +
-             "\",\"name\":\"B\",\"rank_ids\":[\"K\",\"N\"]}")
-            .find("dataset")
-            ->str();
+        field(call("{\"op\":\"load_dataset\",\"path\":\"" +
+                   (dir / "b.mtx").string() +
+                   "\",\"name\":\"B\",\"rank_ids\":[\"K\",\"N\"]}"),
+              "dataset");
 
     // 3. Evaluate twice: the first request instantiates and caches
     //    the plan ("cache":"miss"), the second rides it ("hit").
@@ -95,17 +107,17 @@ main(int argc, char** argv)
     call(evaluate);
     call(evaluate);
 
-    // 4. Introspection: how each Einsum parallelizes, and the
-    //    registry/admission/plan-cache counters.
-    call("{\"op\":\"sharding_report\",\"model\":\"" + model + "\"}");
+    // 4. Introspection: the registry/admission/plan-cache counters.
     call(R"({"op":"stats"})");
 
     // 5. Deadlines: a budget far below the run's wall time comes back
-    //    as a structured `deadline_exceeded` with `elapsed_ms` — and
-    //    the daemon is immediately healthy for the next request.
+    //    as a structured `deadline_exceeded` with `elapsed_ms` (or ok,
+    //    when the run beats it) — and the daemon is immediately
+    //    healthy for the next request.
     call("{\"op\":\"evaluate\",\"model\":\"" + model +
-         "\",\"bindings\":{\"A\":\"" + da + "\",\"B\":\"" + db +
-         "\"},\"deadline_ms\":0.01,\"id\":\"hurried\"}");
+             "\",\"bindings\":{\"A\":\"" + da + "\",\"B\":\"" + db +
+             "\"},\"deadline_ms\":0.01,\"id\":\"hurried\"}",
+         "deadline_exceeded");
 
     // 6. Bounded retry with seeded exponential backoff: transient
     //    codes (`overloaded`, `evicted`) are retried, everything else
@@ -122,14 +134,15 @@ main(int argc, char** argv)
     unsigned attempts = 0;
     const serve::Json retried = client.requestWithRetry(
         serve::parseJson(evaluate), policy, &attempts);
+    const std::string retried_code = serve::responseErrorCode(retried);
     std::cout << "requestWithRetry: " << attempts << " attempt(s), ok="
-              << (serve::responseErrorCode(retried).empty() ? "true"
-                                                            : "false")
-              << "\n";
+              << (retried_code.empty() ? "true" : "false") << "\n";
+    if (!retried_code.empty())
+        ++failures;
 
     client.close();
     if (local != nullptr)
         local->stop();
     std::filesystem::remove_all(dir);
-    return 0;
+    return failures == 0 ? 0 : 1;
 }

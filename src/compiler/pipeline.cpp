@@ -121,8 +121,7 @@ compile(Specification spec, const CompileOptions& opts)
 
     // A default single-DRAM topology lets purely functional runs work
     // without an architecture section.
-    if (opts.addDefaultArchitecture &&
-        s.architecture.topologyNames().empty()) {
+    if (s.architecture.topologyNames().empty()) {
         arch::Topology topo;
         topo.name = "default";
         topo.root.name = "System";
@@ -141,12 +140,12 @@ compile(Specification spec, const CompileOptions& opts)
 
     const einsum::EinsumSpec& es = s.einsums;
 
-    if (opts.validate) {
-        try {
-            es.validate();
-        } catch (const SpecError& e) {
-            rethrowAsDiagnostic("einsum", "", e);
-        }
+    // Specification::parse validates what it parses; specifications
+    // assembled in code (accelerators/) are validated here.
+    try {
+        es.validate();
+    } catch (const SpecError& e) {
+        rethrowAsDiagnostic("einsum", "", e);
     }
 
     // Spec-only lowering: one recipe per Einsum (loop order,
@@ -159,10 +158,6 @@ compile(Specification spec, const CompileOptions& opts)
             rethrowAsDiagnostic("mapping", expr.output.name, e);
         }
     }
-
-    // Shard plan per Einsum: how run(threads=N) may split it.
-    for (const ir::EinsumRecipe& recipe : model.recipes_)
-        model.shardPlans_.push_back(ir::analyzeSharding(recipe));
 
     // Resolved per-Einsum binding and topology tables.
     for (const einsum::Expression& expr : es.expressions) {
@@ -320,66 +315,6 @@ CompiledModel::poolFor(unsigned threads) const
     if (pool_ == nullptr)
         pool_ = std::make_shared<util::ThreadPool>();
     return pool_.get();
-}
-
-std::vector<ShardingEntry>
-CompiledModel::shardingEntries() const
-{
-    std::vector<ShardingEntry> out;
-    out.reserve(shardPlans_.size());
-    for (std::size_t i = 0; i < shardPlans_.size(); ++i) {
-        const ir::ShardPlan& sp = shardPlans_[i];
-        ShardingEntry e;
-        e.einsum = recipes_[i].expr.output.name;
-        e.shardable = sp.shardable;
-        if (!sp.shardable) {
-            e.mode = "serial";
-            e.reason = sp.reason;
-        } else {
-            switch (sp.mode) {
-            case ir::ShardPlan::Mode::Disjoint:
-                e.mode = "disjoint";
-                break;
-            case ir::ShardPlan::Mode::Reduce: e.mode = "reduce"; break;
-            case ir::ShardPlan::Mode::Inner: e.mode = "inner"; break;
-            }
-            e.rank = sp.rank;
-            e.spaceRank = sp.spaceRank;
-        }
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
-std::string
-CompiledModel::shardingReport() const
-{
-    std::string out;
-    for (const ShardingEntry& e : shardingEntries()) {
-        out += e.einsum;
-        out += ": ";
-        if (!e.shardable) {
-            out += "serial (";
-            out += e.reason;
-            out += ")";
-        } else {
-            if (e.mode == "disjoint") {
-                out += "disjoint sharding along rank '" + e.rank + "'";
-            } else if (e.mode == "reduce") {
-                out += "reduction sharding along rank '" + e.rank +
-                       "' (a run splits output-keyed below it, or runs "
-                       "live)";
-            } else {
-                out += "inner-rank sharding along rank '" + e.rank +
-                       "' (outermost rank carries lookups or binds no "
-                       "variable)";
-            }
-            if (!e.spaceRank.empty())
-                out += ", space rank '" + e.spaceRank + "'";
-        }
-        out += "\n";
-    }
-    return out;
 }
 
 void
@@ -579,8 +514,8 @@ CompiledModel::runOn(WorkloadState& st, const Workload& w,
             logInfo("threads=", opts.threads, " requested but Einsum '",
                     plan.output.name, "' is not shardable (",
                     plan.shard.reason,
-                    "); executing it serially. shardingReport() lists "
-                    "every Einsum's parallelization.");
+                    "); executing it serially. SimulationResult::splits "
+                    "reports how each Einsum ran.");
         }
 
         exec::Executor executor(plan, *sink, opts.semiring, eo);

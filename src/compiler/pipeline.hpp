@@ -55,18 +55,6 @@ namespace teaal::compiler
 /** Knobs for compile(). */
 struct CompileOptions
 {
-    /// Re-run spec-only einsum validation (arity, declarations) at
-    /// compile time, surfacing problems as teaal::DiagnosticError.
-    /// Specification::parse already validates what it parses; this
-    /// flag matters for specifications assembled programmatically
-    /// (e.g. accelerators/) that never went through parse. Recipe
-    /// analysis and binding/topology resolution always run.
-    bool validate = true;
-
-    /// Inject a single-DRAM default topology when the specification
-    /// has no architecture section, so purely functional runs work.
-    bool addDefaultArchitecture = true;
-
     /// Per-workload plan caches kept alive (least-recently-used
     /// eviction beyond this).
     std::size_t workloadCacheCapacity = 4;
@@ -218,10 +206,9 @@ struct RunOptions
     /// classic serial path; 0 means one per hardware thread; N >= 2
     /// shards each shardable Einsum's walk across N workers drawn
     /// from the model's shared pool. Nearly every mapping shards: the
-    /// executor splits the walk at the outermost loop (the one below
-    /// it when the top rank is lookup-bound), one loop deeper while
-    /// that yields too few units, and reports the split in
-    /// SimulationResult::splits. Counters, delivered trace batches
+    /// executor splits the walk at the outermost loop, one loop
+    /// deeper while that yields too few units, and reports the split
+    /// in SimulationResult::splits. Counters, delivered trace batches
     /// and output values are byte-identical at every thread count: a
     /// walk that branches at a contraction-restricting loop (SIGMA's
     /// K1 tiles) splits by output coordinate, or runs on the serial
@@ -284,37 +271,6 @@ struct RunOptions
 };
 
 /**
- * One Einsum's compile-time sharding estimate, in stable struct form —
- * what shardingReport() prints, exposed so tools (the serving daemon's
- * `sharding_report` endpoint, tests) can assert on fields instead of
- * parsing a log line. The split a run actually used is in
- * SimulationResult::splits.
- */
-struct ShardingEntry
-{
-    std::string einsum;
-
-    bool shardable = false;
-
-    /// "disjoint", "reduce", or "inner" when shardable; "serial"
-    /// otherwise. The compile-time estimate of how partial outputs at
-    /// the starting depth relate (ir::ShardPlan::Mode): "reduce" means
-    /// they may share output points, so a run splits output-keyed
-    /// below that rank or runs live; nothing is merged by semiring
-    /// add.
-    std::string mode;
-
-    /// The sharded loop rank (empty when serial).
-    std::string rank;
-
-    /// The declared outermost space rank, when any (informational).
-    std::string spaceRank;
-
-    /// ir::ShardPlan::reason, verbatim, for the serial fallback.
-    std::string reason;
-};
-
-/**
  * Plan-cache counters since compile(), in stable struct form for the
  * serving daemon's `stats` endpoint and tests. A hit is a run()/
  * plans() call that found its (workload, semiring) state cached; an
@@ -374,32 +330,6 @@ class CompiledModel
     {
         return recipes_;
     }
-
-    /**
-     * Per-Einsum shard plans, precomputed at compile() from the
-     * recipes: whether each Einsum's execution can be split across
-     * RunOptions::threads workers (with the reason when it cannot),
-     * and the compile-time estimate of where: the outermost rank. A
-     * run picks its own split loop from the data; SimulationResult::
-     * splits reports it.
-     */
-    const std::vector<ir::ShardPlan>& shardPlans() const
-    {
-        return shardPlans_;
-    }
-
-    /**
-     * Human-readable summary of the compile-time sharding estimate:
-     * one line per Einsum naming the shard mode (disjoint / reduction
-     * / inner-rank) and the rank the split starts at, and — for the
-     * rare serial fallback — ir::ShardPlan::reason verbatim. Runs may
-     * split deeper and merge differently (SimulationResult::splits).
-     */
-    std::string shardingReport() const;
-
-    /** The same information as shardingReport(), one stable struct
-     *  per Einsum in cascade order. */
-    std::vector<ShardingEntry> shardingEntries() const;
 
     /** Plan-cache hit/miss/eviction counters since compile(). */
     PlanCacheStats planCacheStats() const;
@@ -527,7 +457,6 @@ class CompiledModel
 
     std::vector<std::vector<std::size_t>> blocks_;
     std::vector<ir::EinsumRecipe> recipes_;
-    std::vector<ir::ShardPlan> shardPlans_;
 
     /// Per-Einsum resolved tables (pointers into spec_, stable).
     std::vector<const binding::EinsumBinding*> bindings_;
@@ -582,7 +511,7 @@ class CompiledModel
 
 /**
  * Lower @p spec to an executable model. Validates the specification
- * (per @p opts) and resolves every spec-derivable table; throws
+ * and resolves every spec-derivable table; throws
  * teaal::DiagnosticError pinning problems to their section/key.
  */
 CompiledModel compile(Specification spec, const CompileOptions& opts = {});

@@ -334,7 +334,8 @@ class Engine
 {
   public:
     /**
-     * @param plan Built by ir::buildPlan; must outlive the engine.
+     * @param plan Built by ir::instantiatePlan; must outlive the
+     *             engine.
      * @param obs  Trace sink; must outlive the engine.
      */
     Engine(const ir::EinsumPlan& plan, trace::Observer& obs, Semiring sr,

@@ -668,14 +668,14 @@ Executor::enumerateSplit(TopWalk& tw)
     const auto splittable = [&sp](std::size_t d) {
         return d < sp.loops.size() && !sp.loops[d].restrictsProbe;
     };
-    engine_.enumerateTop(tw, sp.depth);
+    engine_.enumerateTop(tw, 0);
     // Deepen while the walk is too coarse to feed a pool. Stop before
     // a take's probe loop, and before a loop that would make a
     // collision-free walk collide: its units would no longer own
     // disjoint output points.
     TopWalk below;
     bool have_below = false; // `below` is loop tw.depth+1's walk
-    for (std::size_t d = sp.depth + 1;
+    for (std::size_t d = 1;
          tw.entries.size() < kMinUnits && splittable(d); ++d) {
         engine_.enumerateTop(below, d);
         if (below.collides && !tw.collides) {

@@ -18,8 +18,8 @@
  * at one loop across the threads of `ExecOptions::pool`. A serial,
  * muted enumeration of the walk down to that loop, before the run
  * emits anything, fixes every unit's coordinates, driver cursors, PE
- * ids and output key (exec::TopWalk). The split starts at
- * the plan's depth and moves one loop deeper while the walk yields
+ * ids and output key (exec::TopWalk). The split starts at the
+ * outermost loop and moves one loop deeper while the walk yields
  * fewer than a constant number of units, so a tiled mapping whose top
  * tiles hold the whole input still feeds the pool; it never moves past
  * a loop that would make a collision-free walk collide, nor to a
@@ -138,7 +138,8 @@ class Executor
 {
   public:
     /**
-     * @param plan Built by ir::buildPlan; must outlive the executor.
+     * @param plan Built by ir::instantiatePlan; must outlive the
+     *             executor.
      * @param obs  Trace sink; must outlive the executor.
      * @param opts Per-run knobs (co-iteration overrides, worker
      *             threads) applied without mutating the shared plan.

@@ -1126,47 +1126,6 @@ inOutput(const std::vector<std::string>& out_vars, const std::string& v)
 }
 
 /**
- * Finish a ShardPlan for sharding loop @p depth (rank @p rank) given
- * the variables the loops 0..depth bind or restrict: pick the mode
- * (Disjoint vs Reduce) from whether any of those variables is a
- * contraction (partial outputs then overlap), and reject a take whose
- * sharded prefix restricts the probe variable — a take's probe
- * variable is never sharded.
- */
-ShardPlan
-classifyShard(ShardPlan sp, const einsum::Expression& expr,
-              std::size_t depth, const std::string& rank,
-              const std::vector<std::string>& prefix_vars)
-{
-    const std::vector<std::string> out_vars = expr.outputVars();
-    // A scalar output is the degenerate reduction: every shard writes
-    // the single output point.
-    bool reduce = out_vars.empty();
-    std::string contraction;
-    for (const std::string& v : prefix_vars) {
-        if (!inOutput(out_vars, v)) {
-            reduce = true;
-            contraction = v;
-        }
-    }
-    if (reduce && expr.kind == einsum::OpKind::Take) {
-        sp.shardable = false;
-        sp.reason = "rank '" + rank + "' restricts variable '" +
-                    contraction +
-                    "' of a take (a take's probe variable is never "
-                    "sharded)";
-        return sp;
-    }
-    sp.shardable = true;
-    sp.rank = rank;
-    sp.depth = depth;
-    sp.mode = depth > 0 ? ShardPlan::Mode::Inner
-                        : (reduce ? ShardPlan::Mode::Reduce
-                                  : ShardPlan::Mode::Disjoint);
-    return sp;
-}
-
-/**
  * The variables loop @p idx of @p plan binds or — via the other loops
  * of its partition group (M1 restricts m, bound at M0) — restricts,
  * as base variables.
@@ -1187,20 +1146,6 @@ loopGroupVars(const EinsumPlan& plan, std::size_t idx)
         }
     }
     return vars;
-}
-
-/** True when any input carries a Lookup action at loop @p idx. */
-bool
-loopHasLookup(const EinsumPlan& plan, std::size_t idx)
-{
-    for (const TensorPlan& tp : plan.inputs) {
-        for (const LevelAction& a : tp.actions) {
-            if (a.loopIndex == static_cast<int>(idx) &&
-                a.mode == LevelAction::Mode::Lookup)
-                return true;
-        }
-    }
-    return false;
 }
 
 /**
@@ -1236,94 +1181,19 @@ driverWeightsAt(const EinsumPlan& plan, std::size_t loop)
 } // namespace
 
 ShardPlan
-analyzeSharding(const EinsumRecipe& recipe)
-{
-    ShardPlan sp;
-    if (!recipe.space.empty())
-        sp.spaceRank = recipe.space.front().rank;
-    auto reject = [&sp](std::string why) {
-        sp.shardable = false;
-        sp.reason = std::move(why);
-        return sp;
-    };
-    if (recipe.wholeTensorCopy)
-        return reject("whole-tensor copy bypasses the loop nest");
-    if (recipe.loopOrder.empty())
-        return reject("no loop ranks");
-    const std::string top = recipe.loopOrder[0];
-    const std::string base = baseOfDerived(top);
-    // Variables the top rank binds or (via its partition group's leaf
-    // rank) range-restricts: a flattened base contributes one variable
-    // per constituent rank.
-    std::vector<std::string> vars;
-    const RecipeGroup* flat = nullptr;
-    for (const RecipeGroup& g : recipe.groups) {
-        if (g.hasFlatten && g.base == base)
-            flat = &g;
-    }
-    if (flat != nullptr) {
-        for (const std::string& src : flat->sourceRanks)
-            vars.push_back(einsum::varOfRank(baseOfDerived(src)));
-    } else {
-        vars.push_back(einsum::varOfRank(base));
-    }
-    // Lookup actions and occupancy only exist on instantiated plans,
-    // so the precomputed answer reports the depth-0 modes; the
-    // plan-level overload may still fall through to Mode::Inner.
-    return classifyShard(std::move(sp), recipe.expr, 0, top, vars);
-}
-
-ShardPlan
 analyzeSharding(const EinsumPlan& plan)
 {
     ShardPlan sp;
-    for (const LoopRank& lr : plan.loops) {
-        if (lr.isSpace) {
-            sp.spaceRank = lr.name;
-            break;
-        }
-    }
-    auto reject = [&sp](std::string why) {
-        sp.shardable = false;
-        sp.reason = std::move(why);
+    if (plan.wholeTensorCopy) {
+        sp.reason = "whole-tensor copy bypasses the loop nest";
         return sp;
-    };
-    if (plan.wholeTensorCopy)
-        return reject("whole-tensor copy bypasses the loop nest");
-    if (plan.loops.empty())
-        return reject("no loop ranks");
-
-    const std::string top = plan.loops[0].name;
-    std::vector<std::string> vars = loopGroupVars(plan, 0);
-
-    // Start at depth 0 — the outermost rank — unless it is
-    // unshardable: loop-entry lookups would re-fire per shard, and a
-    // rank binding no variable partitions nothing. Those start at the
-    // loop below (Mode::Inner) instead of rejecting the plan.
-    std::string why_inner;
-    if (loopHasLookup(plan, 0))
-        why_inner = "rank '" + top + "' carries lookup actions";
-    else if (vars.empty())
-        why_inner = "rank '" + top + "' binds no index variable";
-
-    if (why_inner.empty()) {
-        sp = classifyShard(std::move(sp), plan.expr, 0, top, vars);
-    } else {
-        if (plan.loops.size() < 2)
-            return reject(why_inner + " and no inner loop exists");
-        // The merge classifies over everything loops 0 and 1 bind or
-        // restrict (partials span both).
-        for (const std::string& v : loopGroupVars(plan, 1)) {
-            if (std::find(vars.begin(), vars.end(), v) == vars.end())
-                vars.push_back(v);
-        }
-        sp = classifyShard(std::move(sp), plan.expr, 1,
-                           plan.loops[1].name, vars);
     }
-    if (!sp.shardable)
+    if (plan.loops.empty()) {
+        sp.reason = "no loop ranks";
         return sp;
+    }
 
-    // What splitting deeper than the starting depth needs, per loop.
+    // What splitting at each loop needs.
     const std::vector<std::string> out_vars = plan.expr.outputVars();
     const bool take = plan.expr.kind == einsum::OpKind::Take;
     sp.loops.resize(plan.loops.size());
@@ -1345,6 +1215,24 @@ analyzeSharding(const EinsumPlan& plan)
             inOutput(out_vars, einsum::varOfRank(baseOfDerived(
                                    einsum::rankOfVar(binds.front()))));
     }
+    // Every split includes loop 0, so a take whose outermost loop
+    // restricts the probe variable runs serially.
+    if (sp.loops[0].restrictsProbe) {
+        std::string probe;
+        for (const std::string& v : loopGroupVars(plan, 0)) {
+            if (!inOutput(out_vars, v))
+                probe = v;
+        }
+        const std::string& top = plan.loops[0].name;
+        sp.reason =
+            probe.empty()
+                ? "rank '" + top + "' of a take binds no index variable"
+                : "rank '" + top + "' restricts variable '" + probe +
+                      "' of a take";
+        sp.reason += " (a take's probe variable is never sharded)";
+        return sp;
+    }
+    sp.shardable = true;
     return sp;
 }
 

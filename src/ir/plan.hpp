@@ -222,51 +222,14 @@ struct OutputPlan
 };
 
 /**
- * How (and whether) one Einsum's execution can be sharded across a
- * worker pool (the parallel path of `exec::Executor`) — see the
- * long-form rationale on `analyzeSharding` below.
+ * Whether one Einsum's walk can be split across a worker pool (the
+ * parallel path of `exec::Executor`), and the per-loop facts each run
+ * picks its split from — see `analyzeSharding` below. The split a run
+ * used is exec::SplitPoint (SimulationResult::splits).
  */
 struct ShardPlan
 {
-    /**
-     * How shard partial outputs relate at the *starting* depth, which
-     * is what the spec-level analysis can predict. Each run then picks
-     * its own split loop and merge from the walk it enumerates (see
-     * exec::Executor and exec::SplitPoint):
-     *  - Disjoint: the prefix binds only output variables, so shards
-     *    write disjoint output subtrees; merged with
-     *    `Fiber::absorbDisjoint` (leaf collisions are hard errors —
-     *    the debug check of this mode).
-     *  - Reduce: the prefix restricts a contraction variable (or the
-     *    output is a scalar), so contiguous slices of the units may
-     *    write the same output points. A run whose walk branches there
-     *    splits output-keyed at a loop that binds an output variable
-     *    first (LoopFacts::keysOutput), whose slices own disjoint
-     *    output points again; a walk with no such loop runs live:
-     *    the serial engine runs it after enumeration.
-     *  - Inner: the outermost rank itself is unshardable (lookup
-     *    actions, binds no variable), so the split starts one loop
-     *    down (`depth == 1`); partials relate per the Disjoint/Reduce
-     *    rules.
-     */
-    enum class Mode { Disjoint, Reduce, Inner };
-
     bool shardable = false;
-
-    Mode mode = Mode::Disjoint;
-
-    /// Starting split depth: the loop whose coordinates are the units
-    /// of work when the walk yields enough of them (0 for
-    /// Disjoint/Reduce, 1 for Inner). A run may split deeper.
-    std::size_t depth = 0;
-
-    /// The starting split loop rank (loop `depth`'s rank id).
-    std::string rank;
-
-    /// The (outermost) space rank, when the mapping declares one.
-    /// Informational since PR 6: host-side sharding no longer
-    /// requires declared spatial parallelism.
-    std::string spaceRank;
 
     /// Why the plan is not shardable (empty when it is).
     std::string reason;
@@ -302,7 +265,7 @@ struct ShardPlan
         bool keysOutput = false;
     };
 
-    /// Per loop index (plan overload, shardable plans only).
+    /// Per loop index (empty when the plan walks no loop nest).
     std::vector<LoopFacts> loops;
 };
 
@@ -325,9 +288,9 @@ struct EinsumPlan
     /// Whole-tensor copy (P1 = P0) bypasses the loop nest.
     bool wholeTensorCopy = false;
 
-    /// Authoritative shardability, filled once by instantiatePlan so
-    /// run-many never re-derives it (default: not shardable, which is
-    /// the safe answer for hand-assembled plans).
+    /// Shardability and the per-loop split facts, filled once by
+    /// instantiatePlan so run-many never re-derives them (default: not
+    /// shardable, which is the safe answer for hand-assembled plans).
     ShardPlan shard;
 
     std::string toString() const;
@@ -398,50 +361,28 @@ struct EinsumRecipe
 /**
  * Decide shardability (the parallel path of `exec::Executor`).
  *
- * Sharding splits the walk at one loop into contiguous runs of that
- * loop's coordinates (the units of work): each shard executes the
- * loop nest below its units against the shared (immutable,
- * fiber-shared) inputs, producing a private partial output and a
- * private trace capture that a finalize step merges in canonical
- * shard order. Every loop nest that actually walks its inputs shards;
- * the analysis fixes whether it can and where the split *starts*:
+ * Sharding splits the walk at one loop into slices of that loop's
+ * coordinates (the units of work): each slice executes the loop nest
+ * below its units against the shared (immutable) inputs, producing a
+ * private partial output and a private trace capture that the
+ * coordinator merges in unit order. Every loop nest that actually
+ * walks its inputs shards, unless its outermost loop restricts a
+ * take's probe variable (a take's probe variable is never sharded).
+ * Whole-tensor copies and empty loop nests walk nothing and run
+ * serially; `reason` says why.
  *
- *   - The split starts at the outermost loop (`depth` 0). When every
- *     variable that rank binds or restricts (its own `bindsVars`,
- *     plus those of the leaf rank of the same partition group, e.g.
- *     M1 restricting m via M0) appears in the output, shards write
- *     disjoint output subtrees: Mode::Disjoint.
- *   - When the prefix restricts a contraction variable (SIGMA's K1)
- *     or the output is a scalar, shards may write the same output
- *     points: Mode::Reduce.
- *   - When the top rank carries Lookup actions or binds no index
- *     variable, the split starts at the loop below it: Mode::Inner
- *     (`depth` 1).
+ * Where a run splits is not fixed here. The executor enumerates the
+ * walk at loop 0 and, while it yields fewer units than a pool needs,
+ * one loop deeper, using the per-loop facts recorded in
+ * `ShardPlan::loops`. Whether partials overlap is read off the
+ * enumerated walk (exec::TopWalk::collides); a walk that collides (or
+ * would, one loop below a split of few units) moves to the first loop
+ * below the collision that keys an output coordinate
+ * (`LoopFacts::keysOutput`) and splits output-keyed there.
  *
- * The starting depth is not the split a run uses. The executor
- * enumerates the walk there and, while it yields fewer units than a
- * pool needs, one loop deeper, using the per-loop facts recorded in
- * `ShardPlan::loops`. Whether partials overlap is then read off the
- * enumerated walk (exec::TopWalk::collides), not the prefix's
- * variables alone; a walk that collides (or would, one loop below a
- * split of few units) moves to the first loop below the collision
- * that keys an output coordinate (`LoopFacts::keysOutput`) and splits
- * output-keyed there.
- *
- * Plans that still run serially (`shardable == false`, `reason` says
- * why): whole-tensor copies, empty loop nests, single-loop nests
- * whose only rank is unshardable, and take-Einsums whose starting
- * prefix restricts the probe variable (a take's probe variable is
- * never sharded).
- *
- * The recipe overload is what `compile` can precompute before any
- * workload exists (it cannot see lookup actions, so it reports
- * depth-0 modes only); the plan overload is authoritative
- * (instantiation adds lookup actions, occupancy hints, and the
- * per-loop facts) and its result is stored in EinsumPlan::shard by
- * instantiatePlan, so the run path never re-derives it.
+ * instantiatePlan stores the result in EinsumPlan::shard, so the run
+ * path never re-derives it.
  */
-ShardPlan analyzeSharding(const EinsumRecipe& recipe);
 ShardPlan analyzeSharding(const EinsumPlan& plan);
 
 /**

@@ -49,6 +49,18 @@ requireString(const Json& req, const char* key)
     return f.str();
 }
 
+/** The request's `bindings` object (tensor name -> dataset id). */
+const Json&
+requireBindings(const Json& req)
+{
+    const Json& b = requireField(req, "bindings");
+    if (!b.isObject())
+        diagError("protocol", "bindings",
+                  "field 'bindings' must be an object mapping tensor "
+                  "names to dataset ids");
+    return b;
+}
+
 bool
 optionalBool(const Json& req, const char* key, bool fallback)
 {
@@ -317,8 +329,6 @@ Server::handle(const Json& request)
             response = handleCancel(request);
         else if (op == "stats")
             response = handleStats(request);
-        else if (op == "sharding_report")
-            response = handleShardingReport(request);
         else
             diagError("protocol", "op", "unknown op '", op, "'");
     } catch (const DiagnosticError& e) {
@@ -452,18 +462,39 @@ Server::handleLoadDataset(const Json& request)
     return r;
 }
 
+std::shared_ptr<const compiler::CompiledModel>
+Server::modelFor(const std::string& id, Json& error)
+{
+    auto model = registry_.model(id);
+    if (model != nullptr)
+        return model;
+    error = registry_.evicted(id)
+                ? errorResponse("evicted", "workload", id,
+                                "model '" + id +
+                                    "' was evicted under memory "
+                                    "pressure; re-register it with "
+                                    "compile")
+                : errorResponse("unknown_id", "workload", id,
+                                "unknown model id '" + id + "'");
+    return nullptr;
+}
+
 std::shared_ptr<const Server::BoundWorkload>
 Server::boundWorkloadFor(const std::string& model_id,
-                         const Json& bindings, bool& cache_hit)
+                         const Json& bindings, bool& cache_hit,
+                         Json& error)
 {
     // Canonical key: the bindings object sorted by tensor name, so
     // {"A":"d1","B":"d2"} and {"B":"d2","A":"d1"} share a Workload
     // (and therefore a plan-cache entry in the model).
     std::vector<std::pair<std::string, std::string>> pairs;
     for (const auto& [tensor, did] : bindings.object()) {
-        if (!did.isString())
-            diagError("protocol", tensor, "binding of tensor '",
-                      tensor, "' must be a dataset id string");
+        if (!did.isString()) {
+            error = errorResponse("bad_request", "protocol", tensor,
+                                  "binding of tensor '" + tensor +
+                                      "' must be a dataset id string");
+            return nullptr;
+        }
         pairs.emplace_back(tensor, did.str());
     }
     std::sort(pairs.begin(), pairs.end());
@@ -481,14 +512,17 @@ Server::boundWorkloadFor(const std::string& model_id,
     for (const auto& [tensor, did] : pairs) {
         auto dataset = registry_.dataset(did);
         if (dataset == nullptr) {
-            if (registry_.evicted(did))
-                throw DiagnosticError(Diagnostic{
-                    "workload", did,
-                    "dataset '" + did +
-                        "' was evicted under memory pressure; "
-                        "re-register it with load_dataset"});
-            diagError("workload", did, "unknown dataset id '", did,
-                      "'");
+            error = registry_.evicted(did)
+                        ? errorResponse("evicted", "workload", did,
+                                        "dataset '" + did +
+                                            "' was evicted under "
+                                            "memory pressure; "
+                                            "re-register it with "
+                                            "load_dataset")
+                        : errorResponse("unknown_id", "workload", did,
+                                        "unknown dataset id '" + did +
+                                            "'");
+            return nullptr;
         }
         resolved.emplace_back(tensor, std::move(dataset));
     }
@@ -541,11 +575,7 @@ Server::handleEvaluate(const Json& request)
     };
 
     const std::string model_id = requireString(request, "model");
-    const Json& bindings = requireField(request, "bindings");
-    if (!bindings.isObject())
-        diagError("protocol", "bindings",
-                  "field 'bindings' must be an object mapping tensor "
-                  "names to dataset ids");
+    const Json& bindings = requireBindings(request);
 
     unsigned threads = 1;
     if (const Json* t = request.find("threads")) {
@@ -574,32 +604,15 @@ Server::handleEvaluate(const Json& request)
                           : d->number();
     }
 
-    auto model = registry_.model(model_id);
-    if (model == nullptr) {
-        if (registry_.evicted(model_id))
-            return errorResponse(
-                "evicted", "workload", model_id,
-                "model '" + model_id +
-                    "' was evicted under memory pressure; re-register "
-                    "it with compile");
-        return errorResponse("unknown_id", "workload", model_id,
-                             "unknown model id '" + model_id + "'");
-    }
-
+    Json error;
+    const auto model = modelFor(model_id, error);
+    if (model == nullptr)
+        return error;
     bool workload_cached = false;
-    std::shared_ptr<const BoundWorkload> bound;
-    try {
-        bound = boundWorkloadFor(model_id, bindings, workload_cached);
-    } catch (const DiagnosticError& e) {
-        const std::string code =
-            e.diagnostic().message.find("evicted") != std::string::npos
-                ? "evicted"
-                : (e.diagnostic().section == "workload" ? "unknown_id"
-                                                        : "bad_request");
-        return errorResponse(code, e.diagnostic().section,
-                             e.diagnostic().key,
-                             e.diagnostic().message);
-    }
+    const auto bound =
+        boundWorkloadFor(model_id, bindings, workload_cached, error);
+    if (bound == nullptr)
+        return error;
 
     // Register in the in-flight table so the `cancel` op and stop()
     // can reach this run through its token. Keyed by the serialized
@@ -722,38 +735,17 @@ Server::handleEstimate(const Json& request)
     // admission control, deadlines, and the cancel table entirely.
     const Clock::time_point received = Clock::now();
     const std::string model_id = requireString(request, "model");
-    const Json& bindings = requireField(request, "bindings");
-    if (!bindings.isObject())
-        diagError("protocol", "bindings",
-                  "field 'bindings' must be an object mapping tensor "
-                  "names to dataset ids");
+    const Json& bindings = requireBindings(request);
 
-    auto model = registry_.model(model_id);
-    if (model == nullptr) {
-        if (registry_.evicted(model_id))
-            return errorResponse(
-                "evicted", "workload", model_id,
-                "model '" + model_id +
-                    "' was evicted under memory pressure; re-register "
-                    "it with compile");
-        return errorResponse("unknown_id", "workload", model_id,
-                             "unknown model id '" + model_id + "'");
-    }
-
+    Json error;
+    const auto model = modelFor(model_id, error);
+    if (model == nullptr)
+        return error;
     bool workload_cached = false;
-    std::shared_ptr<const BoundWorkload> bound;
-    try {
-        bound = boundWorkloadFor(model_id, bindings, workload_cached);
-    } catch (const DiagnosticError& e) {
-        const std::string code =
-            e.diagnostic().message.find("evicted") != std::string::npos
-                ? "evicted"
-                : (e.diagnostic().section == "workload" ? "unknown_id"
-                                                        : "bad_request");
-        return errorResponse(code, e.diagnostic().section,
-                             e.diagnostic().key,
-                             e.diagnostic().message);
-    }
+    const auto bound =
+        boundWorkloadFor(model_id, bindings, workload_cached, error);
+    if (bound == nullptr)
+        return error;
 
     // Estimate failures (section "analytic": constructs the closed
     // forms cannot express) propagate to handle()'s DiagnosticError
@@ -864,41 +856,6 @@ Server::handleStats(const Json&)
           Json::makeNumber(std::chrono::duration<double>(Clock::now() -
                                                          g_start)
                                .count()));
-    return r;
-}
-
-Json
-Server::handleShardingReport(const Json& request)
-{
-    const std::string model_id = requireString(request, "model");
-    auto model = registry_.model(model_id);
-    if (model == nullptr) {
-        if (registry_.evicted(model_id))
-            return errorResponse(
-                "evicted", "workload", model_id,
-                "model '" + model_id +
-                    "' was evicted under memory pressure; re-register "
-                    "it with compile");
-        return errorResponse("unknown_id", "workload", model_id,
-                             "unknown model id '" + model_id + "'");
-    }
-    Json einsums = Json::makeArray();
-    for (const compiler::ShardingEntry& e : model->shardingEntries()) {
-        Json entry = Json::makeObject();
-        entry.set("einsum", Json::makeString(e.einsum));
-        entry.set("shardable", Json::makeBool(e.shardable));
-        entry.set("mode", Json::makeString(e.mode));
-        if (!e.rank.empty())
-            entry.set("rank", Json::makeString(e.rank));
-        if (!e.spaceRank.empty())
-            entry.set("space_rank", Json::makeString(e.spaceRank));
-        if (!e.reason.empty())
-            entry.set("reason", Json::makeString(e.reason));
-        einsums.push(std::move(entry));
-    }
-    Json r = okResponse();
-    r.set("model", Json::makeString(model_id));
-    r.set("einsums", std::move(einsums));
     return r;
 }
 

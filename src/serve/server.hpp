@@ -27,11 +27,14 @@
  *    "bindings":{"A":"d1","B":"d2"},"threads":1}
  *        -> {"ok":true,"latency_ms":...,"exec_seconds":...,
  *            "traffic_bytes":...,"compute_muls":...,"cache":"hit"}
- *   {"op":"stats"}            -> registry/admission/plan-cache counters
- *   {"op":"sharding_report","model":"m1"} -> per-Einsum entries
- *                             (the compile-time estimate; a run may
- *                             split deeper, see SimulationResult::splits)
+ *   {"op":"estimate","model":"m1","bindings":{"A":"d1","B":"d2"}}
+ *        -> {"ok":true,"latency_ms":...,"exec_seconds_est":...,
+ *            "traffic_bytes_est":...,"compute_muls_est":...,
+ *            "cache":"miss"}
+ *   estimate is the analytic fast path (CompiledModel::estimate): no
+ *   fibertree walk, no admission, deadline or cancel entry.
  *   {"op":"cancel","target":<id>}         -> {"ok":true,"cancelled":N}
+ *   {"op":"stats"}            -> registry/admission/plan-cache counters
  *
  * Evaluations accept an optional `deadline_ms`; the server clamps it
  * to ServerOptions::maxDeadlineMs (also the default when absent). The
@@ -54,8 +57,9 @@
  *
  * Evaluations run through serve::Admission on the server's single
  * shared ThreadPool (also passed into RunOptions::pool, so sharded
- * runs draw from the same workers); control-plane ops (compile,
- * load_dataset, introspection) execute inline on the session thread.
+ * runs draw from the same workers); the other ops (compile,
+ * load_dataset, estimate, cancel, stats) execute inline on the
+ * session thread.
  * Each request builds its own RunOptions — nothing mutable is shared
  * between requests.
  *
@@ -186,13 +190,19 @@ class Server
     Json handleEstimate(const Json& request);
     Json handleCancel(const Json& request);
     Json handleStats(const Json& request);
-    Json handleShardingReport(const Json& request);
 
-    /** Get-or-create the cached Workload for (model, bindings);
-     *  sets @p cache_hit. */
+    /** The registered model @p id, or null with @p error set to the
+     *  `evicted` or `unknown_id` answer. */
+    std::shared_ptr<const compiler::CompiledModel>
+    modelFor(const std::string& id, Json& error);
+
+    /** Get-or-create the cached Workload for (model, bindings); sets
+     *  @p cache_hit. Null with @p error set to the answer when a
+     *  binding is not a dataset id string (`bad_request`) or names an
+     *  `evicted` or `unknown_id` dataset. */
     std::shared_ptr<const BoundWorkload> boundWorkloadFor(
         const std::string& model_id, const Json& bindings,
-        bool& cache_hit);
+        bool& cache_hit, Json& error);
 
     /** Drop bound-workload entries pinning @p id (eviction hook). */
     void dropWorkloadsReferencing(const std::string& id);

@@ -6,12 +6,12 @@
  * for every thread count, per Table 1 accelerator spec), sharding of
  * contraction-outermost and inner-rank walks (SIGMA and ExTensor split
  * output-keyed, scalar-output cascades run live, no-space-rank
- * mappings disjoint), the split each run picks (deeper than the plan's
- * starting loop when that yields too few units, never making a
- * collision-free walk collide) and slices reordering their own partial
- * outputs, the shard-plan classification, the disjoint fiber merge,
- * concurrent CompiledModel::run from multiple host threads, and the
- * unknown-rank diagnostic for co-iteration overrides.
+ * mappings keyed), the split each run picks (deeper than the outermost
+ * loop when that yields too few units, never making a collision-free
+ * walk collide, never at a take's probe loop) and slices reordering
+ * their own partial outputs, which plans shard, the disjoint fiber
+ * merge, concurrent CompiledModel::run from multiple host threads, and
+ * the unknown-rank diagnostic for co-iteration overrides.
  */
 #include <gtest/gtest.h>
 
@@ -318,9 +318,6 @@ TEST(Parallel, ScalarCascadeThreads124PointerAndPacked)
         SCOPED_TRACE(in.name);
         auto model = compiler::compile(
             compiler::Specification::parse(kScalarCascadeYaml));
-        ASSERT_EQ(model.shardPlans().size(), 2u);
-        EXPECT_TRUE(model.shardPlans()[1].shardable);
-        EXPECT_EQ(model.shardPlans()[1].mode, ir::ShardPlan::Mode::Reduce);
         Workload w;
         w.add("A", in.a).add("B", in.b).add("W", in.w);
         expectThreadEquivalenceOn(model, w, 1, 2);
@@ -574,10 +571,12 @@ mapping:
     }
 }
 
-/** A mapping with no spacetime section at all still shards: the top
- *  rank M binds only output variables, so the walk splits disjoint —
- *  declared spatial parallelism is no longer a prerequisite. */
-TEST(Parallel, NoSpaceRankShardsDisjoint)
+/** A mapping with no spacetime section at all still shards: declared
+ *  spatial parallelism is no prerequisite. M's 32 units are fewer than
+ *  a pool's slice count, and K branches below them on the contraction,
+ *  so the run splits output-keyed at N, the first loop below K that
+ *  binds an output variable. */
+TEST(Parallel, NoSpaceRankShardsKeyed)
 {
     const char* yaml = R"(
 einsum:
@@ -597,20 +596,19 @@ mapping:
 )";
     auto model =
         compiler::compile(compiler::Specification::parse(yaml));
-    ASSERT_EQ(model.shardPlans().size(), 1u);
-    EXPECT_TRUE(model.shardPlans()[0].shardable);
-    EXPECT_EQ(model.shardPlans()[0].mode,
-              ir::ShardPlan::Mode::Disjoint);
-    EXPECT_EQ(model.shardPlans()[0].rank, "M");
-    EXPECT_TRUE(model.shardPlans()[0].spaceRank.empty());
-
     const auto mats = makeMatrices(5);
     Workload w;
     w.add("A", mats.a).add("B", mats.b);
     RunOptions serial;
     RunOptions wide;
     wide.threads = 4;
-    expectSameResults(model.run(w, serial), model.run(w, wide));
+    const SimulationResult r = model.run(w, wide);
+    expectSameResults(model.run(w, serial), r);
+    ASSERT_EQ(r.splits.size(), 1u);
+    EXPECT_EQ(r.splits[0].merge, exec::SplitPoint::Merge::Keyed);
+    EXPECT_EQ(r.splits[0].rank, "N");
+    EXPECT_EQ(r.splits[0].depth, 2u);
+    EXPECT_GT(r.splits[0].slices, 1u);
 }
 
 /** SIGMA's first take, S[k, m] = take(A[k, m], B[k, n], 0), under a
@@ -681,42 +679,78 @@ mapping:
 
 // -------------------------------------------------------- shard plans
 
-TEST(Parallel, ShardPlansPrecomputedAtCompile)
+/** Each instantiated plan says whether its walk can shard; the run's
+ *  splits say how it did. Gamma's and SIGMA's Einsums all shard, and
+ *  SIGMA's Z, whose outermost rank K1 restricts the contraction, runs
+ *  output-keyed. In the FFT step's O and T the outermost loop K
+ *  carries lookups of P's constant coordinates; both split disjoint
+ *  at K and equal the serial run. A unary full reduction
+ *  lowers to the whole-tensor copy, which bypasses the loop nest:
+ *  nothing to shard, and its 4-thread run reports a serial split. */
+TEST(Parallel, ShardPlansAndRunSplits)
 {
+    const auto mats = makeMatrices(11);
+    Workload w;
+    w.add("A", mats.a).add("B", mats.b);
+    RunOptions four;
+    four.threads = 4;
+
     auto gamma = compiler::compile(accel::gamma(smallGamma()));
-    ASSERT_EQ(gamma.shardPlans().size(), 2u);
-    for (const ir::ShardPlan& sp : gamma.shardPlans()) {
-        EXPECT_TRUE(sp.shardable) << sp.reason;
-        EXPECT_EQ(sp.mode, ir::ShardPlan::Mode::Disjoint);
-        EXPECT_EQ(sp.rank, "M1");
-        EXPECT_EQ(sp.spaceRank, "M0");
+    ASSERT_EQ(gamma.plans(w).size(), 2u);
+    for (const ir::EinsumPlan& plan : gamma.plans(w))
+        EXPECT_TRUE(plan.shard.shardable) << plan.shard.reason;
+
+    auto sigma = compiler::compile(accel::sigma(smallSigma()));
+    ASSERT_EQ(sigma.plans(w).size(), 3u);
+    for (const ir::EinsumPlan& plan : sigma.plans(w))
+        EXPECT_TRUE(plan.shard.shardable) << plan.shard.reason;
+    const SimulationResult r = sigma.run(w, four);
+    ASSERT_EQ(r.splits.size(), 3u);
+    EXPECT_EQ(r.splits[2].merge, exec::SplitPoint::Merge::Keyed);
+
+    auto fft = compiler::compile(compiler::Specification::parse(R"(
+einsum:
+  declaration:
+    P: [Z, K, N, W]
+    X: [N, Z]
+    O: [K]
+    T: [K]
+  expressions:
+    - O[k] = P[0, k, n, 0] * X[n, 1]
+    - T[k] = P[0, k, 0, 1] * O[k]
+)"));
+    std::vector<std::pair<std::vector<ft::Coord>, ft::Value>> pe;
+    std::vector<std::pair<std::vector<ft::Coord>, ft::Value>> xe;
+    for (ft::Coord k = 0; k < 32; ++k) {
+        for (ft::Coord n = 0; n < 4; ++n)
+            pe.push_back({{0, k, n, 0}, static_cast<ft::Value>(1 + k % 5)});
+        pe.push_back({{0, k, 0, 1}, static_cast<ft::Value>(2 + k % 3)});
+    }
+    for (ft::Coord n = 0; n < 4; ++n)
+        xe.push_back({{n, 1}, static_cast<ft::Value>(n + 1)});
+    Workload f;
+    f.add("P", ft::Tensor::fromCoo("P", {"Z", "K", "N", "W"},
+                                   {1, 32, 4, 2}, pe))
+        .add("X", ft::Tensor::fromCoo("X", {"N", "Z"}, {4, 2}, xe));
+    for (const ir::EinsumPlan& plan : fft.plans(f))
+        EXPECT_TRUE(plan.shard.shardable) << plan.shard.reason;
+    StreamRecorder serial_rec;
+    RunOptions serial;
+    serial.observers.push_back(&serial_rec);
+    const SimulationResult fs = fft.run(f, serial);
+    StreamRecorder rec;
+    RunOptions four_rec = four;
+    four_rec.observers.push_back(&rec);
+    const SimulationResult f4 = fft.run(f, four_rec);
+    expectSameResults(fs, f4);
+    EXPECT_EQ(rec.log, serial_rec.log);
+    ASSERT_EQ(f4.splits.size(), 2u);
+    for (const exec::SplitPoint& split : f4.splits) {
+        EXPECT_EQ(split.rank, "K");
+        EXPECT_EQ(split.merge, exec::SplitPoint::Merge::Disjoint);
+        EXPECT_GT(split.slices, 1u);
     }
 
-    // SIGMA: the take Einsums shard disjoint along K; Z's outermost
-    // rank K1 restricts the contraction variable k, so partials at the
-    // starting depth overlap. (A run then splits output-keyed below
-    // the chunk loop — see SigmaSplitsBelowItsChunkLoop.)
-    auto sigma = compiler::compile(accel::sigma(smallSigma()));
-    ASSERT_EQ(sigma.shardPlans().size(), 3u);
-    for (const ir::ShardPlan& sp : sigma.shardPlans())
-        EXPECT_TRUE(sp.shardable) << sp.reason;
-    EXPECT_EQ(sigma.shardPlans()[0].mode,
-              ir::ShardPlan::Mode::Disjoint);
-    EXPECT_EQ(sigma.shardPlans()[1].mode,
-              ir::ShardPlan::Mode::Disjoint);
-    EXPECT_EQ(sigma.shardPlans()[2].mode, ir::ShardPlan::Mode::Reduce);
-    EXPECT_EQ(sigma.shardPlans()[2].rank, "K1");
-
-    // The report names each Einsum's parallelization.
-    const std::string report = sigma.shardingReport();
-    EXPECT_NE(report.find("Z: reduction sharding along rank 'K1'"),
-              std::string::npos)
-        << report;
-    EXPECT_EQ(report.find("semiring add"), std::string::npos) << report;
-
-    // A remaining refusal: a unary full reduction lowers to the
-    // whole-tensor-copy path, which bypasses the loop nest — nothing
-    // to shard. The report says so.
     auto copy = compiler::compile(
         compiler::Specification::parse(R"(
 einsum:
@@ -726,10 +760,16 @@ einsum:
   expressions:
     - Z[] = T[m, n]
 )"));
-    ASSERT_EQ(copy.shardPlans().size(), 1u);
-    EXPECT_FALSE(copy.shardPlans()[0].shardable);
-    EXPECT_NE(copy.shardingReport().find("serial ("),
-              std::string::npos);
+    Workload t;
+    t.add("T", intMatrix("T", 32, 36, 200, 53, {"M", "N"}));
+    ASSERT_EQ(copy.plans(t).size(), 1u);
+    const ir::ShardPlan& sp = copy.plans(t)[0].shard;
+    EXPECT_FALSE(sp.shardable);
+    EXPECT_NE(sp.reason.find("whole-tensor copy"), std::string::npos)
+        << sp.reason;
+    const SimulationResult c = copy.run(t, four);
+    ASSERT_EQ(c.splits.size(), 1u);
+    EXPECT_EQ(c.splits[0].merge, exec::SplitPoint::Merge::Serial);
 }
 
 // ------------------------------------------------- unknown overrides

@@ -276,6 +276,10 @@ TEST_F(ServeProtocol, NonObjectAndMissingOpAreRejected)
     expectError(call("{}"), "bad_request", "op");
     expectError(call(R"({"op":7})"), "bad_request", "op");
     expectError(call(R"({"op":"frobnicate"})"), "bad_request", "op");
+    // No op reports sharding: a run's split is in
+    // SimulationResult::splits.
+    expectError(call(R"({"op":"sharding_report","model":"m1"})"),
+                "bad_request", "op");
 }
 
 TEST_F(ServeProtocol, RequestIdIsEchoedEvenOnErrors)
@@ -459,6 +463,10 @@ TEST_F(ServeProtocol, EvaluateValidatesItsArguments)
     expectError(parseJson(server_.handleLine(
                     prefix + R"("bindings":{"A":"d404"}})")),
                 "unknown_id", "d404");
+    // An id that was never registered is unknown, whatever it spells.
+    expectError(parseJson(server_.handleLine(
+                    prefix + R"("bindings":{"A":"evicted7"}})")),
+                "unknown_id", "evicted7");
 }
 
 TEST_F(ServeProtocol, EstimateValidatesItsArguments)
@@ -512,26 +520,6 @@ TEST_F(ServeProtocol, CancelValidatesAndCountsMatches)
     const Json r = call(R"({"op":"cancel","target":"nobody"})");
     ASSERT_TRUE(r.find("ok")->boolean()) << r.dump();
     EXPECT_DOUBLE_EQ(r.find("cancelled")->number(), 0.0);
-}
-
-TEST_F(ServeProtocol, ShardingReportNeedsAKnownModel)
-{
-    expectError(call(R"({"op":"sharding_report","model":"m7"})"),
-                "unknown_id", "m7");
-    const Json compiled = call(R"({"op":"compile","accel":"gamma"})");
-    const std::string model = compiled.find("model")->str();
-    const Json report = parseJson(server_.handleLine(
-        R"({"op":"sharding_report","model":")" + model + "\"}"));
-    ASSERT_TRUE(report.find("ok")->boolean()) << report.dump();
-    const auto& einsums = report.find("einsums")->array();
-    ASSERT_FALSE(einsums.empty());
-    for (const Json& entry : einsums) {
-        EXPECT_FALSE(entry.find("einsum")->str().empty());
-        const std::string mode = entry.find("mode")->str();
-        EXPECT_TRUE(mode == "disjoint" || mode == "reduce" ||
-                    mode == "inner" || mode == "serial")
-            << mode;
-    }
 }
 
 // ----------------------------------------------------- end to end
@@ -781,9 +769,10 @@ TEST_F(ServeEndToEnd, EvictionUnderBudgetAnswersEvictedNotUnknown)
         server.handleLine(loadLine(aPath_, "A", "M")));
     ASSERT_TRUE(da.find("ok")->boolean()) << da.dump();
     const std::string staleId = da.find("dataset")->str();
-    // Touch the model so dataset A is the coldest entry.
-    server.handleLine(R"({"op":"sharding_report","model":")" + model +
-                      "\"}");
+    // Touch the model so dataset A is the coldest entry: an estimate
+    // on no bindings looks the model up, then fails its validation.
+    server.handleLine(R"({"op":"estimate","model":")" + model +
+                      R"(","bindings":{}})");
     const Json db = parseJson(
         server.handleLine(loadLine(bPath_, "B", "N")));
     ASSERT_TRUE(db.find("ok")->boolean()) << db.dump();

@@ -537,7 +537,7 @@ TEST(Spill, PreLookupsAndBarrenNodesInADepthTwoPrefix)
         SCOPED_TRACE(exec::mergeName(c.merge));
         auto model =
             compiler::compile(compiler::Specification::parse(c.yaml));
-        ASSERT_EQ(model.shardPlans().size(), 1u);
+        ASSERT_EQ(model.recipes().size(), 1u);
 
         for (const ft::Coord plane : {0, 1}) {
             // Plane 1 makes loop 0's pre-lookup miss: the run executes
